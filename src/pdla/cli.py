@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .applications import (parse_tree_doc, set_cover_instance,
                            solve_gst_online)
 from .baselines import offline_solve
@@ -21,8 +19,7 @@ from .covering_lp import current_solution, dual_certificate, new_lp_solver, \
 from .covering_lp_box import dual_certificate_box, new_lp_box_solver, \
     process_row_box
 from .covering_sdp import dual_certificate as sdp_dual_certificate
-from .covering_sdp import (current_solution as sdp_current_solution,
-                           new_sdp_solver, process_matrix)
+from .covering_sdp import new_sdp_solver, process_matrix
 from .errors import (EmptyRow, ExponentOverflow, Infeasible,
                      MalformedDocument, NoFeasibleSolution, NoProgress,
                      NotConverged, PdlaError, PhaseRestartLimit,
@@ -72,17 +69,20 @@ def _emit_trace(state) -> None:
         print(json.dumps(entry), file=sys.stderr)
 
 
-def _lp_result(state, cert) -> dict:
+def _result(state, cert=None) -> dict:
+    """Result document of any solver state; "dual" only when cert is given."""
     x = current_solution(state)
-    return {
+    doc = {
         "x": [float(v) for v in x],
         "objective": float(state.c @ x),
         "alpha_history": state.alpha_history,
         "violations": state.violations_seen,
         "iterations": state.iterations,
         "phases": len(state.alpha_history),
-        "dual": {"scale": cert.scale, "objective": cert.objective},
     }
+    if cert is not None:
+        doc["dual"] = {"scale": cert.scale, "objective": cert.objective}
+    return doc
 
 
 def _cmd_solve_lp(args) -> int:
@@ -103,7 +103,7 @@ def _cmd_solve_lp(args) -> int:
         cert = dual_certificate(st)
     if args.trace:
         _emit_trace(st)
-    print(json.dumps(_lp_result(st, cert)))
+    print(json.dumps(_result(st, cert)))
     return EXIT_OK
 
 
@@ -116,19 +116,9 @@ def _cmd_solve_sdp(args) -> int:
     st = new_sdp_solver(inst, advice=adv, params=params)
     for B in inst.B_stream:
         process_matrix(st, B)
-    cert = sdp_dual_certificate(st)
-    x = sdp_current_solution(st)
     if args.trace:
         _emit_trace(st)
-    print(json.dumps({
-        "x": [float(v) for v in x],
-        "objective": float(st.c @ x),
-        "alpha_history": st.alpha_history,
-        "violations": st.violations_seen,
-        "iterations": st.iterations,
-        "phases": len(st.alpha_history),
-        "dual": {"scale": cert.scale, "objective": cert.objective},
-    }))
+    print(json.dumps(_result(st, sdp_dual_certificate(st))))
     return EXIT_OK
 
 
@@ -144,7 +134,7 @@ def _cmd_set_cover(args) -> int:
     cert = dual_certificate_box(st)
     if args.trace:
         _emit_trace(st)
-    print(json.dumps(_lp_result(st, cert)))
+    print(json.dumps(_result(st, cert)))
     return EXIT_OK
 
 
@@ -157,19 +147,11 @@ def _cmd_gst(args) -> int:
             raise MalformedDocument("groups file must hold a list of lists")
     n_edges = len(tree.edges)
     adv = _load_advice(args, n_edges, True)
-    x, st = solve_gst_online(tree, groups, advice=adv,
+    _, st = solve_gst_online(tree, groups, advice=adv,
                              params=SolverParams(trace=args.trace))
     if args.trace:
         _emit_trace(st)
-    costs = np.array([c for (_, _, c) in tree.edges])
-    print(json.dumps({
-        "x": [float(v) for v in x],
-        "objective": float(costs @ x),
-        "alpha_history": st.alpha_history,
-        "violations": st.violations_seen,
-        "iterations": st.iterations,
-        "phases": len(st.alpha_history),
-    }))
+    print(json.dumps(_result(st)))
     return EXIT_OK
 
 

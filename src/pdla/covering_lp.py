@@ -1,4 +1,5 @@
-"""Online covering LP solver with untrusted fractional suggestions.
+"""Online covering LP solver with untrusted fractional suggestions, and the
+growth loop that all four solver variants share.
 
 Rows of A x >= 1 arrive one at a time. The solver keeps a guessed budget
 alpha for the optimum, grows coordinates continuously against each violated
@@ -11,6 +12,17 @@ solution is the coordinatewise maximum over all phases, so it only grows.
 The boxed variant additionally enforces x <= 1 via a tight set: coordinates
 that reach their cap stop moving and instead accrue packing duals z that
 discount the dual objective.
+
+The covering SDP solver reduces every violated round to a covering row, so
+the primal-dual growth lives here once: phase start (`start_phase`), the
+round loop (`grow_round`) with its tight-set snap, budget check and growth
+step, and `current_solution`, `kappa_seen` and `beta_seen`. A solver keeps
+only its separation step (a `Separation`: is the round's constraint met,
+and if not, which covering row is violated) and its dual accumulator (the
+fields its phase type adds to `Phase`, filled by `Separation.accumulate`
+and at round end). For the LP the streamed row is its own cut and the
+accumulator is the folded column load. The growth step calls `find_stop`,
+`coefficient_vector` and `advance` through this module's globals.
 """
 from __future__ import annotations
 
@@ -18,9 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoFeasibleSolution, NoProgress, NotConverged, PhaseRestartLimit
+from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
+                     NonPositiveCost, NoProgress, NotConverged,
+                     PhaseRestartLimit)
 from .growth import (EXP_GUARD, StopEvent, advance, coefficient_vector,
-                     find_stop, growth_value)
+                     find_stop)
 from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
                         SolverParams, validate_row)
 
@@ -28,18 +42,24 @@ SNAP = 1e-12            # proximity at which a boxed coordinate counts as tight
 ADVICE_ROW_TOL = 1e-9   # slack when testing a row against the suggestion
 OBJ_ENTRY_TOL = 1e-12   # relative slack for the budget check at iteration entry
 MAX_ROUNDS = 1_000_000  # safety stop for oracle-driven runs
+MAX_ITER_ROUND = 200_000  # safety stop for the growth steps of one round
 
 
 @dataclass
-class LpPhase:
+class Phase:
+    """One guess-and-double phase; each solver's phase type adds its duals."""
     index: int                  # 1-based position in the restart sequence
     alpha: float
     x: np.ndarray
-    load: np.ndarray            # per-column folded dual mass, sum_k a_kj y_k
-    y: dict[int, float]         # round -> dual raised within this phase
-    z: np.ndarray               # packing duals of tight coordinates (boxed)
     tight: np.ndarray           # bool mask, x_j == 1
     obj: float                  # c . x, maintained incrementally
+    z: np.ndarray               # packing duals of tight coordinates (boxed)
+    y: dict[int, float]         # round -> dual raised within this phase
+
+
+@dataclass
+class LpPhase(Phase):
+    load: np.ndarray            # per-column folded dual mass, sum_k a_kj y_k
 
 
 @dataclass
@@ -75,22 +95,77 @@ class DualCertificate:
 
 
 @dataclass
-class LpSolverState:
+class SolverState:
+    """What every solver variant tracks; solver states add their own."""
     n: int
     c: np.ndarray
     boxed: bool
     advice: AdviceVector | None
     params: SolverParams
-    phase: LpPhase | None = None
+    phase: Phase | None = None
     alpha_history: list[float] = field(default_factory=list)
-    x_best: np.ndarray = None
+    x_best: np.ndarray = field(init=False)
     round_no: int = 0
     violations_seen: int = 0
     iterations: int = 0
-    col_max: np.ndarray = None
-    col_min: np.ndarray = None
+    col_max: np.ndarray = field(init=False)
+    col_min: np.ndarray = field(init=False)
     sparsity_seen: float = 0.0
     trace: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.x_best = np.zeros(self.n)
+        self.col_max = np.zeros(self.n)
+        self.col_min = np.full(self.n, np.inf)
+
+
+@dataclass
+class LpSolverState(SolverState):
+    def new_phase(self, **shared) -> LpPhase:
+        return LpPhase(load=np.zeros(self.n), **shared)
+
+
+@dataclass
+class RoundGrowth:
+    """What the shared loop did in one round; both step reports build on it."""
+    iterations: int = 0
+    phases_entered: int = 0
+    y_round: float = 0.0
+    tight_added: list[int] = field(default_factory=list)
+    last_event: str | None = None
+
+
+class Separation:
+    """A solver's separation step, as the shared growth loop uses it.
+
+    `support` holds the coordinates the round's constraint can involve.
+    holds(x) tells whether the constraint is met at x; once it fails and the
+    budget check passes, cut() gives the violated covering row as weights
+    over `support` and a right side. accumulate(ph, delta) adds one growth
+    step's dual mass to the solver's own accumulators.
+    """
+    support: np.ndarray
+
+    def accumulate(self, ph: Phase, delta: float) -> None:
+        pass
+
+    def trace_fields(self) -> dict:
+        return {}
+
+
+class _RowSeparation(Separation):
+    """The LP's separation step: a streamed row is its own cut."""
+
+    def __init__(self, idx: np.ndarray, vals: np.ndarray, tol_feas: float):
+        self.support, self.vals, self.tol_feas = idx, vals, tol_feas
+        self.value = 0.0
+
+    def holds(self, x: np.ndarray) -> bool:
+        self.value = float(self.vals @ x[self.support])
+        return self.value >= 1.0 - self.tol_feas
+
+    def cut(self) -> tuple[np.ndarray, float]:
+        return self.vals, 1.0
 
 
 def new_lp_solver(n, costs, advice: AdviceVector | None = None,
@@ -99,16 +174,10 @@ def new_lp_solver(n, costs, advice: AdviceVector | None = None,
     params = params if params is not None else SolverParams()
     c = np.asarray(costs, dtype=float)
     if c.shape != (n,) or not np.all(np.isfinite(c)) or np.any(c <= 0):
-        from .errors import NonPositiveCost
         raise NonPositiveCost("costs must be finite and strictly positive")
     if advice is not None and advice.x_prime.shape != (n,):
-        from .errors import LengthMismatch
         raise LengthMismatch("advice length does not match n")
-    state = LpSolverState(n=n, c=c, boxed=boxed, advice=advice, params=params)
-    state.x_best = np.zeros(n)
-    state.col_max = np.zeros(n)
-    state.col_min = np.full(n, np.inf)
-    return state
+    return LpSolverState(n=n, c=c, boxed=boxed, advice=advice, params=params)
 
 
 def solver_for_instance(inst: CoveringLpInstance,
@@ -118,7 +187,13 @@ def solver_for_instance(inst: CoveringLpInstance,
                          boxed=inst.boxed)
 
 
-def _start_phase(state: LpSolverState, alpha: float) -> None:
+def start_phase(state: SolverState, alpha: float) -> None:
+    """Open the next phase with budget alpha; the point starts at
+    alpha / (2 n c), capped at the suggestion and, when boxed, at 1."""
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        # A budget of inf would publish x = inf; one of 0 never grows.
+        raise ExponentOverflow(f"budget guess {alpha} is not finite and "
+                               "positive")
     if state.phase is not None:
         np.maximum(state.x_best, state.phase.x, out=state.x_best)
     index = len(state.alpha_history) + 1
@@ -133,10 +208,119 @@ def _start_phase(state: LpSolverState, alpha: float) -> None:
         x = np.minimum(x, 1.0)
     tight = (x >= 1.0 - SNAP) if state.boxed else np.zeros(state.n, dtype=bool)
     x = np.where(tight, 1.0, x)
-    state.phase = LpPhase(index=index, alpha=alpha, x=x,
-                          load=np.zeros(state.n), y={},
-                          z=np.zeros(state.n), tight=tight,
-                          obj=float(state.c @ x))
+    state.phase = state.new_phase(index=index, alpha=alpha, x=x, tight=tight,
+                                  obj=float(state.c @ x),
+                                  z=np.zeros(state.n), y={})
+
+
+def grow_round(state: SolverState, rnd: int, sep: Separation,
+               branch_feasible: bool) -> RoundGrowth:
+    """Grow the active phase until `sep` finds round `rnd` satisfied.
+
+    branch_feasible says whether the suggestion itself meets the round's
+    constraint, which arms suggestion-proportional sharing.
+    """
+    g = RoundGrowth()
+    counted_violation = False
+    while True:
+        if g.iterations > MAX_ITER_ROUND:
+            raise NotConverged(
+                f"round {rnd} still violated after {MAX_ITER_ROUND} steps")
+        ph = state.phase
+        if state.boxed:
+            idx = sep.support
+            hit = (ph.x[idx] >= 1.0 - SNAP) & ~ph.tight[idx]
+            if hit.any():
+                cols = idx[hit]
+                ph.obj += float(state.c[cols] @ (1.0 - ph.x[cols]))
+                ph.x[cols] = 1.0
+                ph.tight[cols] = True
+                g.tight_added.extend(int(j) for j in cols)
+        if sep.holds(ph.x):
+            break
+        if ph.obj >= ph.alpha * (1.0 - OBJ_ENTRY_TOL):
+            start_phase(state, ph.alpha * 2.0)
+            g.phases_entered += 1
+            g.y_round = 0.0
+            continue
+        if not counted_violation:
+            state.violations_seen += 1
+            counted_violation = True
+        ev = _grow_step(state, rnd, ph, sep, branch_feasible)
+        g.iterations += 1
+        g.y_round += ev.delta
+        g.last_event = ev.kind
+        if ev.kind == "objective":
+            # Budget hit: double the guess and reprocess this round, even
+            # when the constraint was met at the same instant. Advice and
+            # cap events outrank the budget in ties, so trusted snaps never
+            # trigger a spurious restart.
+            start_phase(state, ph.alpha * 2.0)
+            g.phases_entered += 1
+            g.y_round = 0.0
+    ph = state.phase
+    ph.y[rnd] = g.y_round
+    np.maximum(state.x_best, ph.x, out=state.x_best)
+    return g
+
+
+def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
+               branch_feasible: bool) -> StopEvent:
+    """One growth iteration along the row `sep.cut()` gives, up to the
+    first stop event; moves the point and the duals, records the trace."""
+    w_row, rhs = sep.cut()
+    idx = sep.support
+    free = ~ph.tight[idx]
+    fidx = idx[free]
+    w = w_row[free]
+    tight_mass = float(w_row[~free].sum())
+    if float(w.sum()) <= 0.0:
+        raise NoFeasibleSolution(
+            f"round {rnd}: the constraint reaches only {tight_mass:.6g} of "
+            f"{rhs:.6g} with every supported coordinate at its cap")
+    capacity = rhs - tight_mass
+    if state.boxed:
+        state.sparsity_seen = max(state.sparsity_seen,
+                                  float(w.sum()) / capacity)
+
+    xb = ph.x[fidx]
+    cf = state.c[fidx]
+    adv = state.advice
+    if adv is not None:
+        adv_f = adv.x_prime[fidx]
+        below = (xb < adv_f).astype(float)
+        lam = adv.lam
+    else:
+        adv_f = np.zeros(fidx.size)
+        below = np.zeros(fidx.size)
+        lam = 1.0
+    D = coefficient_vector(w, adv_f, below, lam, branch_feasible, capacity)
+    if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
+        # Suggestion-proportional sharing can stall when the suggestion has
+        # no mass along this row; fall back to uniform.
+        D = coefficient_vector(w, adv_f, below, lam, False, capacity)
+
+    ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
+                   np.where(below > 0, adv_f, np.inf), state.boxed,
+                   state.params.tol_bisect)
+    state.iterations += 1
+    x_new = advance(xb, D, w, cf, ev.delta)
+    if ev.kind == "advice":
+        x_new[ev.j] = adv_f[ev.j]
+    elif ev.kind == "cap":
+        x_new[ev.j] = 1.0
+    ph.obj += float(cf @ (x_new - xb))
+    ph.x[fidx] = x_new
+    if tight_mass > 0.0:
+        ph.z[idx[~free]] += w_row[~free] * ev.delta
+    sep.accumulate(ph, ev.delta)
+    if state.params.trace:
+        state.trace.append({
+            "round": rnd, "phase": ph.index, "alpha": ph.alpha,
+            "event": ev.kind, "j": None if ev.j is None else int(fidx[ev.j]),
+            "delta": ev.delta, "obj": ph.obj, **sep.trace_fields(),
+        })
+    return ev
 
 
 def _initial_alpha(state: LpSolverState, idx, vals) -> float:
@@ -156,119 +340,26 @@ def process_row(state: LpSolverState, row) -> StepReport:
     idx = np.fromiter((j for j, _ in row), dtype=np.int64, count=len(row))
     vals = np.fromiter((a for _, a in row), dtype=float, count=len(row))
     state.round_no += 1
-    rnd = state.round_no
     np.maximum.at(state.col_max, idx, vals)
     np.minimum.at(state.col_min, idx, vals)
     if state.phase is None:
-        _start_phase(state, _initial_alpha(state, idx, vals))
-
+        start_phase(state, _initial_alpha(state, idx, vals))
     adv = state.advice
-    if adv is not None:
-        adv_row = float(vals @ adv.x_prime[idx])
-        branch_feasible = adv_row >= 1.0 - ADVICE_ROW_TOL
-    else:
-        branch_feasible = False
+    branch_feasible = adv is not None and \
+        float(vals @ adv.x_prime[idx]) >= 1.0 - ADVICE_ROW_TOL
 
-    y_cur = 0.0
-    iters = 0
-    phases_entered = 0
-    counted_violation = False
-    tight_added: list[int] = []
-    last_event = None
-
-    while True:
-        ph = state.phase
-        if state.boxed:
-            hit = (ph.x[idx] >= 1.0 - SNAP) & ~ph.tight[idx]
-            if hit.any():
-                cols = idx[hit]
-                ph.obj += float(state.c[cols] @ (1.0 - ph.x[cols]))
-                ph.x[cols] = 1.0
-                ph.tight[cols] = True
-                tight_added.extend(int(j) for j in cols)
-        value = float(vals @ ph.x[idx])
-        if value >= 1.0 - state.params.tol_feas:
-            break
-        if ph.obj >= ph.alpha * (1.0 - OBJ_ENTRY_TOL):
-            _start_phase(state, ph.alpha * 2.0)
-            phases_entered += 1
-            y_cur = 0.0
-            continue
-        if not counted_violation:
-            state.violations_seen += 1
-            counted_violation = True
-
-        free = ~ph.tight[idx]
-        fidx = idx[free]
-        w = vals[free]
-        tight_mass = float(vals[~free].sum())
-        if fidx.size == 0 or w.sum() <= 0.0:
-            raise NoFeasibleSolution(
-                f"row {rnd} sums to {float(vals.sum()):.6g} < 1 with every "
-                "supported coordinate at its cap")
-        capacity = 1.0 - tight_mass
-        if state.boxed:
-            state.sparsity_seen = max(state.sparsity_seen,
-                                      float(w.sum()) / capacity)
-
-        xb = ph.x[fidx]
-        cf = state.c[fidx]
-        if adv is not None:
-            adv_f = adv.x_prime[fidx]
-            below = (xb < adv_f).astype(float)
-            lam = adv.lam
-        else:
-            adv_f = np.zeros(fidx.size)
-            below = np.zeros(fidx.size)
-            lam = 1.0
-        D = coefficient_vector(w, adv_f, below, lam, branch_feasible, capacity)
-        if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
-            D = coefficient_vector(w, adv_f, below, lam, False, capacity)
-
-        armed = (adv is not None) and below.any()
-        advice_target = np.where(below > 0, adv_f, np.inf) if armed \
-            else np.full(fidx.size, np.inf)
-        ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
-                       advice_target, state.boxed, state.params.tol_bisect)
-        iters += 1
-        state.iterations += 1
-        x_new = advance(xb, D, w, cf, ev.delta)
-        if ev.kind == "advice":
-            x_new[ev.j] = adv_f[ev.j]
-        elif ev.kind == "cap":
-            x_new[ev.j] = 1.0
-        ph.obj += float(cf @ (x_new - xb))
-        ph.x[fidx] = x_new
-        y_cur += ev.delta
-        if state.boxed and tight_mass > 0.0:
-            ph.z[idx[~free]] += vals[~free] * ev.delta
-        last_event = ev.kind
-        if state.params.trace:
-            state.trace.append({
-                "round": rnd, "phase": ph.index, "alpha": ph.alpha,
-                "event": ev.kind, "j": None if ev.j is None else int(fidx[ev.j]),
-                "delta": ev.delta, "obj": ph.obj,
-            })
-        if ev.kind == "objective":
-            # Budget hit: double the guess and reprocess this row, even when
-            # the row value crossed 1 at the same instant. Advice and cap
-            # events outrank the budget in ties, so trusted snaps never
-            # trigger a spurious restart.
-            _start_phase(state, ph.alpha * 2.0)
-            phases_entered += 1
-            y_cur = 0.0
-
-    ph = state.phase
-    ph.y[rnd] = y_cur
-    ph.load[idx] += vals * y_cur
-    np.maximum(state.x_best, ph.x, out=state.x_best)
-    reason = "satisfied_by_2" if last_event == "target" else "already_satisfied"
-    return StepReport(round_no=rnd, stop_reason=reason, iterations=iters,
-                      phases_entered=phases_entered, row_value=value,
-                      y_round=y_cur, tight_added=tight_added)
+    sep = _RowSeparation(idx, vals, state.params.tol_feas)
+    g = grow_round(state, state.round_no, sep, branch_feasible)
+    state.phase.load[idx] += vals * g.y_round
+    reason = "satisfied_by_2" if g.last_event == "target" \
+        else "already_satisfied"
+    return StepReport(round_no=state.round_no, stop_reason=reason,
+                      iterations=g.iterations,
+                      phases_entered=g.phases_entered, row_value=sep.value,
+                      y_round=g.y_round, tight_added=g.tight_added)
 
 
-def current_solution(state: LpSolverState) -> np.ndarray:
+def current_solution(state: SolverState) -> np.ndarray:
     """Published solution: coordinatewise maximum over all phases so far."""
     return state.x_best.copy()
 
@@ -294,8 +385,8 @@ def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
     """Dense growth coefficients for one iteration against `row`.
 
     Mirrors the internal support-compressed computation: D comes from the
-    same sharing rule, and B re-expresses the curve multiplicatively at the
-    in-row dual y (load folded from earlier rounds plus a_ij * y).
+    same `coefficient_vector`, and B re-expresses the curve multiplicatively
+    at the in-row dual y (load folded from earlier rounds plus a_ij * y).
     """
     row = validate_row(row, state.n)
     if state.phase is None:
@@ -319,20 +410,10 @@ def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
         lam = 1.0
         branch = False
     capacity = 1.0 - float(a_dense[ph.tight].sum()) if state.boxed else 1.0
-    n1 = float(w_dense.sum())
-    if n1 <= 0:
-        raise NoProgress("row has no weight on free coordinates")
-    if branch:
-        D = np.full(state.n, lam / n1)
-        n2 = float(np.sum(w_dense * adv_dense * below_dense))
-        if n2 > 0 and lam < 1.0:
-            D = D + (1.0 - lam) * adv_dense * below_dense / n2
-        D = D * capacity
-    else:
-        D = np.full(state.n, capacity / n1)
+    D = coefficient_vector(w_dense, adv_dense, below_dense, lam, branch,
+                           capacity)
     expo = (ph.load + a_dense * y - ph.z) / state.c
     if np.any(expo > EXP_GUARD):
-        from .errors import ExponentOverflow
         raise ExponentOverflow("coefficient exponent exceeds guard")
     # B pins the multiplicative form to the current point: x_bar = B e^expo - D.
     B = (ph.x + D) / np.exp(expo)
@@ -398,7 +479,7 @@ def run_lp(inst: CoveringLpInstance, advice: AdviceVector | None = None,
     return state, reports
 
 
-def kappa_seen(state: LpSolverState) -> float:
+def kappa_seen(state: SolverState) -> float:
     """Largest within-column spread max_j a^max_j / a^min_j over revealed rows."""
     seen = state.col_max > 0
     if not seen.any():
@@ -406,7 +487,7 @@ def kappa_seen(state: LpSolverState) -> float:
     return float(np.max(state.col_max[seen] / state.col_min[seen]))
 
 
-def beta_seen(state: LpSolverState) -> float:
+def beta_seen(state: SolverState) -> float:
     """Largest entry-to-cost ratio max_j a^max_j / c_j over revealed rows."""
     seen = state.col_max > 0
     if not seen.any():

@@ -4,29 +4,32 @@ A stream of monotonically growing symmetric targets B_1 <= B_2 <= ... arrives
 online and the solver maintains x >= 0 with sum_j A_j x_j >= B_i in the PSD
 order. Each violated round is reduced to covering rows through the least
 eigenvector v of the residual: the implicit row has weights w_j = v' A_j v
-and right side b = v' B_i v, and the same growth engine as the LP case runs
-until the residual turns PSD. Every stop event returns to a fresh
-eigendirection; budget doubling restarts the phase exactly as for LPs. The
-boxed variant enforces x <= 1 through the same tight-set mechanism.
+and right side b = v' B_i v. Phase restarts, the tight-set snap, the budget
+check and the growth step are the LP solver's (`covering_lp.grow_round`);
+this module keeps only its separation step (`_EigenSeparation`: the
+residual's least eigenpair, the implicit row and the column statistics) and
+its dual accumulator (`SdpPhase`). Every stop event returns to a fresh
+eigendirection. The boxed variant enforces x <= 1 through the same tight-set
+mechanism.
 
 The matrix dual Y accumulates delta * v v' per growth step, giving the
 scaled certificate A_j (x) Y <= c_j after dividing by the reported factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NoFeasibleSolution, NonMonotoneB, NotConverged,
-                     PhaseRestartLimit)
-from .growth import advance, coefficient_vector, find_stop
+from .covering_lp import (Phase, Separation, SolverState, grow_round,
+                          start_phase)
+from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
+from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
+                     NotConverged)
+# Not called here; kept because the traced benchmark rebinds these names.
+from .growth import advance, coefficient_vector, find_stop  # noqa: F401
 from .instances import AdviceVector, CoveringSdpInstance, SolverParams
-from .symmetric import frobenius, is_psd, min_eigpair
-
-SNAP = 1e-12
-OBJ_ENTRY_TOL = 1e-12
-MAX_ITER_ROUND = 200_000
+from .symmetric import is_psd, min_eigpair
 
 
 @dataclass
@@ -41,17 +44,10 @@ class SeparationResult:
 
 
 @dataclass
-class SdpPhase:
-    index: int
-    alpha: float
-    x: np.ndarray
+class SdpPhase(Phase):
     Y: np.ndarray               # matrix dual, sum of delta * v v'
     ay: np.ndarray              # cached A_j (x) Y per coordinate
-    z: np.ndarray               # packing discounts of tight coordinates
-    tight: np.ndarray
-    obj: float
     dual_obj: float             # sum over steps of (v' B v) delta - caps
-    y: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -73,27 +69,51 @@ class SdpDualCertificate:
     objective: float
 
 
-@dataclass
-class SdpSolverState:
-    n: int
+@dataclass(kw_only=True)
+class SdpSolverState(SolverState):
     d: int
-    c: np.ndarray
     A: np.ndarray               # stacked (n, d, d)
-    boxed: bool
-    advice: AdviceVector | None
-    params: SolverParams
     S_advice: np.ndarray | None
-    phase: SdpPhase | None = None
-    alpha_history: list[float] = field(default_factory=list)
-    x_best: np.ndarray = None
-    last_B: np.ndarray = None
-    round_no: int = 0
-    violations_seen: int = 0
-    iterations: int = 0
-    col_max: np.ndarray = None
-    col_min: np.ndarray = None
-    sparsity_seen: float = 0.0
-    trace: list = field(default_factory=list)
+    last_B: np.ndarray
+
+    def new_phase(self, **shared) -> SdpPhase:
+        return SdpPhase(Y=np.zeros((self.d, self.d)), ay=np.zeros(self.n),
+                        dual_obj=0.0, **shared)
+
+
+class _EigenSeparation(Separation):
+    """The SDP's separation step against one target B: the residual's least
+    eigenpair (lam, v) and the implicit row w_j = v' A_j v >= b = v' B v."""
+
+    def __init__(self, state: SdpSolverState, B: np.ndarray):
+        self.state, self.B = state, B
+        self.support = np.arange(state.n)
+        self.floor = -state.params.tol_psd * max(1.0, float(np.linalg.norm(B)))
+
+    def holds(self, x: np.ndarray) -> bool:
+        resid = np.tensordot(x, self.state.A, axes=1) - self.B
+        self.lam, self.v = min_eigpair(resid, tol_eig=self.state.params.tol_eig)
+        return self.lam >= self.floor
+
+    def cut(self) -> tuple[np.ndarray, float]:
+        st, v = self.state, self.v
+        self.w = np.maximum(np.einsum("jkl,k,l->j", st.A, v, v), 0.0)
+        self.b = float(v @ self.B @ v)
+        if self.b <= 0.0:
+            raise NotConverged(
+                "separating direction has nonpositive target mass")
+        cols = np.nonzero(self.w > 0)[0]
+        np.maximum.at(st.col_max, cols, self.w[cols] / self.b)
+        np.minimum.at(st.col_min, cols, self.w[cols] / self.b)
+        return self.w, self.b
+
+    def accumulate(self, ph: SdpPhase, delta: float) -> None:
+        ph.Y += delta * np.outer(self.v, self.v)
+        ph.ay += self.w * delta
+        ph.dual_obj += self.b * delta
+
+    def trace_fields(self) -> dict:
+        return {"residual": self.lam}
 
 
 def new_sdp_solver(inst: CoveringSdpInstance,
@@ -101,37 +121,12 @@ def new_sdp_solver(inst: CoveringSdpInstance,
                    params: SolverParams | None = None) -> SdpSolverState:
     params = params if params is not None else SolverParams()
     A = np.stack([np.asarray(m, dtype=float) for m in inst.A])
-    state = SdpSolverState(
+    return SdpSolverState(
         n=inst.n, d=inst.d, c=np.asarray(inst.c, dtype=float), A=A,
         boxed=inst.boxed, advice=advice, params=params,
         S_advice=None if advice is None else np.tensordot(
-            advice.x_prime, A, axes=1))
-    state.x_best = np.zeros(inst.n)
-    state.last_B = np.full((inst.d, inst.d), -np.inf)
-    state.col_max = np.zeros(inst.n)
-    state.col_min = np.full(inst.n, np.inf)
-    return state
-
-
-def _start_phase(state: SdpSolverState, alpha: float) -> None:
-    if state.phase is not None:
-        np.maximum(state.x_best, state.phase.x, out=state.x_best)
-    index = len(state.alpha_history) + 1
-    if index > state.params.max_phase:
-        raise PhaseRestartLimit(
-            f"exceeded {state.params.max_phase} phase restarts")
-    state.alpha_history.append(alpha)
-    x = alpha / (2.0 * state.n * state.c)
-    if state.advice is not None:
-        x = np.minimum(state.advice.x_prime, x)
-    if state.boxed:
-        x = np.minimum(x, 1.0)
-    tight = (x >= 1.0 - SNAP) if state.boxed else np.zeros(state.n, dtype=bool)
-    x = np.where(tight, 1.0, x)
-    state.phase = SdpPhase(index=index, alpha=alpha, x=x,
-                           Y=np.zeros((state.d, state.d)),
-                           ay=np.zeros(state.n), z=np.zeros(state.n),
-                           tight=tight, obj=float(state.c @ x), dual_obj=0.0)
+            advice.x_prime, A, axes=1),
+        last_B=np.full((inst.d, inst.d), -np.inf))
 
 
 def _initial_alpha(state: SdpSolverState, B: np.ndarray) -> float:
@@ -148,14 +143,11 @@ def _initial_alpha(state: SdpSolverState, B: np.ndarray) -> float:
 def separation(state: SdpSolverState, B) -> SeparationResult | None:
     """Least eigenpair of the residual at the active phase point, or None
     when the round is already satisfied within tol_psd."""
-    B = np.asarray(B, dtype=float)
-    x = state.phase.x if state.phase is not None else np.zeros(state.n)
-    resid = np.tensordot(x, state.A, axes=1) - B
-    lam, v = min_eigpair(resid, tol_eig=state.params.tol_eig)
-    bnorm = float(np.linalg.norm(B))
-    if lam >= -state.params.tol_psd * max(1.0, bnorm):
+    sep = _EigenSeparation(state, np.asarray(B, dtype=float))
+    if sep.holds(state.phase.x if state.phase is not None
+                 else np.zeros(state.n)):
         return None
-    return SeparationResult(value=float(lam), vector=v)
+    return SeparationResult(value=float(sep.lam), vector=sep.v)
 
 
 def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
@@ -167,7 +159,6 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     """
     B = np.asarray(B, dtype=float)
     if B.shape != (state.d, state.d):
-        from .errors import DimensionMismatch
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")
     if np.isfinite(state.last_B).all():
@@ -185,134 +176,19 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
             return SdpStepReport(round_no=rnd, stop_reason="already_satisfied",
                                  iterations=0, phases_entered=0,
                                  residual_eig=0.0, y_round=0.0, tight_added=[])
-        _start_phase(state, _initial_alpha(state, B))
+        start_phase(state, _initial_alpha(state, B))
+    branch_feasible = state.advice is not None and \
+        is_psd(state.S_advice - B, tol_psd=state.params.tol_psd)
 
-    adv = state.advice
-    if adv is not None:
-        branch_feasible = is_psd(state.S_advice - B,
-                                 tol_psd=state.params.tol_psd)
-    else:
-        branch_feasible = False
-
-    y_cur = 0.0
-    iters = 0
-    phases_entered = 0
-    counted_violation = False
-    tight_added: list[int] = []
-    lam_exit = 0.0
-    bnorm = float(np.linalg.norm(B))
-
-    while True:
-        if iters > MAX_ITER_ROUND:
-            raise NotConverged(
-                f"round {rnd} still violated after {MAX_ITER_ROUND} steps")
-        ph = state.phase
-        if state.boxed:
-            hit = (ph.x >= 1.0 - SNAP) & ~ph.tight
-            if hit.any():
-                cols = np.nonzero(hit)[0]
-                ph.obj += float(state.c[cols] @ (1.0 - ph.x[cols]))
-                ph.x[cols] = 1.0
-                ph.tight[cols] = True
-                tight_added.extend(int(j) for j in cols)
-        resid = np.tensordot(ph.x, state.A, axes=1) - B
-        lam, v = min_eigpair(resid, tol_eig=state.params.tol_eig)
-        if lam >= -state.params.tol_psd * max(1.0, bnorm):
-            lam_exit = float(lam)
-            break
-        if ph.obj >= ph.alpha * (1.0 - OBJ_ENTRY_TOL):
-            _start_phase(state, ph.alpha * 2.0)
-            phases_entered += 1
-            y_cur = 0.0
-            continue
-        if not counted_violation:
-            state.violations_seen += 1
-            counted_violation = True
-
-        w_full = np.maximum(np.einsum("jkl,k,l->j", state.A, v, v), 0.0)
-        b = float(v @ B @ v)
-        if b <= 0.0:
-            raise NotConverged(
-                "separating direction has nonpositive target mass")
-        pos = w_full > 0
-        if pos.any():
-            np.maximum.at(state.col_max, np.nonzero(pos)[0], w_full[pos] / b)
-            np.minimum.at(state.col_min, np.nonzero(pos)[0], w_full[pos] / b)
-
-        free = ~ph.tight
-        w = w_full[free]
-        tight_mass = float(w_full[~free].sum())
-        if float(w.sum()) <= 0.0:
-            raise NoFeasibleSolution(
-                f"round {rnd}: a residual direction reaches only "
-                f"{tight_mass:.6g} of {b:.6g} with every coordinate capped")
-        capacity = b - tight_mass if state.boxed else b
-        if state.boxed:
-            state.sparsity_seen = max(state.sparsity_seen,
-                                      float(w.sum()) / capacity)
-
-        fidx = np.nonzero(free)[0]
-        xb = ph.x[fidx]
-        cf = state.c[fidx]
-        if adv is not None:
-            adv_f = adv.x_prime[fidx]
-            below = (xb < adv_f).astype(float)
-            lam_mix = adv.lam
-        else:
-            adv_f = np.zeros(fidx.size)
-            below = np.zeros(fidx.size)
-            lam_mix = 1.0
-        D = coefficient_vector(w, adv_f, below, lam_mix, branch_feasible,
-                               capacity)
-        if not (((w > 0) & (xb + D > 0)).any()):
-            # Suggestion-proportional sharing can stall when the suggestion
-            # has no mass along this direction; fall back to uniform.
-            D = coefficient_vector(w, adv_f, below, lam_mix, False, capacity)
-
-        advice_target = np.where(below > 0, adv_f, np.inf)
-        ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
-                       advice_target, state.boxed, state.params.tol_bisect)
-        iters += 1
-        state.iterations += 1
-        x_new = advance(xb, D, w, cf, ev.delta)
-        if ev.kind == "advice":
-            x_new[ev.j] = adv_f[ev.j]
-        elif ev.kind == "cap":
-            x_new[ev.j] = 1.0
-        ph.obj += float(cf @ (x_new - xb))
-        ph.x[fidx] = x_new
-        ph.Y += ev.delta * np.outer(v, v)
-        ph.ay += w_full * ev.delta
-        if state.boxed and tight_mass > 0.0:
-            ph.z[~free] += w_full[~free] * ev.delta
-        ph.dual_obj += b * ev.delta
-        y_cur += ev.delta
-        if state.params.trace:
-            state.trace.append({
-                "round": rnd, "phase": ph.index, "alpha": ph.alpha,
-                "event": ev.kind,
-                "j": None if ev.j is None else int(fidx[ev.j]),
-                "delta": ev.delta, "obj": ph.obj, "residual": lam,
-            })
-        if ev.kind == "objective":
-            # Budget hit: double and reprocess against a fresh direction.
-            _start_phase(state, ph.alpha * 2.0)
-            phases_entered += 1
-            y_cur = 0.0
-        # Every event returns to the loop head for a fresh eigendirection.
-
-    ph = state.phase
-    ph.y[rnd] = y_cur
-    np.maximum(state.x_best, ph.x, out=state.x_best)
-    reason = "already_satisfied" if iters == 0 and phases_entered == 0 \
-        else "satisfied"
-    return SdpStepReport(round_no=rnd, stop_reason=reason, iterations=iters,
-                         phases_entered=phases_entered, residual_eig=lam_exit,
-                         y_round=y_cur, tight_added=tight_added)
-
-
-def current_solution(state: SdpSolverState) -> np.ndarray:
-    return state.x_best.copy()
+    sep = _EigenSeparation(state, B)
+    g = grow_round(state, rnd, sep, branch_feasible)
+    reason = "already_satisfied" if g.iterations == 0 and \
+        g.phases_entered == 0 else "satisfied"
+    return SdpStepReport(round_no=rnd, stop_reason=reason,
+                         iterations=g.iterations,
+                         phases_entered=g.phases_entered,
+                         residual_eig=float(sep.lam), y_round=g.y_round,
+                         tight_added=g.tight_added)
 
 
 def feasibility_gap(state: SdpSolverState, B) -> float:
@@ -346,16 +222,3 @@ def run_sdp(inst: CoveringSdpInstance, advice: AdviceVector | None = None,
     reports = [process_matrix(state, B) for B in inst.B_stream]
     return state, reports
 
-
-def kappa_seen(state: SdpSolverState) -> float:
-    seen = state.col_max > 0
-    if not seen.any():
-        return 1.0
-    return float(np.max(state.col_max[seen] / state.col_min[seen]))
-
-
-def beta_seen(state: SdpSolverState) -> float:
-    seen = state.col_max > 0
-    if not seen.any():
-        return 0.0
-    return float(np.max(state.col_max[seen] / state.c[seen]))

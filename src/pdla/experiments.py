@@ -10,7 +10,6 @@ import csv
 import logging
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ class ExperimentConfig:
     cost_scale: float = 10.0
     graph_paths: tuple = ()
     full: bool = False
-    workers: int = 1
     out: str | None = None
 
     def __post_init__(self):
@@ -294,14 +292,8 @@ _TRIALS = {"LambdaSweep": _trial_lambda_sweep,
 def run_experiment(cfg: ExperimentConfig) -> list[RunMetrics]:
     """Run all trials, return rows ordered by (trial, step, lambda); write
     the CSV atomically when cfg.out is set."""
-    worker = _TRIALS[cfg.kind]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(lambda t: worker(cfg, t),
-                                   range(cfg.trials)))
-    else:
-        chunks = [worker(cfg, t) for t in range(cfg.trials)]
-    rows = [m for chunk in chunks for m in chunk]
+    trial = _TRIALS[cfg.kind]
+    rows = [m for t in range(cfg.trials) for m in trial(cfg, t)]
     rows.sort(key=lambda m: (m.trial, m.step, m.lam))
     if cfg.out:
         write_csv(cfg.out, rows)

@@ -33,15 +33,6 @@ class StopEvent:
     delta: float         # dual increment at which the event fires
 
 
-def growth_value(b_j: float, d_j: float, load_j: float, a_ij: float,
-                 c_j: float, y: float) -> float:
-    """Value of one coordinate, x_j(y) = B_j exp((load_j + a_ij y)/c_j) - D_j."""
-    e = (load_j + a_ij * y) / c_j
-    if e > EXP_GUARD:
-        raise ExponentOverflow(f"growth exponent {e:.1f} exceeds guard")
-    return b_j * np.exp(e) - d_j
-
-
 def coefficient_vector(w, advice_vals, below, lam, advice_feasible,
                        capacity) -> np.ndarray:
     """Additive coefficients D_j over the free support of one constraint.

@@ -49,6 +49,9 @@ class SolverParams:
                 raise MalformedDocument(f"{name} must be positive")
         if self.max_phase < 1:
             raise MalformedDocument("max_phase must be >= 1")
+        if self.initial_alpha is not None and \
+                not (np.isfinite(self.initial_alpha) and self.initial_alpha > 0):
+            raise MalformedDocument("initial_alpha must be finite and positive")
 
 
 @dataclass
@@ -64,10 +67,6 @@ class CoveringLpInstance:
     c: np.ndarray
     rows: list[SparseRow]
     boxed: bool = False
-
-    def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        idx, vals = zip(*self.rows[i])
-        return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=float)
 
 
 @dataclass

@@ -13,6 +13,10 @@ def _lp_doc(boxed=False):
             "rows": [[[0, 1.0], [1, 1.0]]]}
 
 
+SOLVER_KEYS = {"x", "objective", "alpha_history", "violations", "iterations",
+               "phases", "dual"}
+
+
 def _write(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -23,6 +27,8 @@ def test_solve_lp_outputs_json(tmp_path, capsys):
     inst = _write(tmp_path, "inst.json", _lp_doc())
     assert cli.main(["solve-lp", "--instance", inst]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == SOLVER_KEYS
+    assert set(out["dual"]) == {"scale", "objective"}
     assert out["x"][0] + out["x"][1] >= 1.0 - 1e-7
     assert out["phases"] == len(out["alpha_history"])
 
@@ -97,6 +103,8 @@ def test_solve_sdp_diagonal(tmp_path, capsys):
     inst = _write(tmp_path, "sdp.json", doc)
     assert cli.main(["solve-sdp", "--instance", inst]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == SOLVER_KEYS
+    assert set(out["dual"]) == {"scale", "objective"}
     assert out["x"][0] >= 0.5 - 1e-6 and out["x"][1] >= 0.5 - 1e-6
 
 
@@ -105,6 +113,7 @@ def test_set_cover_command(tmp_path, capsys):
     g.write_text("# toy\n1 2\n2 3\n")
     assert cli.main(["set-cover", "--graph", str(g)]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == SOLVER_KEYS
     assert all(0 <= v <= 1 + 1e-9 for v in out["x"])
 
 
@@ -113,6 +122,7 @@ def test_gst_command(tmp_path, capsys):
     t = _write(tmp_path, "tree.json", doc)
     assert cli.main(["gst", "--tree", t]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == SOLVER_KEYS - {"dual"}
     assert out["objective"] == pytest.approx(5.0)
 
 

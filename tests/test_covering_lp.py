@@ -13,7 +13,7 @@ from pdla.covering_lp import (compute_coeffs, current_solution,
                               dual_certificate, find_stop_event, kappa_seen,
                               beta_seen, new_lp_solver, process_row, run_lp,
                               run_source, solver_for_instance)
-from pdla.errors import EmptyRow, NoProgress
+from pdla.errors import EmptyRow, ExponentOverflow, NoProgress
 from pdla.instances import (AdviceVector, ConstraintSource,
                             CoveringLpInstance, SolverParams, make_lp_instance,
                             validate_advice)
@@ -230,6 +230,14 @@ def test_empty_row_rejected():
         process_row(st, [])
     with pytest.raises(EmptyRow):
         process_row(st, [(0, 0.0)])
+
+
+def test_overflowing_budget_guess_raises_instead_of_publishing_inf():
+    # c / a = 1 / 5e-324 overflows to inf; x = inf must never be published.
+    st = new_lp_solver(1, [1.0])
+    with np.errstate(over="ignore"), pytest.raises(ExponentOverflow):
+        process_row(st, [(0, 5e-324)])
+    assert np.all(np.isfinite(current_solution(st)))
 
 
 def test_zero_advice_matches_pure_online():

@@ -7,7 +7,7 @@ import pytest
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp, separation)
-from pdla.errors import NoFeasibleSolution, NonMonotoneB
+from pdla.errors import ExponentOverflow, NoFeasibleSolution, NonMonotoneB
 from pdla.instances import (SolverParams, make_sdp_instance, validate_advice)
 from pdla.symmetric import min_eigpair
 
@@ -172,3 +172,12 @@ def test_boxed_solution_respects_caps_on_random_stream():
     assert np.all(x <= 1.0 + 1e-12)
     assert feasibility_gap(st, stream[-1]) >= -1e-6 * float(
         np.linalg.norm(stream[-1]))
+
+
+def test_overflowing_budget_guess_raises_instead_of_publishing_inf():
+    # c tr(B) / tr(A) = 2 / 1e-323 overflows to inf.
+    inst = make_sdp_instance(1, 2, [1.0], [I2(5e-324)], [I2()])
+    st = new_sdp_solver(inst)
+    with np.errstate(over="ignore"), pytest.raises(ExponentOverflow):
+        process_matrix(st, inst.B_stream[0])
+    assert np.all(np.isfinite(current_solution(st)))

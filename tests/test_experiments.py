@@ -116,13 +116,9 @@ def test_run_experiment_deterministic_and_sandwiched(tmp_path):
     assert not list(tmp_path.glob("*.part"))
 
 
-def test_run_experiment_workers_match():
-    cfg1 = ExperimentConfig(kind="CorruptionSweep", n=10, trials=2,
-                            corruption_rates=(0.0, 1.0))
-    cfg2 = ExperimentConfig(kind="CorruptionSweep", n=10, trials=2,
-                            corruption_rates=(0.0, 1.0), workers=3)
-    assert ([m.to_row() for m in run_experiment(cfg1)]
-            == [m.to_row() for m in run_experiment(cfg2)])
+def test_config_rejects_removed_workers_key():
+    with pytest.raises(MalformedDocument, match="workers"):
+        ExperimentConfig.from_doc({"kind": "CorruptionSweep", "workers": 2})
 
 
 def test_graph_sequence_uses_previous_snapshot_hint(tmp_path):

@@ -108,6 +108,14 @@ def test_solver_params_validation():
         SolverParams(max_phase=0)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, 0.0, -1.0, np.nan])
+def test_solver_params_reject_unusable_initial_alpha(alpha):
+    # inf would publish x = inf; 0 and negative budgets never grow and
+    # spin until the phase-restart cap.
+    with pytest.raises(MalformedDocument, match="initial_alpha"):
+        SolverParams(initial_alpha=alpha)
+
+
 def test_constraint_source_requires_exactly_one_mode():
     ConstraintSource(rows=[[(0, 1.0)]])
     ConstraintSource(oracle=lambda x: None)
