@@ -36,7 +36,10 @@ from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
 from .growth import (EXP_GUARD, StopEvent, advance, coefficient_vector,
                      find_stop)
 from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
-                        SolverParams, validate_row)
+                        SolverParams, row_arrays)
+# Only run_source's debug check calls it; kept as a module name because the
+# traced benchmark rebinds it here.
+from .instances import validate_row
 
 SNAP = 1e-12            # proximity at which a boxed coordinate counts as tight
 ADVICE_ROW_TOL = 1e-9   # slack when testing a row against the suggestion
@@ -336,12 +339,11 @@ def process_row(state: LpSolverState, row) -> StepReport:
     supported coordinate at its cap, and PhaseRestartLimit / ExponentOverflow
     on runaway guesses.
     """
-    row = validate_row(row, state.n)
-    idx = np.fromiter((j for j, _ in row), dtype=np.int64, count=len(row))
-    vals = np.fromiter((a for _, a in row), dtype=float, count=len(row))
+    idx, vals = row_arrays(row, state.n)
     state.round_no += 1
-    np.maximum.at(state.col_max, idx, vals)
-    np.minimum.at(state.col_min, idx, vals)
+    # Validated columns are unique, so plain fancy-index updates suffice.
+    state.col_max[idx] = np.maximum(state.col_max[idx], vals)
+    state.col_min[idx] = np.minimum(state.col_min[idx], vals)
     if state.phase is None:
         start_phase(state, _initial_alpha(state, idx, vals))
     adv = state.advice
@@ -388,12 +390,10 @@ def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
     same `coefficient_vector`, and B re-expresses the curve multiplicatively
     at the in-row dual y (load folded from earlier rounds plus a_ij * y).
     """
-    row = validate_row(row, state.n)
+    idx, vals = row_arrays(row, state.n)
     if state.phase is None:
         raise NoProgress("no active phase; feed a row first")
     ph = state.phase
-    idx = np.array([j for j, _ in row], dtype=np.int64)
-    vals = np.array([a for _, a in row], dtype=float)
     a_dense = np.zeros(state.n)
     a_dense[idx] = vals
     free = ~ph.tight
@@ -423,10 +423,8 @@ def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
 
 def find_stop_event(state: LpSolverState, row, coeffs: IterationCoeffs) -> StopEvent:
     """First stop event implied by `coeffs` for this row, from the current point."""
-    row = validate_row(row, state.n)
+    idx, vals = row_arrays(row, state.n)
     ph = state.phase
-    idx = np.array([j for j, _ in row], dtype=np.int64)
-    vals = np.array([a for _, a in row], dtype=float)
     free = ~ph.tight[idx]
     fidx = idx[free]
     w = vals[free]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,17 +123,94 @@ def _as_cost_vector(raw, n: int) -> np.ndarray:
     return c
 
 
+def row_arrays(row: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check one sparse row and return it as `(idx, vals)` arrays: integral,
+    non-boolean column indices in range, no duplicates, finite non-negative
+    values, a positive entry.
+
+    A long numeric (k, 2) row is checked as whole arrays. A short row, one
+    that numpy cannot read as such an array, or one that fails a check, is
+    checked entry by entry instead, so errors name the first bad entry
+    whichever path the row took.
+    """
+    arrays = _checked_arrays(row, n)
+    if arrays is None:
+        clean = _checked_entries(row, n)
+        arrays = (np.fromiter((j for j, _ in clean), dtype=np.int64,
+                              count=len(clean)),
+                  np.fromiter((v for _, v in clean), dtype=float,
+                              count=len(clean)))
+    return arrays
+
+
 def validate_row(row: Sequence, n: int) -> SparseRow:
-    """Check one sparse row: indices in range, no duplicates, a positive entry."""
+    """Check one sparse row (see `row_arrays`) and return it as a list of
+    (column, value) pairs."""
+    arrays = _checked_arrays(row, n)
+    if arrays is None:
+        return _checked_entries(row, n)
+    # float() of a float is that float, so a value shared by many entries
+    # (all the 1.0s of a unit row) stays one object, as in the per-entry
+    # check; vals.tolist() would allocate one per entry.
+    return list(zip(arrays[0].tolist(), map(float, map(itemgetter(1), row))))
+
+
+_BOOL_TYPES = frozenset({bool, np.bool_})
+# The array check costs about a dozen numpy calls at any length, so rows
+# shorter than this (the group Steiner cuts, say) are cheaper entry by entry.
+_MIN_ARRAY_ROW = 16
+
+
+def _checked_arrays(row, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`(idx, vals)` of a numeric row of at least `_MIN_ARRAY_ROW` entries
+    that passes every check, else None.
+
+    Only integer and float arrays are taken: numpy parses strings in its own
+    way, and these convert entry by entry exactly as int() and float() do.
+    Boolean columns would pass as 0.0 and 1.0, so their types are looked at.
+    """
+    try:
+        if len(row) < _MIN_ARRAY_ROW:
+            return None
+        a = np.array(row)
+        if a.dtype.kind not in "iuf" or a.ndim != 2 or a.shape[1] != 2 \
+                or not _BOOL_TYPES.isdisjoint(map(type, map(itemgetter(0), row))):
+            return None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # Contiguous rows: a strided vals would change the BLAS summation order.
+    cols, vals = np.array(a.T, dtype=float, order="C")
+    s = np.sort(cols)   # NaN sorts last
+    if not (0.0 <= s[0] and s[-1] < n and np.all(s[1:] > s[:-1])):
+        return None
+    idx = cols.astype(np.int64)
+    if not np.array_equal(idx, cols):
+        return None
+    if not (vals.min() >= 0.0 and 0.0 < vals.max() < np.inf):
+        return None
+    return idx, vals
+
+
+def _checked_entries(row, n: int) -> SparseRow:
+    """The per-entry check behind `row_arrays`; raises on the first bad entry.
+
+    It takes any iterable of pairs, numeric strings included.
+    """
     clean: SparseRow = []
     seen = set()
     for pair in row:
         try:
-            j, v = pair
-            j = int(j)
+            raw, v = pair
+            j = int(raw)
             v = float(v)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocument(f"bad row entry {pair!r}") from exc
+        if type(raw) in _BOOL_TYPES:
+            raise MalformedDocument(
+                f"boolean column index in row entry {pair!r}")
+        if j != raw and not isinstance(raw, (str, bytes)):
+            raise MalformedDocument(
+                f"non-integral column index in row entry {pair!r}")
         if not 0 <= j < n:
             raise MalformedDocument(f"column {j} out of range for n={n}")
         if j in seen:

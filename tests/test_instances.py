@@ -1,9 +1,14 @@
 """Validation and JSON round-trips for instances, advice, and parameters."""
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pdla import instances
 from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
                          LambdaOutOfRange, LengthMismatch, MalformedDocument,
                          NegativeAdvice, NegativeEntry, NonMonotoneB,
@@ -11,7 +16,7 @@ from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
 from pdla.instances import (AdviceVector, ConstraintSource, SolverParams,
                             make_lp_instance, make_sdp_instance,
                             normalize_box_bounds, parse_advice,
-                            parse_lp_instance, parse_sdp_instance,
+                            parse_lp_instance, parse_sdp_instance, row_arrays,
                             serialize_advice, serialize_lp_instance,
                             serialize_sdp_instance, validate_advice,
                             validate_row)
@@ -32,6 +37,94 @@ def test_validate_row_catches_bad_input():
         validate_row([(0, float("nan"))], 3)
     row = validate_row([(1, 2.0), (0, 0.5)], 3)
     assert row == [(1, 2.0), (0, 0.5)]
+
+
+@pytest.mark.parametrize("row", [
+    [(1.5, 1.0)],
+    [(0, 1.0), (0.5, 1.0)],     # not a "duplicate column 0"
+    [(np.float64(2.25), 1.0)],
+    [(True, 1.0)],
+    [(0, 1.0), (np.True_, 2.0)],
+])
+def test_validate_row_rejects_non_integral_and_boolean_columns(row):
+    for check in (validate_row, row_arrays):
+        with pytest.raises(MalformedDocument, match=re.escape(repr(row[-1]))):
+            check(row, 3)
+    assert validate_row([(2.0, 1.0), (np.int64(1), 0.5)], 3) == \
+        [(2, 1.0), (1, 0.5)]
+
+
+def _outcome(check, row, n):
+    """What a row check gives: ("ok", pairs) or the raised type and message."""
+    try:
+        out = check(row, n)
+    except Exception as exc:  # any error: its type and message are compared
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        idx, vals = out
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        out = list(zip(idx.tolist(), vals.tolist()))
+    return "ok", out
+
+
+# Rows drawn from anything a caller might pass: ints and floats, numpy
+# scalars, numeric strings, nan/inf, negatives, zeros, bools, huge ints,
+# ragged entries and non-pairs. Duplicate and out-of-range columns come from
+# the small column range. Plain (int, float) rows are mostly accepted;
+# near-valid rows hold each column once, in one of the forms a caller might
+# use for it.
+_COLUMNS = st.one_of(
+    st.integers(-2, 7), st.floats(-2, 7), st.booleans(),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([float("nan"), float("inf"), -0.0, 1e300]))
+_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, "nan", "-2", 10**400]))
+_ENTRIES = st.one_of(
+    st.tuples(_COLUMNS, _VALUES), st.lists(_VALUES, max_size=3),
+    st.sampled_from([None, "12", ()]))
+_PLAIN_ROWS = st.lists(st.tuples(st.integers(0, 5), st.floats(0, 10)),
+                       min_size=1, max_size=4)
+
+
+def _column_forms(j):
+    return st.sampled_from([j, float(j), np.int64(j), str(j), f"{j}.0",
+                            f" {j}", j + 0.5, j == 1])
+
+
+_LEGAL_VALUES = st.one_of(
+    st.floats(0, 10), st.integers(0, 3), st.sampled_from(["0.5", "1"]),
+    st.booleans(), st.floats(0, 5).map(np.float32))
+_NEAR_VALID_ROWS = st.lists(st.integers(0, 5), min_size=1, unique=True) \
+    .flatmap(lambda cols: st.tuples(*[st.tuples(_column_forms(j), _LEGAL_VALUES)
+                                      for j in cols])).map(list)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_PLAIN_ROWS, _NEAR_VALID_ROWS,
+                 st.lists(_ENTRIES, max_size=6)),
+       st.integers(1, 6))
+@example([(0, 1.0), (True, 1.0)], 3)
+@example([(0, 1.0), (1.5, 1.0)], 3)
+@example([(0, 1.0), ("2.0", 1.0)], 3)
+@example([(0, 1.0), (2, 1.0), (0, 1.0)], 3)
+def test_row_checks_agree_with_per_entry_loop(row, n):
+    want = _outcome(instances._checked_entries, row, n)
+    # Short rows skip the array check unless its length floor is lowered.
+    for floor in (instances._MIN_ARRAY_ROW, 1):
+        with mock.patch.object(instances, "_MIN_ARRAY_ROW", floor):
+            assert _outcome(row_arrays, row, n) == want
+            assert _outcome(validate_row, row, n) == want
+
+
+def test_long_rows_take_the_array_check():
+    row = [(j, 0.5 * j) for j in range(40)]
+    idx, vals = instances._checked_arrays(row, 40)
+    assert idx.tolist() == list(range(40)) and vals[1] == 0.5
+    assert validate_row(row, 40) == row
+    assert instances._checked_arrays(row[:3], 40) is None
+    with pytest.raises(MalformedDocument, match=re.escape("(True, 1.0)")):
+        row_arrays(row[:-1] + [(True, 1.0)], 40)
 
 
 def test_lp_instance_validation_and_roundtrip():
