@@ -14,10 +14,7 @@ import sys
 from .applications import (parse_tree_doc, set_cover_instance,
                            solve_gst_online)
 from .baselines import offline_solve
-from .covering_lp import current_solution, dual_certificate, new_lp_solver, \
-    process_row
-from .covering_lp_box import dual_certificate_box, new_lp_box_solver, \
-    process_row_box
+from .covering_lp import current_solution, dual_certificate, run_lp
 from .covering_sdp import dual_certificate as sdp_dual_certificate
 from .covering_sdp import new_sdp_solver, process_matrix
 from .errors import (EmptyRow, ExponentOverflow, Infeasible,
@@ -85,26 +82,22 @@ def _result(state, cert=None) -> dict:
     return doc
 
 
+def _solve_lp(args, inst) -> int:
+    """Stream every row of an LP instance through the solver (boxed when the
+    instance is) and print the result document."""
+    adv = _load_advice(args, inst.n, inst.boxed)
+    st, _ = run_lp(inst, advice=adv, params=SolverParams(trace=args.trace))
+    if args.trace:
+        _emit_trace(st)
+    print(json.dumps(_result(st, dual_certificate(st))))
+    return EXIT_OK
+
+
 def _cmd_solve_lp(args) -> int:
     inst = parse_lp_instance(_read(args.instance))
     if args.boxed and not inst.boxed:
         inst = make_lp_instance(inst.n, inst.c, inst.rows, boxed=True)
-    adv = _load_advice(args, inst.n, inst.boxed)
-    params = SolverParams(trace=args.trace)
-    if inst.boxed:
-        st = new_lp_box_solver(inst.n, inst.c, advice=adv, params=params)
-        for row in inst.rows:
-            process_row_box(st, row)
-        cert = dual_certificate_box(st)
-    else:
-        st = new_lp_solver(inst.n, inst.c, advice=adv, params=params)
-        for row in inst.rows:
-            process_row(st, row)
-        cert = dual_certificate(st)
-    if args.trace:
-        _emit_trace(st)
-    print(json.dumps(_result(st, cert)))
-    return EXIT_OK
+    return _solve_lp(args, inst)
 
 
 def _cmd_solve_sdp(args) -> int:
@@ -126,16 +119,7 @@ def _cmd_set_cover(args) -> int:
     system = ingest_edge_list(args.graph, cost_seed=args.cost_seed,
                               cost_scale=args.cost_scale)
     inst = set_cover_instance(system)
-    adv = _load_advice(args, inst.n, True)
-    params = SolverParams(trace=args.trace)
-    st = new_lp_box_solver(inst.n, inst.c, advice=adv, params=params)
-    for row in inst.rows:
-        process_row_box(st, row)
-    cert = dual_certificate_box(st)
-    if args.trace:
-        _emit_trace(st)
-    print(json.dumps(_result(st, cert)))
-    return EXIT_OK
+    return _solve_lp(args, inst)
 
 
 def _cmd_gst(args) -> int:

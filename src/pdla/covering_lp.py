@@ -57,7 +57,7 @@ class Phase:
     tight: np.ndarray           # bool mask, x_j == 1
     obj: float                  # c . x, maintained incrementally
     z: np.ndarray               # packing duals of tight coordinates (boxed)
-    y: dict[int, float]         # round -> dual raised within this phase
+    y: dict[int, float]         # round -> dual it raised in this phase, if any
 
 
 @dataclass
@@ -262,7 +262,8 @@ def grow_round(state: SolverState, rnd: int, sep: Separation,
             g.phases_entered += 1
             g.y_round = 0.0
     ph = state.phase
-    ph.y[rnd] = g.y_round
+    if g.y_round > 0.0:
+        ph.y[rnd] = g.y_round
     np.maximum(state.x_best, ph.x, out=state.x_best)
     return g
 
@@ -339,7 +340,16 @@ def process_row(state: LpSolverState, row) -> StepReport:
     supported coordinate at its cap, and PhaseRestartLimit / ExponentOverflow
     on runaway guesses.
     """
-    idx, vals = row_arrays(row, state.n)
+    return process_checked(state, *row_arrays(row, state.n))
+
+
+def process_checked(state: LpSolverState, idx: np.ndarray,
+                    vals: np.ndarray) -> StepReport:
+    """`process_row` for a row already checked by `instances.row_arrays`,
+    given as the `(idx, vals)` it returned. A caller that feeds the same
+    rows to several solvers checks them once and passes the arrays here;
+    the arrays are read, never written.
+    """
     state.round_no += 1
     # Validated columns are unique, so plain fancy-index updates suffice.
     state.col_max[idx] = np.maximum(state.col_max[idx], vals)
@@ -369,8 +379,10 @@ def current_solution(state: SolverState) -> np.ndarray:
 def dual_certificate(state: LpSolverState) -> DualCertificate:
     """Duals of the active phase plus the factor restoring dual feasibility.
 
-    Dividing every y (and z) by scale yields A^T y <= c (minus z when boxed);
-    the unscaled objective sum(y) - sum(z) is reported alongside.
+    y holds only the rounds that raised dual mass in the active phase, each
+    mapped to that mass; every other round's dual is zero. Dividing every y
+    (and z) by scale yields A^T y <= c (minus z when boxed); the unscaled
+    objective sum(y) - sum(z) is reported alongside.
     """
     if state.phase is None:
         return DualCertificate(y={}, z=np.zeros(state.n), scale=0.0,

@@ -120,7 +120,7 @@ def new_sdp_solver(inst: CoveringSdpInstance,
                    advice: AdviceVector | None = None,
                    params: SolverParams | None = None) -> SdpSolverState:
     params = params if params is not None else SolverParams()
-    A = np.stack([np.asarray(m, dtype=float) for m in inst.A])
+    A = np.asarray(inst.A, dtype=float)
     return SdpSolverState(
         n=inst.n, d=inst.d, c=np.asarray(inst.c, dtype=float), A=A,
         boxed=inst.boxed, advice=advice, params=params,

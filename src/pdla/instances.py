@@ -74,13 +74,14 @@ class CoveringLpInstance:
 class CoveringSdpInstance:
     """min c.x subject to sum_j A_j x_j >= B_i (PSD order), 0 <= x (<= 1 boxed).
 
-    The targets B_i arrive as a monotone stream of PSD matrices.
+    The targets B_i arrive as a monotone stream of PSD matrices. Treat
+    instances as immutable once built: solver states share A.
     """
 
     n: int
     d: int
     c: np.ndarray
-    A: list[np.ndarray]
+    A: np.ndarray               # (n, d, d), the A_j stacked
     B_stream: list[np.ndarray]
     boxed: bool = False
 
@@ -330,8 +331,8 @@ def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
             raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}]")
         targets.append(b)
         prev = b
-    return CoveringSdpInstance(n=n, d=d, c=cv, A=mats, B_stream=targets,
-                               boxed=bool(boxed))
+    return CoveringSdpInstance(n=n, d=d, c=cv, A=np.stack(mats),
+                               B_stream=targets, boxed=bool(boxed))
 
 
 def parse_sdp_instance(text: str) -> CoveringSdpInstance:

@@ -11,12 +11,13 @@ import pytest
 
 from pdla.covering_lp import (compute_coeffs, current_solution,
                               dual_certificate, find_stop_event, kappa_seen,
-                              beta_seen, new_lp_solver, process_row, run_lp,
-                              run_source, solver_for_instance)
+                              beta_seen, new_lp_solver, process_checked,
+                              process_row, run_lp, run_source,
+                              solver_for_instance)
 from pdla.errors import EmptyRow, ExponentOverflow, NoProgress
 from pdla.instances import (AdviceVector, ConstraintSource,
                             CoveringLpInstance, SolverParams, make_lp_instance,
-                            validate_advice)
+                            row_arrays, validate_advice)
 
 
 def test_trace_single_coordinate_budget_ladder():
@@ -263,3 +264,78 @@ def test_zero_advice_matches_pure_online():
     for r in rows:
         assert sum(a * x_a[j] for j, a in r) >= 1.0 - 1e-7
     assert float(c @ x_a) > 0 and float(c @ x_p) > 0
+
+
+def _random_rows(rng, n, count):
+    """Rows of 1 to 30 entries (both sides of the array check's length
+    floor), each reaching 1 with every coordinate at 1."""
+    rows = []
+    while len(rows) < count:
+        cols = rng.choice(n, size=rng.integers(1, 31), replace=False)
+        row = [(int(j), float(rng.uniform(0.1, 1.2))) for j in cols]
+        if sum(a for _, a in row) >= 1.0:
+            rows.append(row)
+    return rows
+
+
+def _advice_cases(rng, n, boxed):
+    xp = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+    return [None] + [validate_advice(xp, lam, n, boxed=boxed)
+                     for lam in (0.0, 0.4)]
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_process_checked_matches_process_row(boxed):
+    # The experiment harness checks an instance's rows once and feeds every
+    # run through process_checked; that must be the same run as process_row.
+    rng = np.random.default_rng(41)
+    n = 40
+    c = rng.uniform(0.5, 3.0, n)
+    rows = _random_rows(rng, n, 60)
+    checked = [row_arrays(r, n) for r in rows]
+    for adv in _advice_cases(rng, n, boxed):
+        states = [new_lp_solver(n, c, advice=adv, boxed=boxed,
+                                params=SolverParams(trace=True))
+                  for _ in range(2)]
+        by_row = [process_row(states[0], r) for r in rows]
+        by_arrays = [process_checked(states[1], idx, vals)
+                     for idx, vals in checked]
+        assert by_row == by_arrays
+        a, b = states
+        assert np.array_equal(a.x_best, b.x_best)
+        assert (a.alpha_history, a.round_no, a.violations_seen,
+                a.iterations, a.sparsity_seen, a.trace) == \
+            (b.alpha_history, b.round_no, b.violations_seen, b.iterations,
+             b.sparsity_seen, b.trace)
+        assert np.array_equal(a.col_max, b.col_max)
+        assert np.array_equal(a.col_min, b.col_min)
+        ca, cb = dual_certificate(a), dual_certificate(b)
+        assert (ca.y, ca.scale, ca.objective) == (cb.y, cb.scale, cb.objective)
+        assert np.array_equal(ca.z, cb.z)
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_certificate_holds_exactly_the_rounds_that_raised_dual(boxed):
+    # Within the active phase a round's dual is the sum of its growth steps'
+    # deltas there, so the certificate's keys are the rounds with a positive
+    # step in that phase; satisfied rows add no entry.
+    rng = np.random.default_rng(43)
+    n = 40
+    c = rng.uniform(0.5, 3.0, n)
+    rows = _random_rows(rng, n, 80)
+    for adv in _advice_cases(rng, n, boxed):
+        st = new_lp_solver(n, c, advice=adv, boxed=boxed,
+                           params=SolverParams(trace=True))
+        for row in rows:
+            process_row(st, row)
+        active = len(st.alpha_history)
+        raised = {}
+        for ev in st.trace:
+            if ev["phase"] == active and ev["delta"] > 0.0:
+                rnd = ev["round"]
+                raised[rnd] = raised.get(rnd, 0.0) + ev["delta"]
+        cert = dual_certificate(st)
+        assert 0 < len(cert.y) < len(rows)
+        assert set(cert.y) == set(raised)
+        for rnd, yv in cert.y.items():
+            assert yv == pytest.approx(raised[rnd], rel=1e-12)

@@ -8,7 +8,8 @@ from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp, separation)
 from pdla.errors import ExponentOverflow, NoFeasibleSolution, NonMonotoneB
-from pdla.instances import (SolverParams, make_sdp_instance, validate_advice)
+from pdla.instances import (CoveringSdpInstance, SolverParams,
+                            make_sdp_instance, validate_advice)
 from pdla.symmetric import min_eigpair
 
 
@@ -181,3 +182,23 @@ def test_overflowing_budget_guess_raises_instead_of_publishing_inf():
     with np.errstate(over="ignore"), pytest.raises(ExponentOverflow):
         process_matrix(st, inst.B_stream[0])
     assert np.all(np.isfinite(current_solution(st)))
+
+
+def test_solver_shares_the_instance_stack_and_takes_a_matrix_list():
+    rng = np.random.default_rng(47)
+    n, d = 3, 3
+    A = [g @ g.T for g in rng.normal(size=(n, d, d))]
+    c = rng.uniform(0.5, 2.0, size=n)
+    g = rng.normal(size=(d, d))
+    stream = [g @ g.T * 0.1, g @ g.T * 0.2]
+    inst = make_sdp_instance(n, d, c, A, stream)
+    assert inst.A.shape == (n, d, d)
+    st, _ = run_sdp(inst)
+    assert st.A is inst.A
+    # A hand-built instance may still hold a list of matrices.
+    listed = CoveringSdpInstance(n=n, d=d, c=inst.c, A=list(inst.A),
+                                 B_stream=inst.B_stream)
+    st_list, _ = run_sdp(listed)
+    assert np.array_equal(st_list.A, inst.A)
+    assert np.array_equal(current_solution(st_list), current_solution(st))
+    assert st_list.iterations == st.iterations > 0
