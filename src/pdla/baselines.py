@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .covering_lp import current_solution, new_lp_solver, process_row
 from .errors import (Infeasible, MalformedDocument, NotConverged,
@@ -126,6 +124,11 @@ def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertifi
     gap <= eps * objective, sandwiching the true optimum in
     [dual_objective / (1 + eps), objective].
     """
+    # Imported here: scipy.optimize costs every process that never solves
+    # offline (an SDP run, say) tens of MB and a few tenths of a second.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     if not (0 < eps <= 0.5):
         raise MalformedDocument(f"eps must lie in (0, 0.5], got {eps}")
     n, m = inst.n, len(inst.rows)

@@ -92,7 +92,7 @@ class _EigenSeparation(Separation):
 
     def holds(self, x: np.ndarray) -> bool:
         resid = np.tensordot(x, self.state.A, axes=1) - self.B
-        self.lam, self.v = min_eigpair(resid, tol_eig=self.state.params.tol_eig)
+        self.lam, self.v = min_eigpair(resid)
         return self.lam >= self.floor
 
     def cut(self) -> tuple[np.ndarray, float]:
@@ -165,7 +165,11 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
         if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd):
             raise NonMonotoneB(
                 f"round {state.round_no + 1} target decreased somewhere")
-    state.last_B = B.copy()
+    # A read-only array that owns its data (an instance target) is kept as
+    # is; any other is copied, so a caller's in-place edit cannot hide a
+    # decrease from the next round's monotone check.
+    frozen = B.flags.owndata and not B.flags.writeable
+    state.last_B = B if frozen else B.copy()
     state.round_no += 1
     rnd = state.round_no
 
@@ -194,7 +198,7 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
 def feasibility_gap(state: SdpSolverState, B) -> float:
     """Least eigenvalue of sum_j A_j xhat_j - B at the published solution."""
     resid = np.tensordot(state.x_best, state.A, axes=1) - np.asarray(B, float)
-    lam, _ = min_eigpair(resid, tol_eig=state.params.tol_eig)
+    lam, _ = min_eigpair(resid)
     return float(lam)
 
 

@@ -87,13 +87,14 @@ def gen_synthetic(n: int, seed, density: float = 0.5,
                   cost_scale: float = 10.0) -> CoveringLpInstance:
     """Square {0,1} instance with scaled uniform costs; zero rows resampled."""
     rng = default_rng(seed)
-    A = (rng.random((n, n)) < density).astype(float)
+    # Row by row: the same stream as one (n, n) draw, without n x n temporaries.
+    hits = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
     for i in range(n):
-        while not A[i].any():
-            A[i] = (rng.random(n) < density).astype(float)
+        while not hits[i].size:
+            hits[i] = np.flatnonzero(rng.random(n) < density)
     # uniform (0,1] so costs stay strictly positive
     c = (1.0 - rng.random(n)) * cost_scale
-    rows = [[(j, 1.0) for j in np.flatnonzero(A[i])] for i in range(n)]
+    rows = [[(j, 1.0) for j in cols] for cols in hits]
     return make_lp_instance(n, c, rows, boxed=False)
 
 

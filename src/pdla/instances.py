@@ -25,6 +25,7 @@ from .errors import (
     NonPositiveCost,
     NotPsd,
 )
+from .symmetric import is_psd, min_eigpair
 
 SparseRow = list[tuple[int, float]]
 
@@ -37,7 +38,6 @@ class SolverParams:
     tol_feas: float = 1e-7     # a row counts as satisfied at value >= 1 - tol_feas
     tol_psd: float = 1e-7      # relative PSD slack for separation / validation
     tol_sym: float = 1e-8      # relative symmetry slack
-    tol_eig: float = 1e-10     # Jacobi off-diagonal target
     max_phase: int = 200       # hard cap on guess-and-double restarts
     seed: int = 0
     debug: bool = False        # extra invariant checks (oracle rows, PSD duals)
@@ -45,7 +45,7 @@ class SolverParams:
     trace: bool = False        # collect per-round step reports on the state
 
     def __post_init__(self):
-        for name in ("tol_bisect", "tol_feas", "tol_psd", "tol_sym", "tol_eig"):
+        for name in ("tol_bisect", "tol_feas", "tol_psd", "tol_sym"):
             if getattr(self, name) <= 0:
                 raise MalformedDocument(f"{name} must be positive")
         if self.max_phase < 1:
@@ -74,8 +74,9 @@ class CoveringLpInstance:
 class CoveringSdpInstance:
     """min c.x subject to sum_j A_j x_j >= B_i (PSD order), 0 <= x (<= 1 boxed).
 
-    The targets B_i arrive as a monotone stream of PSD matrices. Treat
-    instances as immutable once built: solver states share A.
+    The targets B_i arrive as a monotone stream of PSD matrices;
+    `make_sdp_instance` makes them read-only. Treat instances as immutable
+    once built: solver states share A and the targets.
     """
 
     n: int
@@ -300,10 +301,8 @@ def _as_sym_matrix(raw, d: int, tol_sym: float, what: str) -> np.ndarray:
 
 
 def _check_psd(m: np.ndarray, tol_psd: float, what: str) -> None:
-    scale = max(1.0, float(np.linalg.norm(m)))
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    if lam_min < -tol_psd * scale:
-        raise NotPsd(f"{what} has eigenvalue {lam_min}")
+    if not is_psd(m, tol_psd):
+        raise NotPsd(f"{what} has eigenvalue {min_eigpair(m)[0]}")
 
 
 def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
@@ -325,10 +324,12 @@ def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
     for i, raw in enumerate(B_stream):
         b = _as_sym_matrix(raw, d, tol_sym, f"B[{i}]")
         _check_psd(b, tol_psd, f"B[{i}]")
-        diff = b - prev
-        scale = max(1.0, float(np.linalg.norm(b)))
-        if float(np.linalg.eigvalsh(diff)[0]) < -tol_psd * scale:
-            raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}]")
+        lam_min = min_eigpair(b - prev)[0]
+        if lam_min < -tol_psd * max(1.0, float(np.linalg.norm(b))):
+            raise NonMonotoneB(
+                f"B[{i}] is not >= B[{i - 1}] (eigenvalue {lam_min})")
+        # Frozen, so solvers can keep the target without copying it.
+        b.setflags(write=False)
         targets.append(b)
         prev = b
     return CoveringSdpInstance(n=n, d=d, c=cv, A=np.stack(mats),

@@ -1,138 +1,55 @@
-"""Dense symmetric linear algebra: Frobenius products, a cyclic Jacobi
-eigensolver, and PSD tests.
+"""Least eigenpairs and PSD tests of dense symmetric matrices.
 
-Everything here is self-contained so the separation step of the SDP solver
-does not depend on an external eigensolver. Jacobi is adequate for the
-moderate dimensions this package targets (d up to a few hundred) and gives
-deterministic, orthogonal eigenvectors.
+SDP separation needs only the least eigenpair of the residual, so
+`min_eigpair` asks LAPACK's MRRR driver (`dsyevr` through
+`scipy.linalg.eigh(subset_by_index=[0, 0], driver="evr")`) for that one pair
+instead of a full decomposition. A diagonal matrix is answered exactly from
+its diagonal. The eigenvector's largest-magnitude entry is made positive so
+the output is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 
 from .errors import AsymmetricMatrix, DimensionMismatch, NotConverged
 
-_DEFAULT_TOL = 1e-10
-_MAX_SWEEPS = 100
-
-
-@dataclass
-class SymMatrix:
-    """A d x d symmetric matrix (validated on construction)."""
-
-    entries: np.ndarray
-
-    @staticmethod
-    def from_array(m, tol_sym: float = 1e-8) -> "SymMatrix":
-        a = np.asarray(m, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if np.max(np.abs(a - a.T)) > tol_sym * scale:
-            raise AsymmetricMatrix("matrix is not symmetric within tolerance")
-        return SymMatrix(0.5 * (a + a.T))
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass
-class EigDecomp:
-    """Eigenvalues ascending; vectors[:, k] is the unit eigenvector of values[k]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
 
 def _as_array(m) -> np.ndarray:
-    a = m.entries if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     return a
 
 
-def frobenius(a, b) -> float:
-    """Entrywise inner product <A, B> = trace(A^T B)."""
-    ma, mb = _as_array(a), _as_array(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shapes {ma.shape} and {mb.shape} differ")
-    return float(np.sum(ma * mb))
+def min_eigpair(m) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and its unit eigenvector.
 
-
-def symmetric_eig(m, tol_eig: float = _DEFAULT_TOL,
-                  max_sweeps: int = _MAX_SWEEPS) -> EigDecomp:
-    """Full eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius mass drops below
-    tol_eig * ||M||_F, then sorts eigenvalues ascending. Each eigenvector's
-    largest-magnitude component is made positive so the output is
-    deterministic up to that convention.
+    A diagonal matrix gives its least diagonal entry and the positive
+    coordinate axis of that entry, the lowest index on ties. Raises
+    AsymmetricMatrix beyond a relative 1e-8 asymmetry and NotConverged on
+    non-finite entries or a LAPACK failure.
     """
-    a = _as_array(m).copy()
-    scale = float(np.linalg.norm(a))
-    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, scale):
+    a = _as_array(m)
+    if not np.isfinite(a).all():
+        raise NotConverged("matrix has non-finite entries")
+    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, float(np.linalg.norm(a))):
         raise AsymmetricMatrix("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return EigDecomp(values=a[0].copy(), vectors=v)
-
-    def offdiag(mat):
-        # Norm of the off-diagonal part, computed directly: subtracting
-        # sum(diag^2) from the full norm cancels catastrophically near
-        # convergence and floors around sqrt(eps) * ||M||.
-        off = mat - np.diag(np.diag(mat))
-        return float(np.linalg.norm(off))
-
-    target = tol_eig * max(scale, np.finfo(float).tiny)
-    swept = 0
-    while offdiag(a) > target:
-        if swept >= max_sweeps:
-            raise NotConverged(f"Jacobi did not converge in {max_sweeps} sweeps")
-        swept += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-36:
-                    continue
-                # Rotate to zero out a[p, q].
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                cos = 1.0 / np.sqrt(t * t + 1.0)
-                sin = t * cos
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = cos * rp - sin * rq
-                a[q, :] = sin * rp + cos * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = cos * cp - sin * cq
-                a[:, q] = sin * cp + cos * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = cos * vp - sin * vq
-                v[:, q] = sin * vp + cos * vq
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for k in range(d):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            vectors[:, k] = -col
-    return EigDecomp(values=values, vectors=vectors)
-
-
-def min_eigpair(m, tol_eig: float = _DEFAULT_TOL) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its unit eigenvector."""
-    dec = symmetric_eig(m, tol_eig=tol_eig)
-    return float(dec.values[0]), dec.vectors[:, 0].copy()
+    diag = np.diag(a)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        k = int(np.argmin(diag))
+        vec = np.zeros(a.shape[0])
+        vec[k] = 1.0
+        return float(diag[k]), vec
+    try:
+        vals, vecs = eigh(0.5 * (a + a.T), subset_by_index=[0, 0],
+                          driver="evr", overwrite_a=True, check_finite=False)
+    except LinAlgError as exc:
+        raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
+    vec = vecs[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    return float(vals[0]), vec
 
 
 def is_psd(m, tol_psd: float = 1e-7) -> bool:

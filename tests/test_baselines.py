@@ -1,4 +1,8 @@
 """Switching wrapper, advice scaling, and offline solver baselines."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -148,3 +152,31 @@ def test_exact_enumeration_hand_case():
     # Costs (1, 3) pick the cheap coordinate.
     inst2 = make_lp_instance(2, [1.0, 3.0], [[(0, 1.0), (1, 2.0)]])
     assert exact_lp_optimum(inst2) == pytest.approx(1.0)
+
+
+_SDP_WITHOUT_LP_SOLVER = """
+import sys
+import numpy as np
+import pdla.cli, pdla.covering_sdp, pdla.experiments
+from pdla.instances import make_lp_instance, make_sdp_instance
+g = np.array([[1.0, 0.5], [0.5, 2.0]])
+inst = make_sdp_instance(2, 2, [1.0, 2.0], [g, np.diag([1.0, 0.0])],
+                         [0.5 * np.eye(2), np.eye(2)])
+state, _ = pdla.covering_sdp.run_sdp(inst)
+assert state.iterations > 0
+assert "scipy.optimize" not in sys.modules, "SDP run loaded scipy.optimize"
+cert = pdla.experiments.offline_solve(
+    make_lp_instance(2, [1.0, 3.0], [[(0, 1.0), (1, 1.0)]]))
+print(cert.objective)
+"""
+
+
+def test_sdp_run_does_not_import_the_lp_solver():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _SDP_WITHOUT_LP_SOLVER],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(1.0)

@@ -202,3 +202,35 @@ def test_solver_shares_the_instance_stack_and_takes_a_matrix_list():
     assert np.array_equal(st_list.A, inst.A)
     assert np.array_equal(current_solution(st_list), current_solution(st))
     assert st_list.iterations == st.iterations > 0
+
+
+def test_instance_targets_are_read_only_and_not_copied():
+    inst = make_sdp_instance(1, 2, [1.0], [I2()], [I2(), I2(2.0)])
+    for B in inst.B_stream:
+        assert B.flags.owndata and not B.flags.writeable
+    with pytest.raises(ValueError):
+        inst.B_stream[0][0, 0] = 0.0
+    st = new_sdp_solver(inst)
+    for B in inst.B_stream:
+        process_matrix(st, B)
+        assert st.last_B is B
+
+
+def test_in_place_decrease_of_a_callers_target_raises():
+    inst = make_sdp_instance(1, 2, [1.0], [I2()], [I2()])
+    st = new_sdp_solver(inst)
+    B = I2()
+    process_matrix(st, B)
+    assert st.last_B is not B
+    B *= 0.5
+    with pytest.raises(NonMonotoneB):
+        process_matrix(st, B)
+    # A read-only view of a writeable array is copied as well.
+    st = new_sdp_solver(inst)
+    base = I2()
+    view = base.view()
+    view.setflags(write=False)
+    process_matrix(st, view)
+    base *= 0.5
+    with pytest.raises(NonMonotoneB):
+        process_matrix(st, view)

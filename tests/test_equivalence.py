@@ -3,6 +3,10 @@
 `equivalence_expected.json` was recorded at commit 12c0f38, before the LP
 and SDP solvers were moved onto one shared growth step, by running this
 module as a script (`PYTHONPATH=src python tests/test_equivalence.py`).
+Its `sdp/*` entries were re-recorded when SDP separation moved from a Jacobi
+eigensolver (off-diagonal target 1e-10) to LAPACK's least-eigenpair driver;
+that moved the recorded floats by at most 2.3e-11 relative, with counts and
+events unchanged, and left the `lp/*` entries byte-identical.
 Counts and event sequences must match exactly; costs, published points,
 dual objectives and dual scales to a relative 1e-12. Re-record only for a
 change that is meant to alter solver outputs.

@@ -41,6 +41,27 @@ def test_gen_synthetic_shape_and_determinism():
     assert np.all(a.c > 0) and np.all(a.c <= 10.0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 12])
+@pytest.mark.parametrize("n, density", [(30, 0.02), (40, 0.5)])
+def test_gen_synthetic_rows_match_the_dense_draw(seed, n, density):
+    # The reference draws the whole (n, n) matrix at once, then resamples
+    # each zero row in order; the generator draws row by row.
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) < density
+    resampled = 0
+    for i in range(n):
+        while not A[i].any():
+            A[i] = rng.random(n) < density
+            resampled += 1
+    c = (1.0 - rng.random(n)) * 10.0
+    if density < 0.1:
+        assert resampled > 0
+    inst = gen_synthetic(n, seed, density=density)
+    assert inst.rows == [[(int(j), 1.0) for j in np.flatnonzero(a)]
+                         for a in A]
+    assert np.array_equal(inst.c, c)
+
+
 def test_gen_synthetic_density_concentration():
     inst = gen_synthetic(100, 7)
     mean = sum(len(r) for r in inst.rows) / (100 * 100)

@@ -1,20 +1,20 @@
-"""Jacobi eigensolver checked against numpy.linalg.eigh and hand cases."""
+"""Least eigenpairs and PSD tests checked against numpy.linalg and hand cases."""
 import numpy as np
 import pytest
 
 from pdla.errors import AsymmetricMatrix, DimensionMismatch, NotConverged
-from pdla.symmetric import (SymMatrix, frobenius, is_psd, min_eigpair,
-                            symmetric_eig)
+from pdla.symmetric import is_psd, min_eigpair
 
 
 def test_two_by_two_hand_case():
     # [[2, 1], [1, 2]] has eigenvalues 1 and 3 with eigenvectors
     # (1, -1)/sqrt(2) and (1, 1)/sqrt(2).
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    dec = symmetric_eig(m)
-    assert dec.values == pytest.approx([1.0, 3.0])
-    v0 = dec.vectors[:, 0]
+    lam, v0 = min_eigpair(m)
+    assert lam == pytest.approx(1.0)
     assert abs(v0 @ np.array([1.0, -1.0]) / np.sqrt(2)) == pytest.approx(1.0)
+    # The largest eigenvalue is the least of -M, negated.
+    assert -min_eigpair(-m)[0] == pytest.approx(3.0)
 
 
 def test_matches_numpy_on_random_symmetric():
@@ -22,13 +22,12 @@ def test_matches_numpy_on_random_symmetric():
     for d in (1, 2, 3, 5, 8, 12):
         a = rng.normal(size=(d, d))
         m = (a + a.T) / 2
-        dec = symmetric_eig(m)
+        lam, v = min_eigpair(m)
         ref = np.linalg.eigvalsh(m)
-        assert np.allclose(dec.values, ref, atol=1e-8 * max(1, abs(ref).max()))
-        # Vectors diagonalize: V' M V is the eigenvalue diagonal.
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
-        assert np.allclose(recon, m, atol=1e-8 * max(1.0, abs(m).max()))
-        assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(d), atol=1e-9)
+        assert np.allclose(lam, ref[0], atol=1e-8 * max(1, abs(ref).max()))
+        # The pair solves M v = lam v with a unit v.
+        assert np.allclose(m @ v, lam * v, atol=1e-8 * max(1.0, abs(m).max()))
+        assert np.allclose(v @ v, 1.0, atol=1e-9)
 
 
 def test_values_ascending_and_min_eigpair():
@@ -43,18 +42,35 @@ def test_values_ascending_and_min_eigpair():
 
 def test_diagonal_matrix_is_immediate():
     m = np.diag([3.0, -1.0, 2.0])
-    dec = symmetric_eig(m)
-    assert dec.values == pytest.approx([-1.0, 2.0, 3.0])
-    # The -1 eigenvector is the second coordinate axis.
-    assert abs(dec.vectors[1, 0]) == pytest.approx(1.0)
+    lam, v = min_eigpair(m)
+    assert lam == -1.0
+    # The -1 eigenvector is the second coordinate axis, positive.
+    assert v.tolist() == [0.0, 1.0, 0.0]
+    # Ties go to the lowest index.
+    lam, v = min_eigpair(np.diag([2.0, -1.5, 4.0, -1.5]))
+    assert lam == -1.5
+    assert v.tolist() == [0.0, 1.0, 0.0, 0.0]
+    lam, v = min_eigpair(np.zeros((3, 3)))
+    assert lam == 0.0
+    assert v.tolist() == [1.0, 0.0, 0.0]
+    lam, v = min_eigpair([[7.0]])
+    assert (lam, v.tolist()) == (7.0, [1.0])
 
 
-def test_frobenius_product():
-    a = np.array([[1.0, 2.0], [2.0, 3.0]])
-    b = np.array([[0.5, -1.0], [-1.0, 4.0]])
-    assert frobenius(a, b) == pytest.approx(0.5 - 2 - 2 + 12)
-    with pytest.raises(DimensionMismatch):
-        frobenius(a, np.eye(3))
+def test_eigenvector_sign_convention():
+    rng = np.random.default_rng(11)
+    for d in (2, 4, 9):
+        for _ in range(5):
+            a = rng.normal(size=(d, d))
+            m = (a + a.T) / 2
+            _, v = min_eigpair(m)
+            assert v[np.argmax(np.abs(v))] > 0
+            # The same input gives the same vector, sign included.
+            _, v_again = min_eigpair(m.copy())
+            assert np.array_equal(v, v_again)
+            ref = np.linalg.eigh(m)[1][:, 0]
+            ref = ref if ref[np.argmax(np.abs(ref))] > 0 else -ref
+            assert np.allclose(v, ref, atol=1e-8)
 
 
 def test_is_psd_tolerance():
@@ -65,20 +81,46 @@ def test_is_psd_tolerance():
     assert is_psd(np.diag([1.0, -1e-9]), tol_psd=1e-7)
 
 
-def test_sym_matrix_validation():
+def test_min_eigpair_validates_its_input():
     with pytest.raises(AsymmetricMatrix):
-        SymMatrix.from_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    sm = SymMatrix.from_array(np.eye(2))
-    assert np.allclose(sm.entries, np.eye(2))
-    assert sm.d == 2
+        min_eigpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(AsymmetricMatrix):
+        is_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        min_eigpair(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        is_psd(np.ones(4))
+    # Asymmetry within the relative 1e-8 slack is accepted.
+    lam, _ = min_eigpair(np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]]))
+    assert lam == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_does_not_converge(bad):
+    m = np.array([[1.0, 0.5], [0.5, 1.0]])
+    m[0, 0] = bad
+    with pytest.raises(NotConverged):
+        min_eigpair(m)
+    m = np.eye(2)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NotConverged):
+        is_psd(m)
 
 
 def test_psd_projection_cases():
-    # Rank-one and repeated-eigenvalue cases keep Jacobi honest.
+    # Rank-one and repeated-eigenvalue cases.
     v = np.array([1.0, 2.0, -1.0])
     m = np.outer(v, v)
-    dec = symmetric_eig(m)
-    assert dec.values[:2] == pytest.approx([0.0, 0.0], abs=1e-10)
-    assert dec.values[2] == pytest.approx(v @ v)
+    lam, u = min_eigpair(m)
+    assert lam == pytest.approx(0.0, abs=1e-10)
+    assert u @ v == pytest.approx(0.0, abs=1e-10)
+    assert -min_eigpair(-m)[0] == pytest.approx(v @ v)
     lam, u = min_eigpair(np.eye(4) * 2.5)
     assert lam == pytest.approx(2.5)
+    # A repeated least eigenvalue off the axes: Q diag(1, 1, 3) Q'.
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))
+    m = q @ np.diag([1.0, 1.0, 3.0]) @ q.T
+    lam, u = min_eigpair(m)
+    assert lam == pytest.approx(1.0)
+    assert np.allclose(m @ u, u, atol=1e-10)
+    assert u @ q[:, 2] == pytest.approx(0.0, abs=1e-10)
