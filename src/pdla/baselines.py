@@ -19,7 +19,7 @@ from .covering_lp import current_solution, new_lp_solver, process_row
 from .errors import (Infeasible, MalformedDocument, NotConverged,
                      UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
-                        validate_row)
+                        row_arrays, validate_row)
 
 ROW_TOL = 1e-9
 
@@ -136,13 +136,11 @@ def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertifi
         zero = np.zeros(0)
         return OfflineCertificate(x=np.zeros(n), y=zero, z=np.zeros(n),
                                   objective=0.0, dual_objective=0.0, gap=0.0)
-    data, ri, ci = [], [], []
-    for i, row in enumerate(inst.rows):
-        for j, a in row:
-            ri.append(i)
-            ci.append(j)
-            data.append(a)
-    A = sp.csr_matrix((data, (ri, ci)), shape=(m, n))
+    idx, vals = zip(*(row_arrays(row, n) for row in inst.rows))
+    indptr = np.concatenate(([0], np.cumsum([i.size for i in idx])))
+    A = sp.csr_matrix((np.concatenate(vals), np.concatenate(idx), indptr),
+                      shape=(m, n))
+    A.sort_indices()
     bounds = (0.0, 1.0) if inst.boxed else (0.0, None)
     res = linprog(inst.c, A_ub=-A, b_ub=-np.ones(m), bounds=bounds,
                   method="highs")

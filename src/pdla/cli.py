@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Results go to stdout as one JSON object; --trace streams growth events to
-stderr as JSON lines. Exit codes: 0 ok, 2 infeasible, 3 numeric failure,
+Results go to stdout as one JSON object; --trace prints the buffered growth
+events to stderr as JSON lines once the run completes. Exit codes: 0 ok, 2 infeasible, 3 numeric failure,
 4 bad input (including unparseable flags, which argparse would otherwise
 report with its own status 2).
 """

@@ -279,9 +279,11 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
     w = w_row[free]
     tight_mass = float(w_row[~free].sum())
     if float(w.sum()) <= 0.0:
+        why = ("every coordinate it weighs is at its cap" if tight_mass > 0.0
+               else "it has no weight on any coordinate")
         raise NoFeasibleSolution(
             f"round {rnd}: the constraint reaches only {tight_mass:.6g} of "
-            f"{rhs:.6g} with every supported coordinate at its cap")
+            f"{rhs:.6g}; {why}")
     capacity = rhs - tight_mass
     if state.boxed:
         state.sparsity_seen = max(state.sparsity_seen,
@@ -336,20 +338,15 @@ def _initial_alpha(state: LpSolverState, idx, vals) -> float:
 def process_row(state: LpSolverState, row) -> StepReport:
     """Feed one covering row; returns once the row is satisfied.
 
+    The row is checked by `instances.row_arrays`; an instance's rows
+    (`instances.Row`) were checked when it was built and are not checked
+    again.
+
     Raises NoFeasibleSolution when a boxed row cannot reach 1 even with every
     supported coordinate at its cap, and PhaseRestartLimit / ExponentOverflow
     on runaway guesses.
     """
-    return process_checked(state, *row_arrays(row, state.n))
-
-
-def process_checked(state: LpSolverState, idx: np.ndarray,
-                    vals: np.ndarray) -> StepReport:
-    """`process_row` for a row already checked by `instances.row_arrays`,
-    given as the `(idx, vals)` it returned. A caller that feeds the same
-    rows to several solvers checks them once and passes the arrays here;
-    the arrays are read, never written.
-    """
+    idx, vals = row_arrays(row, state.n)
     state.round_no += 1
     # Validated columns are unique, so plain fancy-index updates suffice.
     state.col_max[idx] = np.maximum(state.col_max[idx], vals)

@@ -31,6 +31,12 @@ from .growth import advance, coefficient_vector, find_stop  # noqa: F401
 from .instances import AdviceVector, CoveringSdpInstance, SolverParams
 from .symmetric import is_psd, min_eigpair
 
+# Relative floor on the implicit row: v'A_j v <= SPAN_TOL tr(A_j) counts as
+# no weight. Roundoff leaves v'A_j v slightly positive along a null
+# direction of A_j, so without it a target outside the span of the A_j
+# grows x forever instead of raising NoFeasibleSolution.
+SPAN_TOL = 1e-10
+
 
 @dataclass
 class SeparationResult:
@@ -73,6 +79,7 @@ class SdpDualCertificate:
 class SdpSolverState(SolverState):
     d: int
     A: np.ndarray               # stacked (n, d, d)
+    traces: np.ndarray          # tr(A_j)
     S_advice: np.ndarray | None
     last_B: np.ndarray
 
@@ -97,7 +104,8 @@ class _EigenSeparation(Separation):
 
     def cut(self) -> tuple[np.ndarray, float]:
         st, v = self.state, self.v
-        self.w = np.maximum(np.einsum("jkl,k,l->j", st.A, v, v), 0.0)
+        w = np.einsum("jkl,k,l->j", st.A, v, v)
+        self.w = np.where(w > SPAN_TOL * st.traces, w, 0.0)
         self.b = float(v @ self.B @ v)
         if self.b <= 0.0:
             raise NotConverged(
@@ -123,7 +131,8 @@ def new_sdp_solver(inst: CoveringSdpInstance,
     A = np.asarray(inst.A, dtype=float)
     return SdpSolverState(
         n=inst.n, d=inst.d, c=np.asarray(inst.c, dtype=float), A=A,
-        boxed=inst.boxed, advice=advice, params=params,
+        traces=np.trace(A, axis1=1, axis2=2), boxed=inst.boxed,
+        advice=advice, params=params,
         S_advice=None if advice is None else np.tensordot(
             advice.x_prime, A, axes=1),
         last_B=np.full((inst.d, inst.d), -np.inf))
@@ -132,12 +141,11 @@ def new_sdp_solver(inst: CoveringSdpInstance,
 def _initial_alpha(state: SdpSolverState, B: np.ndarray) -> float:
     if state.params.initial_alpha is not None:
         return float(state.params.initial_alpha)
-    traces = np.trace(state.A, axis1=1, axis2=2)
-    ok = traces > 0
+    ok = state.traces > 0
     if not ok.any():
         raise NoFeasibleSolution(
             "every coverage matrix has zero trace; nothing can grow")
-    return float(np.min(state.c[ok] * np.trace(B) / traces[ok]))
+    return float(np.min(state.c[ok] * np.trace(B) / state.traces[ok]))
 
 
 def separation(state: SdpSolverState, B) -> SeparationResult | None:

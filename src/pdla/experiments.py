@@ -18,13 +18,12 @@ from numpy.random import SeedSequence, default_rng
 from .applications import SetSystem, set_cover_instance
 from .baselines import offline_solve
 from .covering_lp import (current_solution, dual_certificate, new_lp_solver,
-                          process_checked)
-# Not called here; kept because the traced benchmark rebinds these names.
-from .covering_lp import process_row  # noqa: F401
+                          process_row)
+# Not called here; kept because the traced benchmark rebinds this name.
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import MalformedDocument, MalformedLine
 from .instances import (AdviceVector, CoveringLpInstance, make_lp_instance,
-                        row_arrays, validate_advice)
+                        validate_advice)
 from .metrics import CSV_HEADER, RunMetrics
 
 log = logging.getLogger("pdla")
@@ -174,18 +173,12 @@ def ingest_edge_list(path: str, cost_seed=0,
 
 # ---------------------------------------------------------------- running
 
-def _checked_rows(inst: CoveringLpInstance) -> list:
-    """The instance's rows as `row_arrays` checks them, for every solver run
-    on the instance to share."""
-    return [row_arrays(row, inst.n) for row in inst.rows]
-
-
-def _run_instance(inst: CoveringLpInstance, rows: list,
-                  advice: AdviceVector | None):
-    """One solver run over `rows`, the instance's `_checked_rows`."""
+def _run_instance(inst: CoveringLpInstance, advice: AdviceVector | None):
+    """One solver run over the instance's rows, which were checked when the
+    instance was built."""
     st = new_lp_solver(inst.n, inst.c, advice=advice, boxed=inst.boxed)
-    for idx, vals in rows:
-        process_checked(st, idx, vals)
+    for row in inst.rows:
+        process_row(st, row)
     return st, dual_certificate(st)
 
 
@@ -205,11 +198,10 @@ def _trial_lambda_sweep(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
                          cfg.density, cfg.cost_scale)
     off = offline_solve(inst, cfg.eps_offline)
     cost_advice = float(inst.c @ off.x)
-    rows = _checked_rows(inst)
     out = []
     for lam in cfg.lambdas:
         adv = validate_advice(off.x, lam, inst.n, boxed=inst.boxed)
-        st, cert = _run_instance(inst, rows, adv)
+        st, cert = _run_instance(inst, adv)
         out.append(_metric(lam, trial, 0, inst, st, cert, cost_advice,
                            off.objective))
     return out
@@ -219,14 +211,13 @@ def _trial_corruption(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
     ss = SeedSequence([cfg.seed, trial])
     inst = gen_synthetic(cfg.n, ss, cfg.density, cfg.cost_scale)
     off = offline_solve(inst, cfg.eps_offline)
-    rows = _checked_rows(inst)
     lam = cfg.lambdas[0]
     children = ss.spawn(len(cfg.corruption_rates))
     out = []
     for ip, p in enumerate(cfg.corruption_rates):
         xp = corrupt_advice(off.x, p, children[ip])
         adv = validate_advice(xp, lam, inst.n, boxed=inst.boxed)
-        st, cert = _run_instance(inst, rows, adv)
+        st, cert = _run_instance(inst, adv)
         out.append(_metric(lam, trial, ip, inst, st, cert,
                            float(inst.c @ xp), off.objective))
     return out
@@ -245,7 +236,7 @@ def _trial_drift(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
         if step > 0:
             inst = drift_instance(inst, cfg.n, children[step])
         off = offline_solve(inst, cfg.eps_offline)
-        st, cert = _run_instance(inst, _checked_rows(inst), adv)
+        st, cert = _run_instance(inst, adv)
         out.append(_metric(lam, trial, step, inst, st, cert, cost_advice,
                            off.objective))
     return out
@@ -280,7 +271,7 @@ def _trial_graphs(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
         hint = offline_solve(insts[step - 1], cfg.eps_offline)
         adv = validate_advice(hint.x, lam, n, boxed=True)
         off = offline_solve(insts[step], cfg.eps_offline)
-        st, cert = _run_instance(insts[step], _checked_rows(insts[step]), adv)
+        st, cert = _run_instance(insts[step], adv)
         out.append(_metric(lam, trial, step, insts[step], st, cert,
                            float(costs @ hint.x), off.objective))
     return out

@@ -6,9 +6,10 @@ serialize is the identity on the parsed values (floats round-trip exactly).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class SolverParams:
     tol_psd: float = 1e-7      # relative PSD slack for separation / validation
     tol_sym: float = 1e-8      # relative symmetry slack
     max_phase: int = 200       # hard cap on guess-and-double restarts
-    seed: int = 0
     debug: bool = False        # extra invariant checks (oracle rows, PSD duals)
     initial_alpha: float | None = None  # override the first cost estimate (diagnostics)
     trace: bool = False        # collect per-round step reports on the state
@@ -60,13 +60,15 @@ class CoveringLpInstance:
     """min c.x subject to A x >= 1, x >= 0 (and x <= 1 when boxed).
 
     Rows are sparse (column, value) pairs in arrival order; they may be empty
-    when constraints come from a separation oracle instead. Treat instances
-    as immutable once built: solver states share the arrays.
+    when constraints come from a separation oracle instead.
+    `make_lp_instance` stores each row as a `Row`, checked once, which every
+    solver takes without checking it again. Treat instances as immutable once
+    built: solver states share the arrays.
     """
 
     n: int
     c: np.ndarray
-    rows: list[SparseRow]
+    rows: list[Row]
     boxed: bool = False
 
 
@@ -125,16 +127,65 @@ def _as_cost_vector(raw, n: int) -> np.ndarray:
     return c
 
 
+class Row(Sequence):
+    """A sparse row that `row_arrays` checked against `n` columns.
+
+    It owns read-only `idx` (int64) and `vals` (float64) arrays and reads as
+    a sequence of `(column, value)` pairs of Python ints and floats, as
+    `validate_row` returns them. `row_arrays` hands out a Row's own arrays
+    for any `n` at least the Row's, without checking them again. The
+    constructor trusts its arrays: build a Row as
+    `Row(*row_arrays(row, n), n)`.
+    """
+
+    __slots__ = ("idx", "vals", "n")
+    __hash__ = None
+
+    def __init__(self, idx: np.ndarray, vals: np.ndarray, n: int):
+        # Copies, so the Row owns its arrays: the array check's `vals` is a
+        # view that would keep its 2 x k temporary alive.
+        self.idx = np.array(idx, dtype=np.int64)
+        self.vals = np.array(vals, dtype=float)
+        self.idx.flags.writeable = False
+        self.vals.flags.writeable = False
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.idx.size
+
+    def __iter__(self):
+        return zip(self.idx.tolist(), self.vals.tolist())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.idx[i].tolist(), self.vals[i].tolist()))
+        return int(self.idx[i]), float(self.vals[i])
+
+    def __eq__(self, other):
+        if type(other) is Row:
+            return bool(np.array_equal(self.idx, other.idx)
+                        and np.array_equal(self.vals, other.vals))
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Row({list(self)!r}, n={self.n})"
+
+
 def row_arrays(row: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Check one sparse row and return it as `(idx, vals)` arrays: integral,
     non-boolean column indices in range, no duplicates, finite non-negative
     values, a positive entry.
 
-    A long numeric (k, 2) row is checked as whole arrays. A short row, one
-    that numpy cannot read as such an array, or one that fails a check, is
-    checked entry by entry instead, so errors name the first bad entry
-    whichever path the row took.
+    A `Row` checked at no more than `n` columns passes as its own read-only
+    arrays. A long numeric (k, 2) row is checked as whole arrays. A short
+    row, one that numpy cannot read as such an array, or one that fails a
+    check, is checked entry by entry instead, so errors name the first bad
+    entry whichever path the row took.
     """
+    if type(row) is Row and row.n <= n:
+        return row.idx, row.vals
     arrays = _checked_arrays(row, n)
     if arrays is None:
         clean = _checked_entries(row, n)
@@ -232,8 +283,8 @@ def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
     if not isinstance(n, int) or n < 1:
         raise MalformedDocument("n must be a positive integer")
     cv = _as_cost_vector(c, n)
-    clean_rows = [validate_row(r, n) for r in rows]
-    return CoveringLpInstance(n=n, c=cv, rows=clean_rows, boxed=bool(boxed))
+    checked = [Row(*row_arrays(r, n), n) for r in rows]
+    return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
 
 
 def parse_lp_instance(text: str) -> CoveringLpInstance:

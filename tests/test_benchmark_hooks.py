@@ -26,3 +26,18 @@ def test_benchmark_bindings_resolve(monkeypatch):
         # The shared growth step is reached through covering_lp's globals.
         assert covering_lp.find_stop is not growth.find_stop
     assert covering_lp.find_stop is growth.find_stop
+
+
+def test_traced_experiment_runs_count_every_row(monkeypatch):
+    # Experiment solver runs go through experiments.process_row, so the
+    # traced benchmark attributes their rows to covering_lp.process_row.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+
+    cfg = experiments.ExperimentConfig(kind="CorruptionSweep", n=20, trials=1)
+    with spans.installed(spans.Tracer(),
+                         only={"covering_lp.process_row"}) as tracer:
+        experiments.run_experiment(cfg)
+    calls, _ = tracer.summary({spans.SETUP})
+    assert calls["covering_lp.process_row"] == \
+        cfg.n * len(cfg.corruption_rates)

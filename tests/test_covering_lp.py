@@ -11,13 +11,12 @@ import pytest
 
 from pdla.covering_lp import (compute_coeffs, current_solution,
                               dual_certificate, find_stop_event, kappa_seen,
-                              beta_seen, new_lp_solver, process_checked,
-                              process_row, run_lp, run_source,
-                              solver_for_instance)
+                              beta_seen, new_lp_solver, process_row, run_lp,
+                              run_source, solver_for_instance)
 from pdla.errors import EmptyRow, ExponentOverflow, NoProgress
 from pdla.instances import (AdviceVector, ConstraintSource,
                             CoveringLpInstance, SolverParams, make_lp_instance,
-                            row_arrays, validate_advice)
+                            validate_advice)
 
 
 def test_trace_single_coordinate_budget_ladder():
@@ -285,22 +284,22 @@ def _advice_cases(rng, n, boxed):
 
 
 @pytest.mark.parametrize("boxed", [False, True])
-def test_process_checked_matches_process_row(boxed):
-    # The experiment harness checks an instance's rows once and feeds every
-    # run through process_checked; that must be the same run as process_row.
+def test_instance_rows_match_lists_in_process_row(boxed):
+    # An instance's rows are checked once, when it is built, and every run
+    # feeds them to process_row as Rows; that must be the same run as
+    # feeding the row lists.
     rng = np.random.default_rng(41)
     n = 40
     c = rng.uniform(0.5, 3.0, n)
     rows = _random_rows(rng, n, 60)
-    checked = [row_arrays(r, n) for r in rows]
+    checked = make_lp_instance(n, c, rows).rows
     for adv in _advice_cases(rng, n, boxed):
         states = [new_lp_solver(n, c, advice=adv, boxed=boxed,
                                 params=SolverParams(trace=True))
                   for _ in range(2)]
         by_row = [process_row(states[0], r) for r in rows]
-        by_arrays = [process_checked(states[1], idx, vals)
-                     for idx, vals in checked]
-        assert by_row == by_arrays
+        by_instance = [process_row(states[1], r) for r in checked]
+        assert by_row == by_instance
         a, b = states
         assert np.array_equal(a.x_best, b.x_best)
         assert (a.alpha_history, a.round_no, a.violations_seen,

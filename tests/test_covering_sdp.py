@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pdla import covering_lp
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp, separation)
@@ -89,6 +90,23 @@ def test_trace_boxed_infeasible_direction_is_certified():
     st = new_sdp_solver(inst)
     with pytest.raises(NoFeasibleSolution, match="0.4"):
         process_matrix(st, inst.B_stream[0])
+
+
+def test_target_outside_the_span_raises(monkeypatch):
+    # The rank-2 A_j span at most 24 of 40 dimensions, so no x covers the
+    # full-rank target. Along a null direction roundoff leaves v'A_j v
+    # slightly positive; the solver must not grow on that forever.
+    monkeypatch.setattr(covering_lp, "MAX_ITER_ROUND", 1000)
+    d, n = 40, 12
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((n, d, 2))
+    G = rng.standard_normal((d, d))
+    inst = make_sdp_instance(n, d, np.ones(n), U @ U.transpose(0, 2, 1),
+                             [G @ G.T / d + np.eye(d)])
+    st = new_sdp_solver(inst)
+    with pytest.raises(NoFeasibleSolution, match="no weight on any coord"):
+        process_matrix(st, inst.B_stream[0])
+    assert st.iterations < 100
 
 
 def test_zero_target_defers_the_budget_guess():

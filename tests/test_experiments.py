@@ -1,10 +1,12 @@
 """Generators, corruption, drift, ingestion, and the experiment runner."""
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
+from pdla import instances
 from pdla.errors import MalformedDocument, MalformedLine
 from pdla.experiments import (ExperimentConfig, corrupt_advice,
                               drift_instance, gen_synthetic,
@@ -173,3 +175,31 @@ def test_drift_rows_stay_covered():
     assert len(drifted.rows) == 10
     for row in drifted.rows:
         assert len(row) >= 1  # repair keeps every row coverable
+
+
+def test_corruption_sweep_checks_each_row_once(monkeypatch):
+    # The instance's rows are checked when it is built; the offline solve
+    # and the five solver runs of a trial take them without a second check.
+    calls = []
+    for name in ("_checked_arrays", "_checked_entries"):
+        check = getattr(instances, name)
+        monkeypatch.setattr(instances, name, lambda row, n, check=check:
+                            calls.append(len(row)) or check(row, n))
+    cfg = ExperimentConfig(kind="CorruptionSweep", trials=2)
+    run_experiment(cfg)
+    # Rows this long take the array check alone, one call per row.
+    assert min(calls) >= instances._MIN_ARRAY_ROW
+    assert len(calls) == cfg.n * cfg.trials
+
+
+def test_instance_rows_are_compact():
+    # About 100,000 entries: 16 bytes each as a Row's two arrays, against
+    # about 90 as (int, float) tuples in a list.
+    tracemalloc.start()
+    try:
+        inst = gen_synthetic(1000, SeedSequence([1, 0]), density=0.1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, inst.rows)) > 90_000
+    assert held < 4_000_000

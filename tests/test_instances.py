@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdla import instances
+from pdla.covering_lp import dual_certificate, new_lp_solver, process_row
 from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
                          LambdaOutOfRange, LengthMismatch, MalformedDocument,
                          NegativeAdvice, NegativeEntry, NonMonotoneB,
-                         NonPositiveCost, NotPsd)
-from pdla.instances import (AdviceVector, ConstraintSource, SolverParams,
+                         NonPositiveCost, NotPsd, PdlaError)
+from pdla.instances import (AdviceVector, ConstraintSource, Row, SolverParams,
                             make_lp_instance, make_sdp_instance,
                             normalize_box_bounds, parse_advice,
                             parse_lp_instance, parse_sdp_instance, row_arrays,
@@ -125,6 +126,67 @@ def test_long_rows_take_the_array_check():
     assert instances._checked_arrays(row[:3], 40) is None
     with pytest.raises(MalformedDocument, match=re.escape("(True, 1.0)")):
         row_arrays(row[:-1] + [(True, 1.0)], 40)
+
+
+def _typed(pairs):
+    return [(j, v, type(j), type(v)) for j, v in pairs]
+
+
+def _run(row, n):
+    """A solver's answer to one row: its report, x and certificate, or the
+    raised type and message."""
+    state = new_lp_solver(n, np.linspace(1.0, 2.0, n))
+    try:
+        with np.errstate(divide="ignore", over="ignore"):  # zero entries
+            report = process_row(state, row)
+    except PdlaError as exc:
+        return type(exc), str(exc)
+    cert = dual_certificate(state)
+    return (report, state.x_best.tolist(), cert.y, cert.z.tolist(),
+            cert.scale, cert.objective)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_PLAIN_ROWS, _NEAR_VALID_ROWS), st.integers(1, 6),
+       st.sampled_from([instances._MIN_ARRAY_ROW, 1]))
+def test_instance_rows_are_rows_checked_once(row, n, floor):
+    # Both sides of the array check's length floor, as above.
+    with mock.patch.object(instances, "_MIN_ARRAY_ROW", floor):
+        want = _outcome(validate_row, row, n)
+        built = _outcome(lambda r, n: make_lp_instance(n, np.ones(n), [r]),
+                         row, n)
+        if want[0] != "ok":
+            assert built == want
+            return
+        want, got = want[1], built[1].rows[0]
+        assert type(got) is Row
+        assert _typed(got) == _typed(want)
+        assert got == want and want == got and len(got) == len(want)
+        assert _typed([got[0], got[-1]]) == _typed([want[0], want[-1]])
+        assert _typed(got[1:]) == _typed(want[1:])
+        idx, vals = row_arrays(got, n)
+        assert idx is got.idx and vals is got.vals
+        assert row_arrays(got, n + 1)[0] is got.idx
+        assert not idx.flags.writeable and not vals.flags.writeable
+        assert idx.flags.owndata and vals.flags.owndata
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        assert _run(got, n) == _run(row, n)
+
+
+def test_row_at_a_smaller_n_is_checked_again():
+    long_row = [(j, 0.5) for j in range(20)]
+    short_row = [(4, 1.0), (0, 2.0)]
+    inst = make_lp_instance(25, np.ones(25), [long_row, short_row, [(1, 1.0)]])
+    for row, n in ((inst.rows[0], 19), (inst.rows[1], 3)):
+        want = _outcome(validate_row, list(row), n)
+        assert want[0] is MalformedDocument and "out of range" in want[1]
+        assert _outcome(row_arrays, row, n) == want
+        with pytest.raises(MalformedDocument, match=re.escape(want[1])):
+            process_row(new_lp_solver(n, np.ones(n)), row)
+    # Columns that fit the smaller n pass the full check, as a list would.
+    idx, vals = row_arrays(inst.rows[2], 2)
+    assert idx is not inst.rows[2].idx and idx.tolist() == [1]
+    assert inst.rows[2] != inst.rows[1] and inst.rows[2] == Row(idx, vals, 2)
 
 
 def test_lp_instance_validation_and_roundtrip():
