@@ -16,7 +16,7 @@ from .applications import (parse_tree_doc, set_cover_instance,
 from .baselines import offline_solve
 from .covering_lp import current_solution, dual_certificate, run_lp
 from .covering_sdp import dual_certificate as sdp_dual_certificate
-from .covering_sdp import new_sdp_solver, process_matrix
+from .covering_sdp import run_sdp
 from .errors import (EmptyRow, ExponentOverflow, Infeasible,
                      MalformedDocument, NoFeasibleSolution, NoProgress,
                      NotConverged, PdlaError, PhaseRestartLimit,
@@ -105,10 +105,7 @@ def _cmd_solve_sdp(args) -> int:
     if args.boxed:
         inst.boxed = True
     adv = _load_advice(args, inst.n, inst.boxed)
-    params = SolverParams(trace=args.trace)
-    st = new_sdp_solver(inst, advice=adv, params=params)
-    for B in inst.B_stream:
-        process_matrix(st, B)
+    st, _ = run_sdp(inst, advice=adv, params=SolverParams(trace=args.trace))
     if args.trace:
         _emit_trace(st)
     print(json.dumps(_result(st, sdp_dual_certificate(st))))

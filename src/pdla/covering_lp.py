@@ -18,11 +18,12 @@ the primal-dual growth lives here once: phase start (`start_phase`), the
 round loop (`grow_round`) with its tight-set snap, budget check and growth
 step, and `current_solution`, `kappa_seen` and `beta_seen`. A solver keeps
 only its separation step (a `Separation`: is the round's constraint met,
-and if not, which covering row is violated) and its dual accumulator (the
-fields its phase type adds to `Phase`, filled by `Separation.accumulate`
-and at round end). For the LP the streamed row is its own cut and the
-accumulator is the folded column load. The growth step calls `find_stop`,
-`coefficient_vector` and `advance` through this module's globals.
+and if not, which covering row is violated). Every growth step folds its
+dual into the column load `Phase.load` (A^T y, or A_j . Y for the SDP), so
+only the SDP keeps a dual accumulator of its own (`Separation.accumulate`).
+The step and the inspection views share one free-support computation
+(`_FreeSupport`); the step calls `find_stop`, `coefficient_vector` and
+`advance` through this module's globals.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ MAX_ITER_ROUND = 200_000  # safety stop for the growth steps of one round
 
 @dataclass
 class Phase:
-    """One guess-and-double phase; each solver's phase type adds its duals."""
+    """One guess-and-double phase; the SDP's phase type adds its own duals."""
     index: int                  # 1-based position in the restart sequence
     alpha: float
     x: np.ndarray
@@ -58,11 +59,7 @@ class Phase:
     obj: float                  # c . x, maintained incrementally
     z: np.ndarray               # packing duals of tight coordinates (boxed)
     y: dict[int, float]         # round -> dual it raised in this phase, if any
-
-
-@dataclass
-class LpPhase(Phase):
-    load: np.ndarray            # per-column folded dual mass, sum_k a_kj y_k
+    load: np.ndarray            # column loads: each step's row times its dual
 
 
 @dataclass
@@ -124,8 +121,8 @@ class SolverState:
 
 @dataclass
 class LpSolverState(SolverState):
-    def new_phase(self, **shared) -> LpPhase:
-        return LpPhase(load=np.zeros(self.n), **shared)
+    def new_phase(self, **shared) -> Phase:
+        return Phase(**shared)
 
 
 @dataclass
@@ -213,7 +210,8 @@ def start_phase(state: SolverState, alpha: float) -> None:
     x = np.where(tight, 1.0, x)
     state.phase = state.new_phase(index=index, alpha=alpha, x=x, tight=tight,
                                   obj=float(state.c @ x),
-                                  z=np.zeros(state.n), y={})
+                                  z=np.zeros(state.n), y={},
+                                  load=np.zeros(state.n))
 
 
 def grow_round(state: SolverState, rnd: int, sep: Separation,
@@ -268,65 +266,91 @@ def grow_round(state: SolverState, rnd: int, sep: Separation,
     return g
 
 
+class _FreeSupport:
+    """The next growth step's view of the row `w_row` over `idx` (right side
+    `rhs`): its free coordinates `fidx` with their weights, point and costs,
+    the capacity the tight ones leave, the suggestion `adv_f` and the mask
+    `below` where the point is under it, and the growth coefficients D."""
+
+    def __init__(self, state: SolverState, rnd: int, idx: np.ndarray,
+                 w_row: np.ndarray, rhs: float, branch_feasible: bool):
+        self.state, self.idx, self.w_row = state, idx, w_row
+        ph = state.phase
+        self.free = free = ~ph.tight[idx]
+        self.fidx = fidx = idx[free]
+        self.w = w = w_row[free]
+        self.tight_mass = float(w_row[~free].sum())
+        if float(w.sum()) <= 0.0:
+            why = ("every coordinate it weighs is at its cap"
+                   if self.tight_mass > 0.0
+                   else "it has no weight on any coordinate")
+            raise NoFeasibleSolution(
+                f"round {rnd}: the constraint reaches only "
+                f"{self.tight_mass:.6g} of {rhs:.6g}; {why}")
+        self.capacity = rhs - self.tight_mass
+        self.xb = xb = ph.x[fidx]
+        self.cf = state.c[fidx]
+        adv = state.advice
+        self.adv_f = np.zeros(fidx.size) if adv is None else adv.x_prime[fidx]
+        self.below = xb < self.adv_f        # never, without a suggestion
+        lam = 1.0 if adv is None else adv.lam
+        D = coefficient_vector(w, self.adv_f, self.below, lam,
+                               branch_feasible, self.capacity)
+        if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
+            # Suggestion-proportional sharing can stall when the suggestion
+            # has no mass along this row; fall back to uniform.
+            D = coefficient_vector(w, self.adv_f, self.below, lam, False,
+                                   self.capacity)
+        self.D = D
+
+    def stop(self, xb: np.ndarray, D: np.ndarray,
+             below: np.ndarray) -> StopEvent:
+        """First stop event from the point xb along D, with advice events
+        armed where `below`."""
+        state, ph = self.state, self.state.phase
+        return find_stop(xb, D, self.w, self.cf, 2.0 * self.capacity,
+                         ph.alpha, ph.obj, np.where(below, self.adv_f, np.inf),
+                         state.boxed, state.params.tol_bisect)
+
+
 def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
                branch_feasible: bool) -> StopEvent:
     """One growth iteration along the row `sep.cut()` gives, up to the
     first stop event; moves the point and the duals, records the trace."""
     w_row, rhs = sep.cut()
     idx = sep.support
-    free = ~ph.tight[idx]
-    fidx = idx[free]
-    w = w_row[free]
-    tight_mass = float(w_row[~free].sum())
-    if float(w.sum()) <= 0.0:
-        why = ("every coordinate it weighs is at its cap" if tight_mass > 0.0
-               else "it has no weight on any coordinate")
-        raise NoFeasibleSolution(
-            f"round {rnd}: the constraint reaches only {tight_mass:.6g} of "
-            f"{rhs:.6g}; {why}")
-    capacity = rhs - tight_mass
+    s = _FreeSupport(state, rnd, idx, w_row, rhs, branch_feasible)
     if state.boxed:
         state.sparsity_seen = max(state.sparsity_seen,
-                                  float(w.sum()) / capacity)
-
-    xb = ph.x[fidx]
-    cf = state.c[fidx]
-    adv = state.advice
-    if adv is not None:
-        adv_f = adv.x_prime[fidx]
-        below = (xb < adv_f).astype(float)
-        lam = adv.lam
-    else:
-        adv_f = np.zeros(fidx.size)
-        below = np.zeros(fidx.size)
-        lam = 1.0
-    D = coefficient_vector(w, adv_f, below, lam, branch_feasible, capacity)
-    if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
-        # Suggestion-proportional sharing can stall when the suggestion has
-        # no mass along this row; fall back to uniform.
-        D = coefficient_vector(w, adv_f, below, lam, False, capacity)
-
-    ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
-                   np.where(below > 0, adv_f, np.inf), state.boxed,
-                   state.params.tol_bisect)
+                                  float(s.w.sum()) / s.capacity)
+    ev = s.stop(s.xb, s.D, s.below)
     state.iterations += 1
-    x_new = advance(xb, D, w, cf, ev.delta)
+    x_new = advance(s.xb, s.D, s.w, s.cf, ev.delta)
     if ev.kind == "advice":
-        x_new[ev.j] = adv_f[ev.j]
+        x_new[ev.j] = s.adv_f[ev.j]
     elif ev.kind == "cap":
         x_new[ev.j] = 1.0
-    ph.obj += float(cf @ (x_new - xb))
-    ph.x[fidx] = x_new
-    if tight_mass > 0.0:
-        ph.z[idx[~free]] += w_row[~free] * ev.delta
+    ph.obj += float(s.cf @ (x_new - s.xb))
+    ph.x[s.fidx] = x_new
+    if s.tight_mass > 0.0:
+        ph.z[idx[~s.free]] += w_row[~s.free] * ev.delta
+    ph.load[idx] += w_row * ev.delta
     sep.accumulate(ph, ev.delta)
     if state.params.trace:
         state.trace.append({
             "round": rnd, "phase": ph.index, "alpha": ph.alpha,
-            "event": ev.kind, "j": None if ev.j is None else int(fidx[ev.j]),
+            "event": ev.kind, "j": None if ev.j is None else int(s.fidx[ev.j]),
             "delta": ev.delta, "obj": ph.obj, **sep.trace_fields(),
         })
     return ev
+
+
+def _advice_feasible(state: SolverState, idx: np.ndarray,
+                     vals: np.ndarray) -> bool:
+    """Whether the suggestion itself satisfies the row (vals over idx)."""
+    adv = state.advice
+    return adv is not None and \
+        float(vals @ adv.x_prime[idx]) >= 1.0 - ADVICE_ROW_TOL
 
 
 def _initial_alpha(state: LpSolverState, idx, vals) -> float:
@@ -353,13 +377,9 @@ def process_row(state: LpSolverState, row) -> StepReport:
     state.col_min[idx] = np.minimum(state.col_min[idx], vals)
     if state.phase is None:
         start_phase(state, _initial_alpha(state, idx, vals))
-    adv = state.advice
-    branch_feasible = adv is not None and \
-        float(vals @ adv.x_prime[idx]) >= 1.0 - ADVICE_ROW_TOL
-
     sep = _RowSeparation(idx, vals, state.params.tol_feas)
-    g = grow_round(state, state.round_no, sep, branch_feasible)
-    state.phase.load[idx] += vals * g.y_round
+    g = grow_round(state, state.round_no, sep,
+                   _advice_feasible(state, idx, vals))
     reason = "satisfied_by_2" if g.last_event == "target" \
         else "already_satisfied"
     return StepReport(round_no=state.round_no, stop_reason=reason,
@@ -371,6 +391,13 @@ def process_row(state: LpSolverState, row) -> StepReport:
 def current_solution(state: SolverState) -> np.ndarray:
     """Published solution: coordinatewise maximum over all phases so far."""
     return state.x_best.copy()
+
+
+def _dual_scale(state: SolverState) -> float:
+    """Factor dividing the active phase's duals back to feasibility: the
+    largest column load net of z over the cost, or 0 without dual mass."""
+    ph = state.phase
+    return max(float(np.max((ph.load - ph.z) / state.c)), 0.0)
 
 
 def dual_certificate(state: LpSolverState) -> DualCertificate:
@@ -385,70 +412,52 @@ def dual_certificate(state: LpSolverState) -> DualCertificate:
         return DualCertificate(y={}, z=np.zeros(state.n), scale=0.0,
                                objective=0.0)
     ph = state.phase
-    scale = float(np.max((ph.load - ph.z) / state.c)) if state.n else 0.0
-    scale = max(scale, 0.0)
     objective = float(sum(ph.y.values()) - ph.z.sum())
-    return DualCertificate(y=dict(ph.y), z=ph.z.copy(), scale=scale,
-                           objective=objective)
+    return DualCertificate(y=dict(ph.y), z=ph.z.copy(),
+                           scale=_dual_scale(state), objective=objective)
 
 
-def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
-    """Dense growth coefficients for one iteration against `row`.
-
-    Mirrors the internal support-compressed computation: D comes from the
-    same `coefficient_vector`, and B re-expresses the curve multiplicatively
-    at the in-row dual y (load folded from earlier rounds plus a_ij * y).
-    """
+def _next_step(state: LpSolverState, row) -> _FreeSupport:
+    """The step process_row takes next against `row` in the active phase."""
     idx, vals = row_arrays(row, state.n)
     if state.phase is None:
         raise NoProgress("no active phase; feed a row first")
+    return _FreeSupport(state, state.round_no + 1, idx, vals, 1.0,
+                        _advice_feasible(state, idx, vals))
+
+
+def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
+    """Dense view of the next growth step against `row`.
+
+    D and below_advice are the step's own, on the row's free support, and
+    zero / False elsewhere, where nothing moves in the step. B re-expresses
+    the curve multiplicatively at the in-row dual y (column load plus
+    a_ij * y).
+    """
+    s = _next_step(state, row)
     ph = state.phase
+    D = np.zeros(state.n)
+    D[s.fidx] = s.D
+    below = np.zeros(state.n, dtype=bool)
+    below[s.fidx] = s.below
     a_dense = np.zeros(state.n)
-    a_dense[idx] = vals
-    free = ~ph.tight
-    w_dense = np.where(free, a_dense, 0.0)
-    adv = state.advice
-    if adv is not None:
-        below_dense = (ph.x < adv.x_prime).astype(float)
-        adv_dense = adv.x_prime
-        lam = adv.lam
-        branch = float(vals @ adv.x_prime[idx]) >= 1.0 - ADVICE_ROW_TOL
-    else:
-        below_dense = np.zeros(state.n)
-        adv_dense = np.zeros(state.n)
-        lam = 1.0
-        branch = False
-    capacity = 1.0 - float(a_dense[ph.tight].sum()) if state.boxed else 1.0
-    D = coefficient_vector(w_dense, adv_dense, below_dense, lam, branch,
-                           capacity)
+    a_dense[s.idx] = s.w_row
     expo = (ph.load + a_dense * y - ph.z) / state.c
     if np.any(expo > EXP_GUARD):
         raise ExponentOverflow("coefficient exponent exceeds guard")
     # B pins the multiplicative form to the current point: x_bar = B e^expo - D.
     B = (ph.x + D) / np.exp(expo)
-    return IterationCoeffs(D=D, B=B, x_bar=ph.x.copy(),
-                           below_advice=below_dense.astype(bool))
+    return IterationCoeffs(D=D, B=B, x_bar=ph.x.copy(), below_advice=below)
 
 
 def find_stop_event(state: LpSolverState, row, coeffs: IterationCoeffs) -> StopEvent:
-    """First stop event implied by `coeffs` for this row, from the current point."""
-    idx, vals = row_arrays(row, state.n)
-    ph = state.phase
-    free = ~ph.tight[idx]
-    fidx = idx[free]
-    w = vals[free]
-    capacity = 1.0 - float(vals[~free].sum()) if state.boxed else 1.0
-    adv = state.advice
-    if adv is not None:
-        below = coeffs.below_advice[fidx]
-        advice_target = np.where(below, adv.x_prime[fidx], np.inf)
-    else:
-        advice_target = np.full(fidx.size, np.inf)
-    ev = find_stop(coeffs.x_bar[fidx], coeffs.D[fidx], w, state.c[fidx],
-                   2.0 * capacity, ph.alpha, ph.obj, advice_target,
-                   state.boxed, state.params.tol_bisect)
+    """First stop event implied by `coeffs` for this row, from the current
+    point; `j` is a column index."""
+    s = _next_step(state, row)
+    ev = s.stop(coeffs.x_bar[s.fidx], coeffs.D[s.fidx],
+                coeffs.below_advice[s.fidx])
     if ev.j is not None:
-        ev = StopEvent(kind=ev.kind, j=int(fidx[ev.j]), delta=ev.delta)
+        ev = StopEvent(kind=ev.kind, j=int(s.fidx[ev.j]), delta=ev.delta)
     return ev
 
 

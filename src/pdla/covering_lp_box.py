@@ -13,7 +13,7 @@ import numpy as np
 from .covering_lp import (DualCertificate, LpSolverState, StepReport,
                           current_solution, dual_certificate, new_lp_solver,
                           process_row, run_source)
-from .instances import AdviceVector, SolverParams, validate_row
+from .instances import AdviceVector, SolverParams, row_arrays
 
 
 def new_lp_box_solver(n, costs, advice: AdviceVector | None = None,
@@ -35,18 +35,12 @@ def process_row_box(state: LpSolverState, row) -> StepReport:
 def sparsity_ratio(row, tight: np.ndarray, n: int) -> float:
     """Row sparsity against one tight set: sum of free entries over the
     capacity 1 - sum of tight entries. Infinite when the tight mass reaches 1."""
-    row = validate_row(row, n)
-    free_sum = 0.0
-    tight_sum = 0.0
-    for j, a in row:
-        if tight[j]:
-            tight_sum += a
-        else:
-            free_sum += a
-    capacity = 1.0 - tight_sum
+    idx, vals = row_arrays(row, n)
+    at_cap = tight[idx]
+    capacity = 1.0 - float(vals[at_cap].sum())
     if capacity <= 0.0:
         return np.inf
-    return free_sum / capacity
+    return float(vals[~at_cap].sum()) / capacity
 
 
 def sparsity_estimate(state: LpSolverState) -> float:

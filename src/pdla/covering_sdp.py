@@ -5,12 +5,13 @@ online and the solver maintains x >= 0 with sum_j A_j x_j >= B_i in the PSD
 order. Each violated round is reduced to covering rows through the least
 eigenvector v of the residual: the implicit row has weights w_j = v' A_j v
 and right side b = v' B_i v. Phase restarts, the tight-set snap, the budget
-check and the growth step are the LP solver's (`covering_lp.grow_round`);
-this module keeps only its separation step (`_EigenSeparation`: the
-residual's least eigenpair, the implicit row and the column statistics) and
-its dual accumulator (`SdpPhase`). Every stop event returns to a fresh
-eigendirection. The boxed variant enforces x <= 1 through the same tight-set
-mechanism.
+check and the growth step are the LP solver's (`covering_lp.grow_round`),
+and so is the column load A_j (x) Y that every growth step folds in. This
+module keeps only its separation step (`_EigenSeparation`: the residual's
+least eigenpair, the implicit row and the column statistics) and its own
+dual accumulator (`SdpPhase`: the matrix dual Y and the dual objective).
+Every stop event returns to a fresh eigendirection. The boxed variant
+enforces x <= 1 through the same tight-set mechanism.
 
 The matrix dual Y accumulates delta * v v' per growth step, giving the
 scaled certificate A_j (x) Y <= c_j after dividing by the reported factor.
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering_lp import (Phase, Separation, SolverState, grow_round,
-                          start_phase)
+from .covering_lp import (Phase, Separation, SolverState, _dual_scale,
+                          grow_round, start_phase)
 from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
 from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
                      NotConverged)
@@ -52,7 +53,6 @@ class SeparationResult:
 @dataclass
 class SdpPhase(Phase):
     Y: np.ndarray               # matrix dual, sum of delta * v v'
-    ay: np.ndarray              # cached A_j (x) Y per coordinate
     dual_obj: float             # sum over steps of (v' B v) delta - caps
 
 
@@ -84,8 +84,7 @@ class SdpSolverState(SolverState):
     last_B: np.ndarray
 
     def new_phase(self, **shared) -> SdpPhase:
-        return SdpPhase(Y=np.zeros((self.d, self.d)), ay=np.zeros(self.n),
-                        dual_obj=0.0, **shared)
+        return SdpPhase(Y=np.zeros((self.d, self.d)), dual_obj=0.0, **shared)
 
 
 class _EigenSeparation(Separation):
@@ -105,19 +104,18 @@ class _EigenSeparation(Separation):
     def cut(self) -> tuple[np.ndarray, float]:
         st, v = self.state, self.v
         w = np.einsum("jkl,k,l->j", st.A, v, v)
-        self.w = np.where(w > SPAN_TOL * st.traces, w, 0.0)
+        w = np.where(w > SPAN_TOL * st.traces, w, 0.0)
         self.b = float(v @ self.B @ v)
         if self.b <= 0.0:
             raise NotConverged(
                 "separating direction has nonpositive target mass")
-        cols = np.nonzero(self.w > 0)[0]
-        np.maximum.at(st.col_max, cols, self.w[cols] / self.b)
-        np.minimum.at(st.col_min, cols, self.w[cols] / self.b)
-        return self.w, self.b
+        cols = np.nonzero(w > 0)[0]
+        np.maximum.at(st.col_max, cols, w[cols] / self.b)
+        np.minimum.at(st.col_min, cols, w[cols] / self.b)
+        return w, self.b
 
     def accumulate(self, ph: SdpPhase, delta: float) -> None:
         ph.Y += delta * np.outer(self.v, self.v)
-        ph.ay += self.w * delta
         ph.dual_obj += self.b * delta
 
     def trace_fields(self) -> dict:
@@ -222,8 +220,8 @@ def dual_certificate(state: SdpSolverState) -> SdpDualCertificate:
                                   z=np.zeros(state.n), scale=0.0,
                                   objective=0.0)
     ph = state.phase
-    scale = max(float(np.max((ph.ay - ph.z) / state.c)), 0.0)
-    return SdpDualCertificate(Y=ph.Y.copy(), z=ph.z.copy(), scale=scale,
+    return SdpDualCertificate(Y=ph.Y.copy(), z=ph.z.copy(),
+                              scale=_dual_scale(state),
                               objective=float(ph.dual_obj - ph.z.sum()))
 
 

@@ -38,14 +38,13 @@ class SolverParams:
     tol_bisect: float = 1e-9   # relative tolerance of the event search
     tol_feas: float = 1e-7     # a row counts as satisfied at value >= 1 - tol_feas
     tol_psd: float = 1e-7      # relative PSD slack for separation / validation
-    tol_sym: float = 1e-8      # relative symmetry slack
     max_phase: int = 200       # hard cap on guess-and-double restarts
-    debug: bool = False        # extra invariant checks (oracle rows, PSD duals)
+    debug: bool = False        # check that each oracle row is violated
     initial_alpha: float | None = None  # override the first cost estimate (diagnostics)
     trace: bool = False        # collect per-round step reports on the state
 
     def __post_init__(self):
-        for name in ("tol_bisect", "tol_feas", "tol_psd", "tol_sym"):
+        for name in ("tol_bisect", "tol_feas", "tol_psd"):
             if getattr(self, name) <= 0:
                 raise MalformedDocument(f"{name} must be positive")
         if self.max_phase < 1:
@@ -199,13 +198,8 @@ def row_arrays(row: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
 def validate_row(row: Sequence, n: int) -> SparseRow:
     """Check one sparse row (see `row_arrays`) and return it as a list of
     (column, value) pairs."""
-    arrays = _checked_arrays(row, n)
-    if arrays is None:
-        return _checked_entries(row, n)
-    # float() of a float is that float, so a value shared by many entries
-    # (all the 1.0s of a unit row) stays one object, as in the per-entry
-    # check; vals.tolist() would allocate one per entry.
-    return list(zip(arrays[0].tolist(), map(float, map(itemgetter(1), row))))
+    idx, vals = row_arrays(row, n)
+    return list(zip(idx.tolist(), vals.tolist()))
 
 
 _BOOL_TYPES = frozenset({bool, np.bool_})

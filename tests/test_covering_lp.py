@@ -5,10 +5,12 @@ x_j(delta) = (xbar_j + D_j) e^{w_j delta / c_j} - D_j before the solver ran,
 so these tests are independent of the implementation.
 """
 import math
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
+from pdla import covering_lp
 from pdla.covering_lp import (compute_coeffs, current_solution,
                               dual_certificate, find_stop_event, kappa_seen,
                               beta_seen, new_lp_solver, process_row, run_lp,
@@ -338,3 +340,70 @@ def test_certificate_holds_exactly_the_rounds_that_raised_dual(boxed):
         assert set(cert.y) == set(raised)
         for rnd, yv in cert.y.items():
             assert yv == pytest.approx(raised[rnd], rel=1e-12)
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("lam", [None, 0.0, 0.5])
+def test_inspection_views_agree_with_the_step(boxed, lam, monkeypatch):
+    # compute_coeffs and find_stop_event must describe the very step that
+    # process_row takes next: the same first stop event (kind, column,
+    # delta) and, on the row's free support, the same D that the step hands
+    # to find_stop. Only rows whose first step runs in the active phase
+    # count: no restart at entry and no pending snap.
+    rng = np.random.default_rng(47)
+    n = 200
+    c = rng.uniform(0.5, 3.0, n)
+    adv = None if lam is None else validate_advice(
+        rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7), lam, n, boxed)
+    st = new_lp_solver(n, c, advice=adv, boxed=boxed,
+                       params=SolverParams(trace=True))
+    seen_D = []
+    real_find_stop = covering_lp.find_stop
+
+    def spy(xbar, D, *args):
+        seen_D.append(D.copy())
+        return real_find_stop(xbar, D, *args)
+
+    monkeypatch.setattr(covering_lp, "find_stop", spy)
+    checked, kinds, touched_tight = 0, set(), 0
+    for _ in range(200):
+        ph = st.phase
+        cols = rng.choice(n, size=rng.integers(4, 16), replace=False)
+        if ph is not None and ph.tight.any():
+            # Put a tight coordinate in the row, where it takes capacity.
+            extra = rng.choice(np.flatnonzero(ph.tight))
+            cols = np.append(cols[cols != extra], extra)
+        vals = rng.uniform(0.1, 0.4, cols.size)
+        if vals.sum() < 1.0:
+            continue
+        row = [(int(j), float(a)) for j, a in zip(cols, vals)]
+        usable = ph is not None and vals @ ph.x[cols] < 1.0 - 1e-7 and \
+            ph.obj < ph.alpha * (1.0 - covering_lp.OBJ_ENTRY_TOL) and \
+            not (boxed and ((ph.x[cols] >= 1.0 - covering_lp.SNAP)
+                            & ~ph.tight[cols]).any())
+        if usable:
+            coeffs = compute_coeffs(st, row, 0.0)
+            ev = find_stop_event(st, row, coeffs)
+            free = cols[~ph.tight[cols]]
+            off = np.setdiff1d(np.arange(n), free)
+            assert not coeffs.D[off].any()
+            assert not coeffs.below_advice[off].any()
+        twin = deepcopy(st)
+        seen_D.clear()
+        process_row(twin, row)
+        if usable:
+            first = twin.trace[len(st.trace)]
+            assert first["phase"] == ph.index
+            assert (ev.kind, ev.j, ev.delta) == \
+                (first["event"], first["j"], first["delta"])
+            assert np.array_equal(seen_D[0], coeffs.D[free])
+            checked += 1
+            kinds.add(ev.kind)
+            touched_tight += bool(ph.tight[cols].any())
+        st = twin
+    assert checked >= 30
+    assert {"objective", "target"} <= kinds
+    if lam is not None:
+        assert "advice" in kinds
+    if boxed:
+        assert "cap" in kinds and touched_tight >= 10

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pdla import instances
 from pdla.covering_lp import dual_certificate, new_lp_solver, process_row
+from pdla.covering_lp_box import sparsity_ratio
 from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
                          LambdaOutOfRange, LengthMismatch, MalformedDocument,
                          NegativeAdvice, NegativeEntry, NonMonotoneB,
@@ -189,6 +190,25 @@ def test_row_at_a_smaller_n_is_checked_again():
     assert inst.rows[2] != inst.rows[1] and inst.rows[2] == Row(idx, vals, 2)
 
 
+def test_checked_rows_are_not_checked_again_by_list_views():
+    # validate_row and sparsity_ratio read an instance's Row through
+    # row_arrays, so neither check runs on it a second time.
+    rows = [[(j, 0.25) for j in range(20)], [(3, 0.5), (1, 1.0)]]
+    inst = make_lp_instance(25, np.ones(25), rows)
+    tight = np.zeros(25, dtype=bool)
+    tight[[1, 2]] = True
+    with mock.patch.object(instances, "_checked_arrays",
+                           wraps=instances._checked_arrays) as arrays, \
+            mock.patch.object(instances, "_checked_entries",
+                              wraps=instances._checked_entries) as entries:
+        for row, want in zip(inst.rows, rows):
+            assert _typed(validate_row(row, 25)) == _typed(want)
+        assert sparsity_ratio(inst.rows[0], tight, 25) == \
+            pytest.approx(4.5 / 0.5)
+        assert sparsity_ratio(inst.rows[1], tight, 25) == np.inf
+    assert arrays.call_count == 0 and entries.call_count == 0
+
+
 def test_lp_instance_validation_and_roundtrip():
     inst = make_lp_instance(3, [1.0, 2.0, 0.5],
                             [[(0, 1.0), (2, 0.3)], [(1, 1.0)]], boxed=True)
@@ -257,6 +277,8 @@ def test_sdp_instance_validation_and_roundtrip():
 def test_solver_params_validation():
     p = SolverParams()
     assert p.tol_bisect == 1e-9 and p.max_phase == 200
+    with pytest.raises(TypeError):
+        SolverParams(tol_sym=1e-8)  # symmetry slack is make_sdp_instance's
     with pytest.raises(MalformedDocument):
         SolverParams(tol_bisect=0.0)
     with pytest.raises(MalformedDocument):
