@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering_lp import current_solution
+from .covering_lp import current_solution, run_lp
 from .covering_lp_box import new_lp_box_solver, process_row_box
 from .errors import (Infeasible, MalformedDocument, UncoverableElement)
 from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
@@ -65,10 +65,7 @@ def solve_set_cover(system: SetSystem, advice: AdviceVector | None = None,
     The row sparsity never exceeds the element frequency, so the guarantee
     scales with log(max_frequency) when the suggestion is distrusted.
     """
-    st = new_lp_box_solver(system.costs.size, system.costs, advice=advice,
-                           params=params)
-    for row in set_cover_stream(system):
-        process_row_box(st, row)
+    st, _ = run_lp(set_cover_instance(system), advice=advice, params=params)
     return current_solution(st), st
 
 

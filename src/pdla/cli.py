@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Results go to stdout as one JSON object; --trace prints the buffered growth
-events to stderr as JSON lines once the run completes. Exit codes: 0 ok, 2 infeasible, 3 numeric failure,
-4 bad input (including unparseable flags, which argparse would otherwise
-report with its own status 2).
+events to stderr as JSON lines once the run completes. Exit codes: 0 ok,
+2 infeasible, 3 numeric failure, 4 bad input (including unparseable flags,
+which argparse would otherwise report with its own status 2).
 """
 from __future__ import annotations
 
@@ -61,13 +61,12 @@ def _load_advice(args, n, boxed):
     return adv
 
 
-def _emit_trace(state) -> None:
+def _finish(state, cert=None) -> int:
+    """Print the run's buffered trace (empty unless --trace) to stderr and
+    the result document of any solver state to stdout; the document has
+    "dual" only when cert is given."""
     for entry in state.trace:
         print(json.dumps(entry), file=sys.stderr)
-
-
-def _result(state, cert=None) -> dict:
-    """Result document of any solver state; "dual" only when cert is given."""
     x = current_solution(state)
     doc = {
         "x": [float(v) for v in x],
@@ -79,7 +78,8 @@ def _result(state, cert=None) -> dict:
     }
     if cert is not None:
         doc["dual"] = {"scale": cert.scale, "objective": cert.objective}
-    return doc
+    print(json.dumps(doc))
+    return EXIT_OK
 
 
 def _solve_lp(args, inst) -> int:
@@ -87,10 +87,7 @@ def _solve_lp(args, inst) -> int:
     instance is) and print the result document."""
     adv = _load_advice(args, inst.n, inst.boxed)
     st, _ = run_lp(inst, advice=adv, params=SolverParams(trace=args.trace))
-    if args.trace:
-        _emit_trace(st)
-    print(json.dumps(_result(st, dual_certificate(st))))
-    return EXIT_OK
+    return _finish(st, dual_certificate(st))
 
 
 def _cmd_solve_lp(args) -> int:
@@ -106,10 +103,7 @@ def _cmd_solve_sdp(args) -> int:
         inst.boxed = True
     adv = _load_advice(args, inst.n, inst.boxed)
     st, _ = run_sdp(inst, advice=adv, params=SolverParams(trace=args.trace))
-    if args.trace:
-        _emit_trace(st)
-    print(json.dumps(_result(st, sdp_dual_certificate(st))))
-    return EXIT_OK
+    return _finish(st, sdp_dual_certificate(st))
 
 
 def _cmd_set_cover(args) -> int:
@@ -130,10 +124,7 @@ def _cmd_gst(args) -> int:
     adv = _load_advice(args, n_edges, True)
     _, st = solve_gst_online(tree, groups, advice=adv,
                              params=SolverParams(trace=args.trace))
-    if args.trace:
-        _emit_trace(st)
-    print(json.dumps(_result(st)))
-    return EXIT_OK
+    return _finish(st)
 
 
 _KIND_NAMES = {"lambda-sweep": "LambdaSweep", "corruption": "CorruptionSweep",
@@ -167,7 +158,8 @@ def _add_advice_flags(sub) -> None:
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="override the advice file's confidence")
     sub.add_argument("--trace", action="store_true",
-                     help="stream growth events to stderr as JSON lines")
+                     help="print the growth events to stderr as JSON "
+                          "lines once the run completes")
 
 
 def build_parser() -> argparse.ArgumentParser:

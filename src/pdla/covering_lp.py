@@ -16,11 +16,15 @@ discount the dual objective.
 The covering SDP solver reduces every violated round to a covering row, so
 the primal-dual growth lives here once: phase start (`start_phase`), the
 round loop (`grow_round`) with its tight-set snap, budget check and growth
-step, and `current_solution`, `kappa_seen` and `beta_seen`. A solver keeps
-only its separation step (a `Separation`: is the round's constraint met,
-and if not, which covering row is violated). Every growth step folds its
-dual into the column load `Phase.load` (A^T y, or A_j . Y for the SDP), so
-only the SDP keeps a dual accumulator of its own (`Separation.accumulate`).
+step, and `current_solution`, `kappa_seen` and `beta_seen`. So do the
+solver-state checks (`SolverState`), the round entry with the first budget
+guess (`open_round`) and the dual certificate (`dual_certificate`). A
+solver keeps only its separation step (a `Separation`: is the round's
+constraint met, and if not, which covering row is violated), its first
+budget estimate and its step report. Every growth step folds its dual into
+the column load `Phase.load` (A^T y, or A_j . Y for the SDP) and the dual
+objective `Phase.dual_obj` (right side times dual), so only the SDP keeps a
+dual accumulator of its own, the matrix dual (`Separation.accumulate`).
 The step and the inspection views share one free-support computation
 (`_FreeSupport`); the step calls `find_stop`, `coefficient_vector` and
 `advance` through this module's globals.
@@ -60,6 +64,7 @@ class Phase:
     z: np.ndarray               # packing duals of tight coordinates (boxed)
     y: dict[int, float]         # round -> dual it raised in this phase, if any
     load: np.ndarray            # column loads: each step's row times its dual
+    dual_obj: float             # sum over steps of right side times dual
 
 
 @dataclass
@@ -91,17 +96,20 @@ class DualCertificate:
     y: dict[int, float]
     z: np.ndarray
     scale: float                # divide duals by this to restore feasibility
-    objective: float            # sum(y) - sum(z), before scaling
+    objective: float            # dual objective - sum(z), before scaling
 
 
 @dataclass
 class SolverState:
-    """What every solver variant tracks; solver states add their own."""
+    """What every solver variant tracks; solver states add their own.
+
+    Checks the costs (finite and positive, one per coordinate) and the
+    suggestion's length; params defaults to `SolverParams()`."""
     n: int
     c: np.ndarray
     boxed: bool
     advice: AdviceVector | None
-    params: SolverParams
+    params: SolverParams | None = None
     phase: Phase | None = None
     alpha_history: list[float] = field(default_factory=list)
     x_best: np.ndarray = field(init=False)
@@ -114,13 +122,18 @@ class SolverState:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.c = c = np.asarray(self.c, dtype=float)
+        if c.shape != (self.n,) or not np.all(np.isfinite(c)) \
+                or np.any(c <= 0):
+            raise NonPositiveCost("costs must be finite and strictly positive")
+        if self.advice is not None and self.advice.x_prime.shape != (self.n,):
+            raise LengthMismatch("advice length does not match n")
+        if self.params is None:
+            self.params = SolverParams()
         self.x_best = np.zeros(self.n)
         self.col_max = np.zeros(self.n)
         self.col_min = np.full(self.n, np.inf)
 
-
-@dataclass
-class LpSolverState(SolverState):
     def new_phase(self, **shared) -> Phase:
         return Phase(**shared)
 
@@ -170,19 +183,14 @@ class _RowSeparation(Separation):
 
 def new_lp_solver(n, costs, advice: AdviceVector | None = None,
                   params: SolverParams | None = None,
-                  boxed: bool = False) -> LpSolverState:
-    params = params if params is not None else SolverParams()
-    c = np.asarray(costs, dtype=float)
-    if c.shape != (n,) or not np.all(np.isfinite(c)) or np.any(c <= 0):
-        raise NonPositiveCost("costs must be finite and strictly positive")
-    if advice is not None and advice.x_prime.shape != (n,):
-        raise LengthMismatch("advice length does not match n")
-    return LpSolverState(n=n, c=c, boxed=boxed, advice=advice, params=params)
+                  boxed: bool = False) -> SolverState:
+    return SolverState(n=n, c=costs, boxed=boxed, advice=advice,
+                       params=params)
 
 
 def solver_for_instance(inst: CoveringLpInstance,
                         advice: AdviceVector | None = None,
-                        params: SolverParams | None = None) -> LpSolverState:
+                        params: SolverParams | None = None) -> SolverState:
     return new_lp_solver(inst.n, inst.c, advice=advice, params=params,
                          boxed=inst.boxed)
 
@@ -211,7 +219,17 @@ def start_phase(state: SolverState, alpha: float) -> None:
     state.phase = state.new_phase(index=index, alpha=alpha, x=x, tight=tight,
                                   obj=float(state.c @ x),
                                   z=np.zeros(state.n), y={},
-                                  load=np.zeros(state.n))
+                                  load=np.zeros(state.n), dual_obj=0.0)
+
+
+def open_round(state: SolverState, estimate) -> int:
+    """Count a new round and return its number; before the first phase,
+    open phase 1 at params.initial_alpha, or at estimate() when unset."""
+    state.round_no += 1
+    if state.phase is None:
+        alpha = state.params.initial_alpha
+        start_phase(state, float(estimate() if alpha is None else alpha))
+    return state.round_no
 
 
 def grow_round(state: SolverState, rnd: int, sep: Separation,
@@ -239,26 +257,24 @@ def grow_round(state: SolverState, rnd: int, sep: Separation,
                 g.tight_added.extend(int(j) for j in cols)
         if sep.holds(ph.x):
             break
-        if ph.obj >= ph.alpha * (1.0 - OBJ_ENTRY_TOL):
-            start_phase(state, ph.alpha * 2.0)
-            g.phases_entered += 1
-            g.y_round = 0.0
-            continue
-        if not counted_violation:
-            state.violations_seen += 1
-            counted_violation = True
-        ev = _grow_step(state, rnd, ph, sep, branch_feasible)
-        g.iterations += 1
-        g.y_round += ev.delta
-        g.last_event = ev.kind
-        if ev.kind == "objective":
-            # Budget hit: double the guess and reprocess this round, even
-            # when the constraint was met at the same instant. Advice and
-            # cap events outrank the budget in ties, so trusted snaps never
-            # trigger a spurious restart.
-            start_phase(state, ph.alpha * 2.0)
-            g.phases_entered += 1
-            g.y_round = 0.0
+        if ph.obj < ph.alpha * (1.0 - OBJ_ENTRY_TOL):
+            if not counted_violation:
+                state.violations_seen += 1
+                counted_violation = True
+            ev = _grow_step(state, rnd, ph, sep, branch_feasible)
+            g.iterations += 1
+            g.y_round += ev.delta
+            g.last_event = ev.kind
+            if ev.kind != "objective":
+                continue
+        # The budget is used up, at entry or by the step's objective event:
+        # double the guess and reprocess this round, even when the step met
+        # the constraint at the same instant. Advice and cap events outrank
+        # the budget in ties, so trusted snaps never trigger a spurious
+        # restart.
+        start_phase(state, ph.alpha * 2.0)
+        g.phases_entered += 1
+        g.y_round = 0.0
     ph = state.phase
     if g.y_round > 0.0:
         ph.y[rnd] = g.y_round
@@ -335,6 +351,7 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
     if s.tight_mass > 0.0:
         ph.z[idx[~s.free]] += w_row[~s.free] * ev.delta
     ph.load[idx] += w_row * ev.delta
+    ph.dual_obj += rhs * ev.delta
     sep.accumulate(ph, ev.delta)
     if state.params.trace:
         state.trace.append({
@@ -353,13 +370,12 @@ def _advice_feasible(state: SolverState, idx: np.ndarray,
         float(vals @ adv.x_prime[idx]) >= 1.0 - ADVICE_ROW_TOL
 
 
-def _initial_alpha(state: LpSolverState, idx, vals) -> float:
-    if state.params.initial_alpha is not None:
-        return float(state.params.initial_alpha)
+def _initial_alpha(state: SolverState, idx, vals) -> float:
+    """First budget guess: the cheapest way to cover the row alone."""
     return float(np.min(state.c[idx] / vals))
 
 
-def process_row(state: LpSolverState, row) -> StepReport:
+def process_row(state: SolverState, row) -> StepReport:
     """Feed one covering row; returns once the row is satisfied.
 
     The row is checked by `instances.row_arrays`; an instance's rows
@@ -371,18 +387,15 @@ def process_row(state: LpSolverState, row) -> StepReport:
     on runaway guesses.
     """
     idx, vals = row_arrays(row, state.n)
-    state.round_no += 1
     # Validated columns are unique, so plain fancy-index updates suffice.
     state.col_max[idx] = np.maximum(state.col_max[idx], vals)
     state.col_min[idx] = np.minimum(state.col_min[idx], vals)
-    if state.phase is None:
-        start_phase(state, _initial_alpha(state, idx, vals))
+    rnd = open_round(state, lambda: _initial_alpha(state, idx, vals))
     sep = _RowSeparation(idx, vals, state.params.tol_feas)
-    g = grow_round(state, state.round_no, sep,
-                   _advice_feasible(state, idx, vals))
+    g = grow_round(state, rnd, sep, _advice_feasible(state, idx, vals))
     reason = "satisfied_by_2" if g.last_event == "target" \
         else "already_satisfied"
-    return StepReport(round_no=state.round_no, stop_reason=reason,
+    return StepReport(round_no=rnd, stop_reason=reason,
                       iterations=g.iterations,
                       phases_entered=g.phases_entered, row_value=sep.value,
                       y_round=g.y_round, tight_added=g.tight_added)
@@ -393,31 +406,26 @@ def current_solution(state: SolverState) -> np.ndarray:
     return state.x_best.copy()
 
 
-def _dual_scale(state: SolverState) -> float:
-    """Factor dividing the active phase's duals back to feasibility: the
-    largest column load net of z over the cost, or 0 without dual mass."""
-    ph = state.phase
-    return max(float(np.max((ph.load - ph.z) / state.c)), 0.0)
-
-
-def dual_certificate(state: LpSolverState) -> DualCertificate:
+def dual_certificate(state: SolverState) -> DualCertificate:
     """Duals of the active phase plus the factor restoring dual feasibility.
 
     y holds only the rounds that raised dual mass in the active phase, each
-    mapped to that mass; every other round's dual is zero. Dividing every y
-    (and z) by scale yields A^T y <= c (minus z when boxed); the unscaled
-    objective sum(y) - sum(z) is reported alongside.
+    mapped to that mass; every other round's dual is zero. scale is the
+    largest column load net of z over the cost (0 without dual mass), so
+    dividing every y (and z) by it yields A^T y <= c (minus z when boxed).
+    The unscaled objective is the sum over growth steps of right side times
+    dual, minus sum(z). Before the first phase everything is zero.
     """
     if state.phase is None:
         return DualCertificate(y={}, z=np.zeros(state.n), scale=0.0,
                                objective=0.0)
     ph = state.phase
-    objective = float(sum(ph.y.values()) - ph.z.sum())
-    return DualCertificate(y=dict(ph.y), z=ph.z.copy(),
-                           scale=_dual_scale(state), objective=objective)
+    scale = max(float(np.max((ph.load - ph.z) / state.c)), 0.0)
+    return DualCertificate(y=dict(ph.y), z=ph.z.copy(), scale=scale,
+                           objective=float(ph.dual_obj - ph.z.sum()))
 
 
-def _next_step(state: LpSolverState, row) -> _FreeSupport:
+def _next_step(state: SolverState, row) -> _FreeSupport:
     """The step process_row takes next against `row` in the active phase."""
     idx, vals = row_arrays(row, state.n)
     if state.phase is None:
@@ -426,7 +434,7 @@ def _next_step(state: LpSolverState, row) -> _FreeSupport:
                         _advice_feasible(state, idx, vals))
 
 
-def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
+def compute_coeffs(state: SolverState, row, y: float) -> IterationCoeffs:
     """Dense view of the next growth step against `row`.
 
     D and below_advice are the step's own, on the row's free support, and
@@ -450,7 +458,7 @@ def compute_coeffs(state: LpSolverState, row, y: float) -> IterationCoeffs:
     return IterationCoeffs(D=D, B=B, x_bar=ph.x.copy(), below_advice=below)
 
 
-def find_stop_event(state: LpSolverState, row, coeffs: IterationCoeffs) -> StopEvent:
+def find_stop_event(state: SolverState, row, coeffs: IterationCoeffs) -> StopEvent:
     """First stop event implied by `coeffs` for this row, from the current
     point; `j` is a column index."""
     s = _next_step(state, row)
@@ -461,7 +469,7 @@ def find_stop_event(state: LpSolverState, row, coeffs: IterationCoeffs) -> StopE
     return ev
 
 
-def run_source(state: LpSolverState, source: ConstraintSource) -> list[StepReport]:
+def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]:
     """Drive the solver from a fixed row list or a separation oracle.
 
     Oracle mode calls source.oracle(published_x) and stops at None. With

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .covering_lp import (DualCertificate, LpSolverState, StepReport,
+from .covering_lp import (DualCertificate, SolverState, StepReport,
                           current_solution, dual_certificate, new_lp_solver,
                           process_row, run_source)
 from .instances import AdviceVector, SolverParams, row_arrays
 
 
 def new_lp_box_solver(n, costs, advice: AdviceVector | None = None,
-                      params: SolverParams | None = None) -> LpSolverState:
+                      params: SolverParams | None = None) -> SolverState:
     return new_lp_solver(n, costs, advice=advice, params=params, boxed=True)
 
 
-def process_row_box(state: LpSolverState, row) -> StepReport:
+def process_row_box(state: SolverState, row) -> StepReport:
     """Feed one row to a boxed solver.
 
     Raises NoFeasibleSolution with the certifying row when even the all-ones
@@ -43,13 +43,13 @@ def sparsity_ratio(row, tight: np.ndarray, n: int) -> float:
     return float(vals[~at_cap].sum()) / capacity
 
 
-def sparsity_estimate(state: LpSolverState) -> float:
+def sparsity_estimate(state: SolverState) -> float:
     """Largest sparsity ratio over the (row, tight set) pairs actually
     encountered while solving; the guarantee degrades with its logarithm."""
     return state.sparsity_seen
 
 
-def dual_certificate_box(state: LpSolverState) -> DualCertificate:
+def dual_certificate_box(state: SolverState) -> DualCertificate:
     """Certificate for the boxed dual: max sum(y) - sum(z), A^T y - z <= c."""
     if not state.boxed:
         raise ValueError("state was created without the box constraint")

@@ -4,26 +4,29 @@ A stream of monotonically growing symmetric targets B_1 <= B_2 <= ... arrives
 online and the solver maintains x >= 0 with sum_j A_j x_j >= B_i in the PSD
 order. Each violated round is reduced to covering rows through the least
 eigenvector v of the residual: the implicit row has weights w_j = v' A_j v
-and right side b = v' B_i v. Phase restarts, the tight-set snap, the budget
-check and the growth step are the LP solver's (`covering_lp.grow_round`),
-and so is the column load A_j (x) Y that every growth step folds in. This
-module keeps only its separation step (`_EigenSeparation`: the residual's
-least eigenpair, the implicit row and the column statistics) and its own
-dual accumulator (`SdpPhase`: the matrix dual Y and the dual objective).
-Every stop event returns to a fresh eigendirection. The boxed variant
-enforces x <= 1 through the same tight-set mechanism.
+and right side b = v' B_i v. The solver-state checks, the round entry,
+phase restarts, the tight-set snap, the budget check, the growth step and
+the dual certificate are the LP solver's (`covering_lp`), and so are the
+column load A_j (x) Y and the dual objective that every growth step folds
+in. This module keeps only its separation step (`_EigenSeparation`: the
+residual's least eigenpair, the implicit row and the column statistics),
+its first budget estimate, its step report and its own dual accumulator
+(`SdpPhase`: the matrix dual Y). Every stop event returns to a fresh
+eigendirection. The boxed variant enforces x <= 1 through the same
+tight-set mechanism.
 
 The matrix dual Y accumulates delta * v v' per growth step, giving the
 scaled certificate A_j (x) Y <= c_j after dividing by the reported factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering_lp import (Phase, Separation, SolverState, _dual_scale,
-                          grow_round, start_phase)
+from .covering_lp import (DualCertificate, Phase, Separation, SolverState,
+                          grow_round, open_round)
+from .covering_lp import dual_certificate as _lp_dual_certificate
 from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
 from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
                      NotConverged)
@@ -53,7 +56,6 @@ class SeparationResult:
 @dataclass
 class SdpPhase(Phase):
     Y: np.ndarray               # matrix dual, sum of delta * v v'
-    dual_obj: float             # sum over steps of (v' B v) delta - caps
 
 
 @dataclass
@@ -68,23 +70,30 @@ class SdpStepReport:
 
 
 @dataclass
-class SdpDualCertificate:
-    Y: np.ndarray
-    z: np.ndarray
-    scale: float
-    objective: float
+class SdpDualCertificate(DualCertificate):
+    Y: np.ndarray               # matrix dual of the active phase
 
 
 @dataclass(kw_only=True)
 class SdpSolverState(SolverState):
     d: int
-    A: np.ndarray               # stacked (n, d, d)
-    traces: np.ndarray          # tr(A_j)
-    S_advice: np.ndarray | None
-    last_B: np.ndarray
+    A: np.ndarray                                     # stacked (n, d, d)
+    traces: np.ndarray = field(init=False)            # tr(A_j)
+    S_advice: np.ndarray | None = field(init=False)   # sum_j x'_j A_j
+    last_B: np.ndarray = field(init=False)            # previous target
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.A = A = np.asarray(self.A, dtype=float)
+        self.traces = np.trace(A, axis1=1, axis2=2)
+        self.S_advice = None if self.advice is None else np.tensordot(
+            self.advice.x_prime, A, axes=1)
+        # The stream starts from zero, as in make_sdp_instance, so the first
+        # target passes the same monotone check as every later one.
+        self.last_B = np.zeros((self.d, self.d))
 
     def new_phase(self, **shared) -> SdpPhase:
-        return SdpPhase(Y=np.zeros((self.d, self.d)), dual_obj=0.0, **shared)
+        return SdpPhase(Y=np.zeros((self.d, self.d)), **shared)
 
 
 class _EigenSeparation(Separation):
@@ -116,7 +125,6 @@ class _EigenSeparation(Separation):
 
     def accumulate(self, ph: SdpPhase, delta: float) -> None:
         ph.Y += delta * np.outer(self.v, self.v)
-        ph.dual_obj += self.b * delta
 
     def trace_fields(self) -> dict:
         return {"residual": self.lam}
@@ -125,20 +133,13 @@ class _EigenSeparation(Separation):
 def new_sdp_solver(inst: CoveringSdpInstance,
                    advice: AdviceVector | None = None,
                    params: SolverParams | None = None) -> SdpSolverState:
-    params = params if params is not None else SolverParams()
-    A = np.asarray(inst.A, dtype=float)
-    return SdpSolverState(
-        n=inst.n, d=inst.d, c=np.asarray(inst.c, dtype=float), A=A,
-        traces=np.trace(A, axis1=1, axis2=2), boxed=inst.boxed,
-        advice=advice, params=params,
-        S_advice=None if advice is None else np.tensordot(
-            advice.x_prime, A, axes=1),
-        last_B=np.full((inst.d, inst.d), -np.inf))
+    return SdpSolverState(n=inst.n, d=inst.d, c=inst.c, A=inst.A,
+                          boxed=inst.boxed, advice=advice, params=params)
 
 
 def _initial_alpha(state: SdpSolverState, B: np.ndarray) -> float:
-    if state.params.initial_alpha is not None:
-        return float(state.params.initial_alpha)
+    """First budget guess: the cheapest single coordinate whose trace
+    covers the target's."""
     ok = state.traces > 0
     if not ok.any():
         raise NoFeasibleSolution(
@@ -167,26 +168,23 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     if B.shape != (state.d, state.d):
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")
-    if np.isfinite(state.last_B).all():
-        if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd):
-            raise NonMonotoneB(
-                f"round {state.round_no + 1} target decreased somewhere")
+    if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd):
+        raise NonMonotoneB(
+            f"round {state.round_no + 1} target decreased somewhere")
     # A read-only array that owns its data (an instance target) is kept as
     # is; any other is copied, so a caller's in-place edit cannot hide a
     # decrease from the next round's monotone check.
     frozen = B.flags.owndata and not B.flags.writeable
     state.last_B = B if frozen else B.copy()
-    state.round_no += 1
-    rnd = state.round_no
-
-    if state.phase is None:
-        if float(np.trace(B)) <= 0.0:
-            # Zero target is covered by any x >= 0; the budget guess waits
-            # for a round that actually needs mass.
-            return SdpStepReport(round_no=rnd, stop_reason="already_satisfied",
-                                 iterations=0, phases_entered=0,
-                                 residual_eig=0.0, y_round=0.0, tight_added=[])
-        start_phase(state, _initial_alpha(state, B))
+    if state.phase is None and float(np.trace(B)) <= 0.0:
+        # A zero target is covered by any x >= 0; the budget guess waits
+        # for a round that actually needs mass.
+        state.round_no += 1
+        return SdpStepReport(round_no=state.round_no,
+                             stop_reason="already_satisfied", iterations=0,
+                             phases_entered=0, residual_eig=0.0, y_round=0.0,
+                             tight_added=[])
+    rnd = open_round(state, lambda: _initial_alpha(state, B))
     branch_feasible = state.advice is not None and \
         is_psd(state.S_advice - B, tol_psd=state.params.tol_psd)
 
@@ -203,26 +201,22 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
 
 def feasibility_gap(state: SdpSolverState, B) -> float:
     """Least eigenvalue of sum_j A_j xhat_j - B at the published solution."""
-    resid = np.tensordot(state.x_best, state.A, axes=1) - np.asarray(B, float)
-    lam, _ = min_eigpair(resid)
-    return float(lam)
+    sep = _EigenSeparation(state, np.asarray(B, dtype=float))
+    sep.holds(state.x_best)
+    return float(sep.lam)
 
 
 def dual_certificate(state: SdpSolverState) -> SdpDualCertificate:
-    """Matrix dual of the active phase with its feasibility-restoring scale.
+    """The LP certificate of the active phase (`covering_lp.dual_certificate`)
+    with its matrix dual Y.
 
     Y is PSD by construction; dividing by scale gives A_j (x) Y - z_j <= c_j
-    for every coordinate. objective is the accumulated sum of (v' B v) delta
+    for every coordinate. objective is the sum over steps of (v' B v) delta
     minus the tight-coordinate discounts, before scaling.
     """
-    if state.phase is None:
-        return SdpDualCertificate(Y=np.zeros((state.d, state.d)),
-                                  z=np.zeros(state.n), scale=0.0,
-                                  objective=0.0)
     ph = state.phase
-    return SdpDualCertificate(Y=ph.Y.copy(), z=ph.z.copy(),
-                              scale=_dual_scale(state),
-                              objective=float(ph.dual_obj - ph.z.sum()))
+    Y = np.zeros((state.d, state.d)) if ph is None else ph.Y.copy()
+    return SdpDualCertificate(**vars(_lp_dual_certificate(state)), Y=Y)
 
 
 def run_sdp(inst: CoveringSdpInstance, advice: AdviceVector | None = None,

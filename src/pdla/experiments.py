@@ -10,7 +10,7 @@ import csv
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -22,8 +22,8 @@ from .covering_lp import (current_solution, dual_certificate, new_lp_solver,
 # Not called here; kept because the traced benchmark rebinds this name.
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import MalformedDocument, MalformedLine
-from .instances import (AdviceVector, CoveringLpInstance, make_lp_instance,
-                        validate_advice)
+from .instances import (AdviceVector, CoveringLpInstance, Row,
+                        make_lp_instance, validate_advice)
 from .metrics import CSV_HEADER, RunMetrics
 
 log = logging.getLogger("pdla")
@@ -93,7 +93,8 @@ def gen_synthetic(n: int, seed, density: float = 0.5,
             hits[i] = np.flatnonzero(rng.random(n) < density)
     # uniform (0,1] so costs stay strictly positive
     c = (1.0 - rng.random(n)) * cost_scale
-    rows = [[(j, 1.0) for j in cols] for cols in hits]
+    # Drawn columns are sorted, unique, in range and nonempty: valid Rows.
+    rows = [Row(cols, np.ones(cols.size), n) for cols in hits]
     return make_lp_instance(n, c, rows, boxed=False)
 
 
@@ -124,7 +125,8 @@ def drift_instance(inst: CoveringLpInstance, flips: int,
     for i in range(m):
         if not A[i].any():
             A[i, rng.integers(n)] = 1.0
-    rows = [[(j, 1.0) for j in np.flatnonzero(A[i])] for i in range(m)]
+    rows = [Row(cols, np.ones(cols.size), n)
+            for cols in map(np.flatnonzero, A)]
     return make_lp_instance(n, inst.c, rows, boxed=inst.boxed)
 
 

@@ -134,7 +134,7 @@ class Row(Sequence):
     `validate_row` returns them. `row_arrays` hands out a Row's own arrays
     for any `n` at least the Row's, without checking them again. The
     constructor trusts its arrays: build a Row as
-    `Row(*row_arrays(row, n), n)`.
+    `Row(*row_arrays(row, n), n)`, or from arrays that pass by construction.
     """
 
     __slots__ = ("idx", "vals", "n")

@@ -8,8 +8,9 @@ from pdla import covering_lp
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp, separation)
-from pdla.errors import ExponentOverflow, NoFeasibleSolution, NonMonotoneB
-from pdla.instances import (CoveringSdpInstance, SolverParams,
+from pdla.errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
+                         NonMonotoneB, NonPositiveCost)
+from pdla.instances import (AdviceVector, CoveringSdpInstance, SolverParams,
                             make_sdp_instance, validate_advice)
 from pdla.symmetric import min_eigpair
 
@@ -252,3 +253,46 @@ def test_in_place_decrease_of_a_callers_target_raises():
     base *= 0.5
     with pytest.raises(NonMonotoneB):
         process_matrix(st, view)
+
+
+def test_first_target_that_is_not_psd_raises():
+    # The stream starts from zero, so the first target takes the same
+    # monotone check as every later one; a zero-trace target that is not
+    # PSD is not covered by x = 0.
+    inst = make_sdp_instance(1, 2, [1.0], [I2()], [I2()])
+    st = new_sdp_solver(inst)
+    B = np.diag([1.0, -2.0])
+    assert feasibility_gap(st, B) == pytest.approx(-1.0)
+    with pytest.raises(NonMonotoneB):
+        process_matrix(st, B)
+    assert st.round_no == 0 and st.phase is None
+
+
+def test_sdp_solver_checks_costs_and_advice_length():
+    inst = make_sdp_instance(1, 2, [1.0], [I2()], [I2()])
+    with pytest.raises(LengthMismatch):
+        new_sdp_solver(inst, advice=AdviceVector(x_prime=np.zeros(2),
+                                                 lam=0.5))
+    bad = CoveringSdpInstance(n=1, d=2, c=np.array([0.0]), A=inst.A,
+                              B_stream=inst.B_stream)
+    with pytest.raises(NonPositiveCost):
+        new_sdp_solver(bad)
+
+
+@pytest.mark.parametrize("kind", ["lp", "lp_box", "sdp", "sdp_box"])
+def test_initial_alpha_opens_phase_one_in_every_variant(kind):
+    # n = 1, c = 1 and a unit constraint: the estimate would be 1. The
+    # override 3 starts x at 3/2 (1 when boxed), which already covers it.
+    params = SolverParams(initial_alpha=3.0)
+    boxed = kind.endswith("_box")
+    if kind.startswith("lp"):
+        st = covering_lp.new_lp_solver(1, [1.0], params=params, boxed=boxed)
+        rep = covering_lp.process_row(st, [(0, 1.0)])
+    else:
+        inst = make_sdp_instance(1, 2, [1.0], [I2()], [I2()], boxed=boxed)
+        st = new_sdp_solver(inst, params=params)
+        rep = process_matrix(st, inst.B_stream[0])
+    assert st.alpha_history == [3.0]
+    assert st.phase.index == 1 and st.phase.alpha == 3.0
+    assert rep.iterations == 0 and rep.stop_reason == "already_satisfied"
+    assert current_solution(st)[0] == (1.0 if boxed else 1.5)

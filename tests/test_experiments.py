@@ -177,19 +177,18 @@ def test_drift_rows_stay_covered():
         assert len(row) >= 1  # repair keeps every row coverable
 
 
-def test_corruption_sweep_checks_each_row_once(monkeypatch):
-    # The instance's rows are checked when it is built; the offline solve
-    # and the five solver runs of a trial take them without a second check.
+def test_corruption_sweep_checks_no_row(monkeypatch):
+    # The generator builds its rows as Rows from the drawn columns, and the
+    # offline solve and the five solver runs of a trial take them as they
+    # are: no row of a sweep goes through a row check.
     calls = []
     for name in ("_checked_arrays", "_checked_entries"):
         check = getattr(instances, name)
         monkeypatch.setattr(instances, name, lambda row, n, check=check:
                             calls.append(len(row)) or check(row, n))
     cfg = ExperimentConfig(kind="CorruptionSweep", trials=2)
-    run_experiment(cfg)
-    # Rows this long take the array check alone, one call per row.
-    assert min(calls) >= instances._MIN_ARRAY_ROW
-    assert len(calls) == cfg.n * cfg.trials
+    assert len(run_experiment(cfg)) == cfg.trials * len(cfg.corruption_rates)
+    assert calls == []
 
 
 def test_instance_rows_are_compact():
