@@ -85,6 +85,9 @@ class SdpSolverState(SolverState):
     def __post_init__(self):
         super().__post_init__()
         self.A = A = np.asarray(self.A, dtype=float)
+        if A.shape != (self.n, self.d, self.d):
+            raise DimensionMismatch(
+                f"A is {A.shape}, expected {(self.n, self.d, self.d)}")
         self.traces = np.trace(A, axis1=1, axis2=2)
         self.S_advice = None if self.advice is None else np.tensordot(
             self.advice.x_prime, A, axes=1)

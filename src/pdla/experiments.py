@@ -117,8 +117,7 @@ def drift_instance(inst: CoveringLpInstance, flips: int,
     n = inst.n
     A = np.zeros((len(inst.rows), n))
     for i, row in enumerate(inst.rows):
-        for j, v in row:
-            A[i, j] = 1.0 if v else 0.0
+        A[i, row.idx] = row.vals != 0
     m = A.shape[0]
     cells = rng.choice(m * n, size=min(flips, m * n), replace=False)
     A.flat[cells] = 1.0 - A.flat[cells]

@@ -8,11 +8,15 @@ for a dual increment delta >= 0, where w_j is the coordinate's weight in the
 active constraint (a row entry, or A_j applied to the separating direction).
 An iteration ends at the first of a handful of monotone events: a coordinate
 reaching its cap or its suggested value (closed form), or the constraint
-value / objective crossing a threshold (bracketing plus bisection). Events
-are resolved by a fixed priority when they coincide.
+value / objective crossing a threshold. A crossing is found by doubling and
+bisection, which evaluate the function only inside a bracket that Newton
+steps place first; the objective crossing is searched only when it can be
+the event selected. Events are resolved by a fixed priority when they
+coincide.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,8 @@ import numpy as np
 from .errors import ExponentOverflow, NoProgress
 
 EXP_GUARD = 700.0
+NEWTON_STEPS = 8     # cap on the Newton steps that place a crossing's bracket
+CERTIFY = 1e-12      # relative half-width of the bracket the Newton point gets
 
 # Resolution order for coinciding events. Cap beats advice because it changes
 # the tight set; the objective check precedes the satisfied-by-two exit.
@@ -55,21 +61,62 @@ def coefficient_vector(w, advice_vals, below, lam, advice_feasible,
     return d * capacity
 
 
+def _excess(u, g, rhs, delta) -> tuple[float, np.ndarray]:
+    """sum(u * exp(g delta)) - rhs, the function every crossing search
+    signs, and the exponentials exp(g delta) it summed."""
+    e = np.exp(g * delta)
+    return float(np.dot(u, e)) - rhs, e
+
+
+def _tie(best, tol) -> float:
+    """Width of the window in which events coincide with the earliest one."""
+    return max(8.0 * tol * max(1.0, best), 1e-15)
+
+
 def first_crossing(u, g, rhs, hi_bound, tol) -> float | None:
     """Least delta in [0, hi_bound] with sum(u * exp(g delta)) >= rhs.
 
     u >= 0 and g >= 0 make the left side nondecreasing; brackets by doubling,
-    then bisects to a relative width of tol. Returns None when the crossing
-    lies beyond hi_bound.
+    then bisects until the interval is at most tol * max(1, hi) wide. That
+    width is absolute below 1, so the search is not scale-free (ROADMAP
+    item 3). Returns None when the crossing lies beyond hi_bound.
+
+    The bisection defines the answer, but it evaluates the function only at
+    points inside a bracket a < crossing <= b that Newton steps place first
+    (see _newton_bracket); the sign anywhere else follows from monotonicity.
     """
     with np.errstate(over="ignore"):
-        def f(delta):
-            return float(np.dot(u, np.exp(g * delta))) - rhs
-
-        if f(0.0) >= 0.0:
+        if _excess(u, g, rhs, 0.0)[0] >= 0.0:
             return 0.0
-        if not np.isfinite(hi_bound) or f(hi_bound) < 0.0:
+        if not np.isfinite(hi_bound):
             return None
+        f_hi = _excess(u, g, rhs, hi_bound)[0]
+        if f_hi < 0.0:
+            return None
+        a, b = 0.0, hi_bound
+
+        def evaluate(delta):
+            nonlocal a, b
+            value, e = _excess(u, g, rhs, delta)
+            if value < 0.0:
+                a = delta
+            elif value >= 0.0:
+                b = delta
+            return value, e
+
+        def f(delta):
+            if delta <= a:
+                return -1.0
+            if delta >= b:
+                return 1.0
+            return evaluate(delta)[0]
+
+        # NaN (0 * inf, where u_j = 0 and exp overflows) fires at every point
+        # past some threshold; the bisection reads it as not crossed, so a
+        # bracket below that threshold could change its answer. A number at
+        # hi_bound rules NaN out on [0, hi_bound].
+        if f_hi >= 0.0:
+            _newton_bracket(u, g, rhs, hi_bound, evaluate, f)
         lo, hi = 0.0, min(1.0, hi_bound)
         while f(hi) < 0.0:
             lo, hi = hi, min(2.0 * hi, hi_bound)
@@ -80,6 +127,38 @@ def first_crossing(u, g, rhs, hi_bound, tol) -> float | None:
             else:
                 lo = mid
     return hi
+
+
+def _newton_bracket(u, g, rhs, hi_bound, evaluate, f) -> None:
+    """Narrow first_crossing's bracket to about 2 * CERTIFY * max(1, x).
+
+    Newton on log sum(u exp(g delta)) - log rhs, which is convex and
+    increasing, so from above the crossing every iterate stays above it. It
+    starts at the Jensen bound log(rhs / sum u) / gbar, gbar = sum(u g) / sum
+    u, or at hi_bound if that is smaller. Each evaluation narrows the bracket,
+    and two more at x - r and x + r, r = CERTIFY * max(1, x), certify the
+    last iterate x. A failed step (a non-finite value, a zero slope, a step
+    past zero, the step cap) only leaves the bracket wider.
+    """
+    ug = u * g
+    su, sug = float(u.sum()), float(ug.sum())
+    x = hi_bound
+    if sug > 0.0 and rhs > su:
+        x = min(x, math.log(rhs / su) * su / sug)
+    gmax = float(g.max())
+    for _ in range(NEWTON_STEPS):
+        value, e = evaluate(x)
+        slope = float(np.dot(ug, e))
+        if not (0.0 < value < np.inf and slope > 0.0):
+            break
+        step = math.log1p(value / rhs) * (value + rhs) / slope
+        x -= step
+        # The next iterate lies at most gmax * step**2 / 2 above the crossing.
+        if not x > 0.0 or gmax * step * step <= CERTIFY * max(1.0, x):
+            break
+    width = CERTIFY * max(1.0, x)
+    f(x - width)
+    f(x + width)
 
 
 def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
@@ -123,20 +202,29 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     bound = min(d_adv, d_cap, exp_limit)
     # Constraint value: sum(w x(delta)) = theta.
     d_tgt = first_crossing(w * k, g, theta + float(np.dot(w, D)), bound, tol)
-    # Objective: obj_now + sum(c (x(delta) - xbar)) = alpha.
+    d_tgt = np.inf if d_tgt is None else d_tgt
+    # Objective: obj_now + sum(c (x(delta) - xbar)) = alpha. It is selected
+    # only if it fires within the tie window of the earliest other event;
+    # not crossed there, it changes nothing and is not searched. A NaN there
+    # counts as crossed.
+    u_obj = c * k
     rhs_o = alpha - obj_now + float(np.dot(c, xbar)) + float(np.dot(c, D))
-    d_obj = first_crossing(c * k, g, rhs_o, bound, tol)
+    b0 = min(d_cap, d_adv, d_tgt)
+    with np.errstate(over="ignore"):
+        skip = np.isfinite(b0) and _excess(
+            u_obj, g, rhs_o, min(b0 + _tie(b0, tol), bound))[0] < 0.0
+    d_obj = None if skip else first_crossing(u_obj, g, rhs_o, bound, tol)
 
     candidates = {
         "cap": (d_cap, j_cap),
         "advice": (d_adv, j_adv),
         "objective": (np.inf if d_obj is None else d_obj, None),
-        "target": (np.inf if d_tgt is None else d_tgt, None),
+        "target": (d_tgt, None),
     }
     best = min(delta for delta, _ in candidates.values())
     if not np.isfinite(best):
         raise ExponentOverflow("no stop event within the exponent guard")
-    tie = max(8.0 * tol * max(1.0, best), 1e-15)
+    tie = _tie(best, tol)
     for kind in PRIORITY:
         delta, j = candidates[kind]
         if delta <= best + tie:

@@ -8,8 +8,8 @@ from pdla import covering_lp
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp, separation)
-from pdla.errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
-                         NonMonotoneB, NonPositiveCost)
+from pdla.errors import (DimensionMismatch, ExponentOverflow, LengthMismatch,
+                         NoFeasibleSolution, NonMonotoneB, NonPositiveCost)
 from pdla.instances import (AdviceVector, CoveringSdpInstance, SolverParams,
                             make_sdp_instance, validate_advice)
 from pdla.symmetric import min_eigpair
@@ -276,6 +276,17 @@ def test_sdp_solver_checks_costs_and_advice_length():
     bad = CoveringSdpInstance(n=1, d=2, c=np.array([0.0]), A=inst.A,
                               B_stream=inst.B_stream)
     with pytest.raises(NonPositiveCost):
+        new_sdp_solver(bad)
+
+
+@pytest.mark.parametrize("n, d, A", [
+    (2, 2, np.eye(2)[None]),            # one A_j for two coordinates
+    (1, 3, np.eye(2)[None]),            # 2x2 A_j in a 3x3 instance
+])
+def test_sdp_solver_checks_the_shape_of_A(n, d, A):
+    bad = CoveringSdpInstance(n=n, d=d, c=np.ones(n), A=A,
+                              B_stream=[np.eye(d)])
+    with pytest.raises(DimensionMismatch, match="expected"):
         new_sdp_solver(bad)
 
 

@@ -1,0 +1,216 @@
+"""The stop-event search against a plain-bisection reference.
+
+`first_crossing` evaluates the crossing function only inside a bracket that
+Newton steps place, and `find_stop` searches for the objective crossing only
+when it can be selected. Neither may change an answer: both must return
+exactly what the plain doubling-then-bisection search below returns.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pdla import growth
+from pdla.errors import ExponentOverflow, NoProgress, PdlaError
+from pdla.growth import EXP_GUARD, PRIORITY, StopEvent
+
+
+def reference_first_crossing(u, g, rhs, hi_bound, tol):
+    """Least delta in [0, hi_bound] with sum(u exp(g delta)) >= rhs, by
+    doubling and then bisection with every point evaluated."""
+    with np.errstate(over="ignore"):
+        def f(delta):
+            return float(np.dot(u, np.exp(g * delta))) - rhs
+
+        if f(0.0) >= 0.0:
+            return 0.0
+        if not np.isfinite(hi_bound) or f(hi_bound) < 0.0:
+            return None
+        lo, hi = 0.0, min(1.0, hi_bound)
+        while f(hi) < 0.0:
+            lo, hi = hi, min(2.0 * hi, hi_bound)
+        while hi - lo > tol * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if f(mid) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+    return hi
+
+
+def reference_find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
+                        capped, tol):
+    """find_stop with both crossings always searched by the reference."""
+    xbar, D, w, c = (np.asarray(a, dtype=float) for a in (xbar, D, w, c))
+    k = xbar + D
+    growing = (w > 0) & (k > 0)
+    if not growing.any():
+        raise NoProgress("all growth rates vanished")
+    g = np.where(c > 0, w / c, 0.0)
+    exp_limit = EXP_GUARD / float(np.max(g[growing]))
+
+    def closed_form(targets):
+        armed = growing & np.isfinite(targets) & (xbar < targets)
+        if not armed.any():
+            return np.inf, None
+        deltas = np.full(xbar.shape, np.inf)
+        deltas[armed] = (c[armed] / w[armed]) * np.log(
+            (targets[armed] + D[armed]) / k[armed])
+        deltas = np.maximum(deltas, 0.0)
+        jmin = int(np.argmin(deltas))
+        return float(deltas[jmin]), jmin
+
+    d_adv, j_adv = closed_form(np.asarray(advice_target, dtype=float))
+    if capped:
+        d_cap, j_cap = closed_form(np.full(xbar.shape, 1.0))
+    else:
+        d_cap, j_cap = np.inf, None
+    bound = min(d_adv, d_cap, exp_limit)
+    d_tgt = reference_first_crossing(w * k, g, theta + float(np.dot(w, D)),
+                                     bound, tol)
+    rhs_o = alpha - obj_now + float(np.dot(c, xbar)) + float(np.dot(c, D))
+    d_obj = reference_first_crossing(c * k, g, rhs_o, bound, tol)
+    candidates = {
+        "cap": (d_cap, j_cap),
+        "advice": (d_adv, j_adv),
+        "objective": (np.inf if d_obj is None else d_obj, None),
+        "target": (np.inf if d_tgt is None else d_tgt, None),
+    }
+    best = min(delta for delta, _ in candidates.values())
+    if not np.isfinite(best):
+        raise ExponentOverflow("no stop event within the exponent guard")
+    tie = max(8.0 * tol * max(1.0, best), 1e-15)
+    for kind in PRIORITY:
+        delta, j = candidates[kind]
+        if delta <= best + tie:
+            return StopEvent(kind=kind, j=j, delta=float(delta))
+    raise AssertionError("unreachable")
+
+
+def _outcome(fn, *args):
+    try:
+        ev = fn(*args)
+    except PdlaError as exc:
+        return type(exc)
+    return (ev.kind, ev.j, ev.delta)
+
+
+# Rates spread over 1e-6 to 1e6, weights over 1e-3 to 1e3, both with zeros.
+_RATES = st.one_of(st.just(0.0), st.floats(-6, 6).map(lambda e: 10.0 ** e))
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(-3, 3).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def crossings(draw):
+    n = draw(st.integers(1, 8))
+    u = np.array(draw(st.lists(_WEIGHTS, min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(_RATES, min_size=n, max_size=n)))
+    total = float(np.dot(u, np.ones(n)))
+    scale = total if total > 0 else 1.0
+    rhs = scale * draw(st.one_of(
+        st.just(1.0),                                         # at sum(u)
+        st.floats(0.0, 1.0),                                  # crossing at 0
+        st.floats(-12, 1).map(lambda e: 1.0 + 10.0 ** e),     # just above
+        st.floats(1, 300).map(lambda e: 10.0 ** e)))          # far above
+    live = g[u > 0]
+    gmax = float(live.max()) if live.size and live.max() > 0 else 1.0
+    hi_bound = draw(st.one_of(
+        st.just(np.inf),
+        st.just(EXP_GUARD / gmax),          # exp of zero-weight terms may overflow
+        st.just(EXP_GUARD / float(max(g.max(), 1e-300))),
+        st.floats(1.0, 1.2).map(lambda s: s * 709.8 / gmax),  # past the guard
+        st.floats(1e-9, 1e3)))              # often before the crossing
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-12]))
+    return u, g, rhs, hi_bound, tol
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot")
+@settings(max_examples=400, deadline=None)
+@given(crossings())
+# Zero weight on a fast rate: exp overflows to inf and 0 * inf is NaN past
+# delta = 70.98, which the bisection reads as not crossed; the crossing lies
+# past that point, and just before it.
+@example((np.array([1.0, 0.0]), np.array([1.0, 10.0]), math.exp(100.0), 700.0,
+          1e-9))
+@example((np.array([1.0, 0.0]), np.array([1.0, 10.0]), math.exp(70.0), 700.0,
+          1e-9))
+@example((np.array([2.0, 3.0]), np.array([0.0, 0.0]), 5.0, np.inf, 1e-9))
+@example((np.array([1e-3, 1e3]), np.array([1e6, 1e-6]), 1e300, 7e-4, 1e-9))
+def test_first_crossing_matches_plain_bisection(args):
+    assert growth.first_crossing(*args) == reference_first_crossing(*args)
+
+
+def _at(k, D, g, delta):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return k * np.exp(g * delta) - D
+
+
+# Offsets of an event from the chosen time, in units of tol: coincident,
+# inside and at the edge of find_stop's 8 tol tie window, and well apart.
+_OFFSETS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 4.0, -4.0, 7.9, 8.0,
+                                      8.1, -8.0, 30.0, -30.0, 1e6]),
+                     st.floats(-20.0, 20.0))
+
+
+@st.composite
+def stops(draw):
+    n = draw(st.integers(1, 6))
+    arrays = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
+    c = np.array(draw(arrays))
+    w = np.array(draw(st.lists(_WEIGHTS, min_size=n, max_size=n)))
+    xbar = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+                                  min_size=n, max_size=n)))
+    D = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                               min_size=n, max_size=n)))
+    capped = draw(st.booleans())
+    tol = draw(st.sampled_from([1e-9, 1e-6]))
+    k, g = xbar + D, w / c
+    growing = (w > 0) & (k > 0)
+    # Events cluster around t0: the first cap when armed, else a free time.
+    t0 = draw(st.floats(1e-4, 20.0))
+    if capped and (growing & (xbar < 1)).any():
+        m = growing & (xbar < 1)
+        t0 = float(np.min((c[m] / w[m]) * np.log((1.0 + D[m]) / k[m])))
+
+    def when():
+        return t0 * (1.0 + draw(_OFFSETS) * tol)
+
+    advice = np.full(n, np.inf)
+    for j in range(n):
+        if draw(st.booleans()):
+            advice[j] = _at(k[j], D[j], g[j], when())
+    theta = float(np.dot(w, _at(k, D, g, when())))
+    obj_now = draw(st.floats(0.0, 10.0))
+    alpha = obj_now + float(np.dot(c, _at(k, D, g, when()) - xbar))
+    return xbar, D, w, c, theta, alpha, obj_now, advice, capped, tol
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot")
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@settings(max_examples=400, deadline=None)
+@given(stops())
+@example((np.array([0.0]), np.array([0.0]), np.array([1.0]), np.array([1.0]),
+          1.0, 1.0, 0.0, np.array([np.inf]), False, 1e-9))
+def test_find_stop_matches_the_reference(args):
+    assert (_outcome(growth.find_stop, *args)
+            == _outcome(reference_find_stop, *args))
+
+
+def test_first_crossing_evaluates_a_handful_of_points(monkeypatch):
+    calls = []
+    real_exp = np.exp
+
+    def counted(x, *a, **kw):
+        calls.append(1)
+        return real_exp(x, *a, **kw)
+
+    u = np.linspace(0.5, 2.0, 40)
+    g = np.linspace(0.1, 3.0, 40)
+    args = (u, g, 50.0 * u.sum(), EXP_GUARD / g.max(), 1e-9)
+    want = reference_first_crossing(*args)
+    monkeypatch.setattr(growth.np, "exp", counted)
+    assert growth.first_crossing(*args) == want
+    # The plain search evaluates 34 points here.
+    assert len(calls) <= 8
