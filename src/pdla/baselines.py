@@ -18,8 +18,8 @@ import numpy as np
 from .covering_lp import current_solution, new_lp_solver, process_row
 from .errors import (Infeasible, MalformedDocument, NotConverged,
                      UnscalableRow)
-from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
-                        row_arrays, validate_row)
+from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
+                        row_arrays)
 
 ROW_TOL = 1e-9
 
@@ -72,10 +72,10 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
     records: list[SwitchRecord] = []
     published = np.zeros(n)
     for i, row in enumerate(rows, start=1):
-        row = validate_row(row, n)
+        row = Row(*row_arrays(row, n), n)
         process_row(online, row)
         x_on = current_solution(online)
-        if advice_ok and sum(a * xp[j] for j, a in row) < 1.0 - ROW_TOL:
+        if advice_ok and row.vals @ xp[row.idx] < 1.0 - ROW_TOL:
             advice_ok = False
         cost_on = float(c @ x_on)
         switched = False
@@ -104,11 +104,10 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
     xp = np.asarray(advice_x, dtype=float)
     x = np.zeros(n)
     for i, row in enumerate(rows, start=1):
-        row = validate_row(row, n)
-        val = sum(a * x[j] for j, a in row)
-        if val >= 1.0 - ROW_TOL:
+        idx, vals = row_arrays(row, n)
+        if vals @ x[idx] >= 1.0 - ROW_TOL:
             continue
-        aval = sum(a * xp[j] for j, a in row)
+        aval = vals @ xp[idx]
         if aval <= 0.0:
             raise UnscalableRow(
                 f"row {i} has no overlap with the suggestion")

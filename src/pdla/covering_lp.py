@@ -25,8 +25,7 @@ budget estimate and its step report. Every growth step folds its dual into
 the column load `Phase.load` (A^T y, or A_j . Y for the SDP) and the dual
 objective `Phase.dual_obj` (right side times dual), so only the SDP keeps a
 dual accumulator of its own, the matrix dual (`Separation.accumulate`).
-The step and the inspection views share one free-support computation
-(`_FreeSupport`); the step calls `find_stop`, `coefficient_vector` and
+The growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 `advance` through this module's globals.
 """
 from __future__ import annotations
@@ -36,15 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
-                     NonPositiveCost, NoProgress, NotConverged,
-                     PhaseRestartLimit)
-from .growth import (EXP_GUARD, StopEvent, advance, coefficient_vector,
-                     find_stop)
+                     NoProgress, NotConverged, PhaseRestartLimit)
+from .growth import StopEvent, advance, coefficient_vector, find_stop
 from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
-                        SolverParams, row_arrays)
-# Only run_source's debug check calls it; kept as a module name because the
-# traced benchmark rebinds it here.
-from .instances import validate_row
+                        Row, SolverParams, cost_vector, row_arrays)
+# Not called here; kept because the traced benchmark rebinds this name.
+from .instances import validate_row  # noqa: F401
 
 SNAP = 1e-12            # proximity at which a boxed coordinate counts as tight
 ADVICE_ROW_TOL = 1e-9   # slack when testing a row against the suggestion
@@ -79,19 +75,6 @@ class StepReport:
 
 
 @dataclass
-class IterationCoeffs:
-    """Dense inspection surface for one growth iteration.
-
-    B is the multiplicative form of the curve: x_j(y) = B_j e^{...} - D_j
-    matches the incremental form used internally at the current point.
-    """
-    D: np.ndarray
-    B: np.ndarray
-    x_bar: np.ndarray
-    below_advice: np.ndarray
-
-
-@dataclass
 class DualCertificate:
     y: dict[int, float]
     z: np.ndarray
@@ -103,8 +86,8 @@ class DualCertificate:
 class SolverState:
     """What every solver variant tracks; solver states add their own.
 
-    Checks the costs (finite and positive, one per coordinate) and the
-    suggestion's length; params defaults to `SolverParams()`."""
+    Checks the costs (`instances.cost_vector`) and the suggestion's
+    length; params defaults to `SolverParams()`."""
     n: int
     c: np.ndarray
     boxed: bool
@@ -122,10 +105,7 @@ class SolverState:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.c = c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.n,) or not np.all(np.isfinite(c)) \
-                or np.any(c <= 0):
-            raise NonPositiveCost("costs must be finite and strictly positive")
+        self.c = cost_vector(self.c, self.n)
         if self.advice is not None and self.advice.x_prime.shape != (self.n,):
             raise LengthMismatch("advice length does not match n")
         if self.params is None:
@@ -282,81 +262,59 @@ def grow_round(state: SolverState, rnd: int, sep: Separation,
     return g
 
 
-class _FreeSupport:
-    """The next growth step's view of the row `w_row` over `idx` (right side
-    `rhs`): its free coordinates `fidx` with their weights, point and costs,
-    the capacity the tight ones leave, the suggestion `adv_f` and the mask
-    `below` where the point is under it, and the growth coefficients D."""
-
-    def __init__(self, state: SolverState, rnd: int, idx: np.ndarray,
-                 w_row: np.ndarray, rhs: float, branch_feasible: bool):
-        self.state, self.idx, self.w_row = state, idx, w_row
-        ph = state.phase
-        self.free = free = ~ph.tight[idx]
-        self.fidx = fidx = idx[free]
-        self.w = w = w_row[free]
-        self.tight_mass = float(w_row[~free].sum())
-        if float(w.sum()) <= 0.0:
-            why = ("every coordinate it weighs is at its cap"
-                   if self.tight_mass > 0.0
-                   else "it has no weight on any coordinate")
-            raise NoFeasibleSolution(
-                f"round {rnd}: the constraint reaches only "
-                f"{self.tight_mass:.6g} of {rhs:.6g}; {why}")
-        self.capacity = rhs - self.tight_mass
-        self.xb = xb = ph.x[fidx]
-        self.cf = state.c[fidx]
-        adv = state.advice
-        self.adv_f = np.zeros(fidx.size) if adv is None else adv.x_prime[fidx]
-        self.below = xb < self.adv_f        # never, without a suggestion
-        lam = 1.0 if adv is None else adv.lam
-        D = coefficient_vector(w, self.adv_f, self.below, lam,
-                               branch_feasible, self.capacity)
-        if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
-            # Suggestion-proportional sharing can stall when the suggestion
-            # has no mass along this row; fall back to uniform.
-            D = coefficient_vector(w, self.adv_f, self.below, lam, False,
-                                   self.capacity)
-        self.D = D
-
-    def stop(self, xb: np.ndarray, D: np.ndarray,
-             below: np.ndarray) -> StopEvent:
-        """First stop event from the point xb along D, with advice events
-        armed where `below`."""
-        state, ph = self.state, self.state.phase
-        return find_stop(xb, D, self.w, self.cf, 2.0 * self.capacity,
-                         ph.alpha, ph.obj, np.where(below, self.adv_f, np.inf),
-                         state.boxed, state.params.tol_bisect)
-
-
 def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
                branch_feasible: bool) -> StopEvent:
     """One growth iteration along the row `sep.cut()` gives, up to the
-    first stop event; moves the point and the duals, records the trace."""
+    first stop event; moves the point and the duals, records the trace.
+    Only the row's free coordinates move: the tight ones take their share
+    of the right side as capacity and accrue packing duals instead."""
     w_row, rhs = sep.cut()
     idx = sep.support
-    s = _FreeSupport(state, rnd, idx, w_row, rhs, branch_feasible)
+    free = ~ph.tight[idx]
+    fidx = idx[free]
+    w = w_row[free]
+    tight_mass = float(w_row[~free].sum())
+    if float(w.sum()) <= 0.0:
+        why = ("every coordinate it weighs is at its cap" if tight_mass > 0.0
+               else "it has no weight on any coordinate")
+        raise NoFeasibleSolution(
+            f"round {rnd}: the constraint reaches only {tight_mass:.6g} of "
+            f"{rhs:.6g}; {why}")
+    capacity = rhs - tight_mass
+    xb = ph.x[fidx]
+    cf = state.c[fidx]
+    adv = state.advice
+    adv_f = np.zeros(fidx.size) if adv is None else adv.x_prime[fidx]
+    below = xb < adv_f          # never, without a suggestion
+    lam = 1.0 if adv is None else adv.lam
+    D = coefficient_vector(w, adv_f, below, lam, branch_feasible, capacity)
+    if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
+        # Suggestion-proportional sharing can stall when the suggestion has
+        # no mass along this row; fall back to uniform.
+        D = coefficient_vector(w, adv_f, below, lam, False, capacity)
     if state.boxed:
         state.sparsity_seen = max(state.sparsity_seen,
-                                  float(s.w.sum()) / s.capacity)
-    ev = s.stop(s.xb, s.D, s.below)
+                                  float(w.sum()) / capacity)
+    ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
+                   np.where(below, adv_f, np.inf), state.boxed,
+                   state.params.tol_bisect)
     state.iterations += 1
-    x_new = advance(s.xb, s.D, s.w, s.cf, ev.delta)
+    x_new = advance(xb, D, w, cf, ev.delta)
     if ev.kind == "advice":
-        x_new[ev.j] = s.adv_f[ev.j]
+        x_new[ev.j] = adv_f[ev.j]
     elif ev.kind == "cap":
         x_new[ev.j] = 1.0
-    ph.obj += float(s.cf @ (x_new - s.xb))
-    ph.x[s.fidx] = x_new
-    if s.tight_mass > 0.0:
-        ph.z[idx[~s.free]] += w_row[~s.free] * ev.delta
+    ph.obj += float(cf @ (x_new - xb))
+    ph.x[fidx] = x_new
+    if tight_mass > 0.0:
+        ph.z[idx[~free]] += w_row[~free] * ev.delta
     ph.load[idx] += w_row * ev.delta
     ph.dual_obj += rhs * ev.delta
     sep.accumulate(ph, ev.delta)
     if state.params.trace:
         state.trace.append({
             "round": rnd, "phase": ph.index, "alpha": ph.alpha,
-            "event": ev.kind, "j": None if ev.j is None else int(s.fidx[ev.j]),
+            "event": ev.kind, "j": None if ev.j is None else int(fidx[ev.j]),
             "delta": ev.delta, "obj": ph.obj, **sep.trace_fields(),
         })
     return ev
@@ -425,50 +383,6 @@ def dual_certificate(state: SolverState) -> DualCertificate:
                            objective=float(ph.dual_obj - ph.z.sum()))
 
 
-def _next_step(state: SolverState, row) -> _FreeSupport:
-    """The step process_row takes next against `row` in the active phase."""
-    idx, vals = row_arrays(row, state.n)
-    if state.phase is None:
-        raise NoProgress("no active phase; feed a row first")
-    return _FreeSupport(state, state.round_no + 1, idx, vals, 1.0,
-                        _advice_feasible(state, idx, vals))
-
-
-def compute_coeffs(state: SolverState, row, y: float) -> IterationCoeffs:
-    """Dense view of the next growth step against `row`.
-
-    D and below_advice are the step's own, on the row's free support, and
-    zero / False elsewhere, where nothing moves in the step. B re-expresses
-    the curve multiplicatively at the in-row dual y (column load plus
-    a_ij * y).
-    """
-    s = _next_step(state, row)
-    ph = state.phase
-    D = np.zeros(state.n)
-    D[s.fidx] = s.D
-    below = np.zeros(state.n, dtype=bool)
-    below[s.fidx] = s.below
-    a_dense = np.zeros(state.n)
-    a_dense[s.idx] = s.w_row
-    expo = (ph.load + a_dense * y - ph.z) / state.c
-    if np.any(expo > EXP_GUARD):
-        raise ExponentOverflow("coefficient exponent exceeds guard")
-    # B pins the multiplicative form to the current point: x_bar = B e^expo - D.
-    B = (ph.x + D) / np.exp(expo)
-    return IterationCoeffs(D=D, B=B, x_bar=ph.x.copy(), below_advice=below)
-
-
-def find_stop_event(state: SolverState, row, coeffs: IterationCoeffs) -> StopEvent:
-    """First stop event implied by `coeffs` for this row, from the current
-    point; `j` is a column index."""
-    s = _next_step(state, row)
-    ev = s.stop(coeffs.x_bar[s.fidx], coeffs.D[s.fidx],
-                coeffs.below_advice[s.fidx])
-    if ev.j is not None:
-        ev = StopEvent(kind=ev.kind, j=int(s.fidx[ev.j]), delta=ev.delta)
-    return ev
-
-
 def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]:
     """Drive the solver from a fixed row list or a separation oracle.
 
@@ -486,8 +400,8 @@ def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]
         if row is None:
             return reports
         if state.params.debug:
-            checked = validate_row(row, state.n)
-            val = sum(a * x[j] for j, a in checked)
+            row = Row(*row_arrays(row, state.n), state.n)
+            val = float(row.vals @ x[row.idx])
             if val >= 1.0:
                 raise NoProgress(
                     f"oracle produced a satisfied row (value {val:.6g})")

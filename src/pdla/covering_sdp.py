@@ -43,17 +43,6 @@ SPAN_TOL = 1e-10
 
 
 @dataclass
-class SeparationResult:
-    value: float          # least eigenvalue of sum_j A_j x_j - B_i
-    vector: np.ndarray    # unit eigenvector v
-
-    @property
-    def direction(self) -> np.ndarray:
-        """Rank-one test direction V = v v' with unit trace."""
-        return np.outer(self.vector, self.vector)
-
-
-@dataclass
 class SdpPhase(Phase):
     Y: np.ndarray               # matrix dual, sum of delta * v v'
 
@@ -148,16 +137,6 @@ def _initial_alpha(state: SdpSolverState, B: np.ndarray) -> float:
         raise NoFeasibleSolution(
             "every coverage matrix has zero trace; nothing can grow")
     return float(np.min(state.c[ok] * np.trace(B) / state.traces[ok]))
-
-
-def separation(state: SdpSolverState, B) -> SeparationResult | None:
-    """Least eigenpair of the residual at the active phase point, or None
-    when the round is already satisfied within tol_psd."""
-    sep = _EigenSeparation(state, np.asarray(B, dtype=float))
-    if sep.holds(state.phase.x if state.phase is not None
-                 else np.zeros(state.n)):
-        return None
-    return SeparationResult(value=float(sep.lam), vector=sep.v)
 
 
 def process_matrix(state: SdpSolverState, B) -> SdpStepReport:

@@ -63,9 +63,16 @@ def coefficient_vector(w, advice_vals, below, lam, advice_feasible,
 
 def _excess(u, g, rhs, delta) -> tuple[float, np.ndarray]:
     """sum(u * exp(g delta)) - rhs, the function every crossing search
-    signs, and the exponentials exp(g delta) it summed."""
+    signs, and the exponentials exp(g delta) it summed.
+
+    A zero-weight term counts as zero even where its exponential overflows
+    (0 * inf is NaN); the sum is redone without those terms only then."""
     e = np.exp(g * delta)
-    return float(np.dot(u, e)) - rhs, e
+    total = float(np.dot(u, e))
+    if math.isnan(total):
+        e = np.where(u > 0, e, 0.0)
+        total = float(np.dot(u, e))
+    return total - rhs, e
 
 
 def _tie(best, tol) -> float:
@@ -85,13 +92,10 @@ def first_crossing(u, g, rhs, hi_bound, tol) -> float | None:
     points inside a bracket a < crossing <= b that Newton steps place first
     (see _newton_bracket); the sign anywhere else follows from monotonicity.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if _excess(u, g, rhs, 0.0)[0] >= 0.0:
             return 0.0
-        if not np.isfinite(hi_bound):
-            return None
-        f_hi = _excess(u, g, rhs, hi_bound)[0]
-        if f_hi < 0.0:
+        if not np.isfinite(hi_bound) or _excess(u, g, rhs, hi_bound)[0] < 0.0:
             return None
         a, b = 0.0, hi_bound
 
@@ -111,12 +115,7 @@ def first_crossing(u, g, rhs, hi_bound, tol) -> float | None:
                 return 1.0
             return evaluate(delta)[0]
 
-        # NaN (0 * inf, where u_j = 0 and exp overflows) fires at every point
-        # past some threshold; the bisection reads it as not crossed, so a
-        # bracket below that threshold could change its answer. A number at
-        # hi_bound rules NaN out on [0, hi_bound].
-        if f_hi >= 0.0:
-            _newton_bracket(u, g, rhs, hi_bound, evaluate, f)
+        _newton_bracket(u, g, rhs, hi_bound, evaluate, f)
         lo, hi = 0.0, min(1.0, hi_bound)
         while f(hi) < 0.0:
             lo, hi = hi, min(2.0 * hi, hi_bound)
@@ -205,12 +204,11 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     d_tgt = np.inf if d_tgt is None else d_tgt
     # Objective: obj_now + sum(c (x(delta) - xbar)) = alpha. It is selected
     # only if it fires within the tie window of the earliest other event;
-    # not crossed there, it changes nothing and is not searched. A NaN there
-    # counts as crossed.
+    # not crossed there, it changes nothing and is not searched.
     u_obj = c * k
     rhs_o = alpha - obj_now + float(np.dot(c, xbar)) + float(np.dot(c, D))
     b0 = min(d_cap, d_adv, d_tgt)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         skip = np.isfinite(b0) and _excess(
             u_obj, g, rhs_o, min(b0 + _tie(b0, tol), bound))[0] < 0.0
     d_obj = None if skip else first_crossing(u_obj, g, rhs_o, bound, tol)
@@ -233,6 +231,9 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
 
 
 def advance(xbar, D, w, c, delta) -> np.ndarray:
-    """Move every free coordinate along its growth curve by delta."""
-    out = (xbar + D) * np.exp(w * delta / c) - D
-    return np.maximum(out, xbar)
+    """Move every free coordinate along its growth curve by delta; one that
+    does not grow (xbar + D = 0) stays put even where its exponential
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (xbar + D) * np.exp(w * delta / c) - D
+    return np.fmax(out, xbar)

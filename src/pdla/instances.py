@@ -115,7 +115,8 @@ class ConstraintSource:
 # --- validation helpers -------------------------------------------------------
 
 
-def _as_cost_vector(raw, n: int) -> np.ndarray:
+def cost_vector(raw, n: int) -> np.ndarray:
+    """The costs as a float array: n of them, finite and positive."""
     c = np.asarray(raw, dtype=float)
     if c.shape != (n,):
         raise LengthMismatch(f"cost vector has shape {c.shape}, expected ({n},)")
@@ -276,7 +277,7 @@ def _checked_entries(row, n: int) -> SparseRow:
 def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
     if not isinstance(n, int) or n < 1:
         raise MalformedDocument("n must be a positive integer")
-    cv = _as_cost_vector(c, n)
+    cv = cost_vector(c, n)
     checked = [Row(*row_arrays(r, n), n) for r in rows]
     return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
 
@@ -354,7 +355,7 @@ def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
                       tol_sym=1e-8, tol_psd=1e-7) -> CoveringSdpInstance:
     if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
         raise MalformedDocument("n and d must be positive integers")
-    cv = _as_cost_vector(c, n)
+    cv = cost_vector(c, n)
     if len(A) != n:
         raise LengthMismatch(f"got {len(A)} action matrices, expected {n}")
     mats = []

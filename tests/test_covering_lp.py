@@ -5,17 +5,17 @@ x_j(delta) = (xbar_j + D_j) e^{w_j delta / c_j} - D_j before the solver ran,
 so these tests are independent of the implementation.
 """
 import math
-from copy import deepcopy
 
 import numpy as np
 import pytest
 
 from pdla import covering_lp
-from pdla.covering_lp import (compute_coeffs, current_solution,
-                              dual_certificate, find_stop_event, kappa_seen,
-                              beta_seen, new_lp_solver, process_row, run_lp,
-                              run_source, solver_for_instance)
-from pdla.errors import EmptyRow, ExponentOverflow, NoProgress
+from pdla.covering_lp import (current_solution, dual_certificate,
+                              kappa_seen, beta_seen, new_lp_solver,
+                              process_row, run_lp, run_source,
+                              solver_for_instance)
+from pdla.errors import (EmptyRow, ExponentOverflow, LengthMismatch,
+                         MalformedDocument, NonPositiveCost, NoProgress)
 from pdla.instances import (AdviceVector, ConstraintSource,
                             CoveringLpInstance, SolverParams, make_lp_instance,
                             validate_advice)
@@ -177,27 +177,6 @@ def test_dual_certificate_feasible_after_scaling():
     assert np.all(load / cert.scale <= c + 1e-8)
 
 
-def test_coeffs_agree_with_internal_path():
-    # The dense inspection surface and the support-compressed solver path
-    # share one formula; spot-check D on a fresh violated row.
-    adv = validate_advice([0.6, 0.2, 0.0], 0.5, 3, boxed=False)
-    st = new_lp_solver(3, [1.0, 2.0, 1.0], advice=adv)
-    process_row(st, [(0, 1.0)])  # establishes a phase
-    row = [(0, 0.5), (1, 1.0), (2, 0.25)]
-    coeffs = compute_coeffs(st, row, 0.0)
-    x = st.phase.x
-    adv_row = 0.5 * 0.6 + 1.0 * 0.2 + 0.25 * 0.0
-    assert adv_row < 1.0  # not advice-feasible: uniform sharing
-    w = np.array([0.5, 1.0, 0.25])
-    assert coeffs.D[0] == pytest.approx(1.0 / w.sum())
-    assert np.allclose(coeffs.D, coeffs.D[0])
-    # B reproduces the current point: x = B e^{load/c} - D with y = 0.
-    assert np.allclose(coeffs.B * np.exp((st.phase.load - st.phase.z)
-                                         / st.c) - coeffs.D, x)
-    ev = find_stop_event(st, row, coeffs)
-    assert ev.delta > 0
-
-
 def test_run_source_oracle_mode_separates_until_covered():
     # Oracle: return the most violated of three fixed rows.
     rows = [[(0, 1.0)], [(1, 0.5)], [(0, 0.25), (1, 0.25)]]
@@ -216,6 +195,15 @@ def test_run_source_oracle_mode_separates_until_covered():
     for r in rows:
         assert sum(a * x[j] for j, a in r) >= 1.0 - 1e-7
     assert len(reports) >= 2
+
+
+def test_run_source_debug_rejects_a_satisfied_oracle_row():
+    # The oracle hands the same row again once x already covers it.
+    st = new_lp_solver(1, [1.0], params=SolverParams(debug=True))
+    rows = iter([[(0, 1.0)], [(0, 1.0)]])
+    with pytest.raises(NoProgress, match="satisfied row"):
+        run_source(st, ConstraintSource(oracle=lambda x: next(rows)))
+    assert st.round_no == 1
 
 
 def test_run_lp_instance_convenience():
@@ -344,12 +332,14 @@ def test_certificate_holds_exactly_the_rounds_that_raised_dual(boxed):
 
 @pytest.mark.parametrize("boxed", [False, True])
 @pytest.mark.parametrize("lam", [None, 0.0, 0.5])
-def test_inspection_views_agree_with_the_step(boxed, lam, monkeypatch):
-    # compute_coeffs and find_stop_event must describe the very step that
-    # process_row takes next: the same first stop event (kind, column,
-    # delta) and, on the row's free support, the same D that the step hands
-    # to find_stop. Only rows whose first step runs in the active phase
-    # count: no restart at entry and no pending snap.
+def test_each_step_moves_only_the_free_coordinates_of_its_row(boxed, lam,
+                                                              monkeypatch):
+    # A growth step hands find_stop the point on the row's free (not tight)
+    # coordinates, and moves nothing else: every tight and off-row
+    # coordinate of the phase is bit-identical after the step. Each step is
+    # checked at the next find_stop call or at the end of its row, so a
+    # snap to the cap after a step, which moves a free coordinate, counts
+    # with it.
     rng = np.random.default_rng(47)
     n = 200
     c = rng.uniform(0.5, 3.0, n)
@@ -357,15 +347,30 @@ def test_inspection_views_agree_with_the_step(boxed, lam, monkeypatch):
         rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7), lam, n, boxed)
     st = new_lp_solver(n, c, advice=adv, boxed=boxed,
                        params=SolverParams(trace=True))
-    seen_D = []
     real_find_stop = covering_lp.find_stop
+    row_cols = np.zeros(0, dtype=int)
+    pending = []                # (phase, point before the step, free mask)
+    counts = {"steps": 0, "moved": 0, "touched_tight": 0}
 
-    def spy(xbar, D, *args):
-        seen_D.append(D.copy())
-        return real_find_stop(xbar, D, *args)
+    def settle():
+        for ph, before, free in pending:
+            assert np.array_equal(ph.x[~free], before[~free])
+            counts["moved"] += bool((ph.x[free] != before[free]).any())
+        pending.clear()
+
+    def spy(xbar, *args):
+        settle()
+        ph = st.phase
+        fidx = row_cols[~ph.tight[row_cols]]
+        assert np.array_equal(xbar, ph.x[fidx])
+        free = np.zeros(n, dtype=bool)
+        free[fidx] = True
+        pending.append((ph, ph.x.copy(), free))
+        counts["steps"] += 1
+        counts["touched_tight"] += bool(ph.tight[row_cols].any())
+        return real_find_stop(xbar, *args)
 
     monkeypatch.setattr(covering_lp, "find_stop", spy)
-    checked, kinds, touched_tight = 0, set(), 0
     for _ in range(200):
         ph = st.phase
         cols = rng.choice(n, size=rng.integers(4, 16), replace=False)
@@ -376,34 +381,37 @@ def test_inspection_views_agree_with_the_step(boxed, lam, monkeypatch):
         vals = rng.uniform(0.1, 0.4, cols.size)
         if vals.sum() < 1.0:
             continue
-        row = [(int(j), float(a)) for j, a in zip(cols, vals)]
-        usable = ph is not None and vals @ ph.x[cols] < 1.0 - 1e-7 and \
-            ph.obj < ph.alpha * (1.0 - covering_lp.OBJ_ENTRY_TOL) and \
-            not (boxed and ((ph.x[cols] >= 1.0 - covering_lp.SNAP)
-                            & ~ph.tight[cols]).any())
-        if usable:
-            coeffs = compute_coeffs(st, row, 0.0)
-            ev = find_stop_event(st, row, coeffs)
-            free = cols[~ph.tight[cols]]
-            off = np.setdiff1d(np.arange(n), free)
-            assert not coeffs.D[off].any()
-            assert not coeffs.below_advice[off].any()
-        twin = deepcopy(st)
-        seen_D.clear()
-        process_row(twin, row)
-        if usable:
-            first = twin.trace[len(st.trace)]
-            assert first["phase"] == ph.index
-            assert (ev.kind, ev.j, ev.delta) == \
-                (first["event"], first["j"], first["delta"])
-            assert np.array_equal(seen_D[0], coeffs.D[free])
-            checked += 1
-            kinds.add(ev.kind)
-            touched_tight += bool(ph.tight[cols].any())
-        st = twin
-    assert checked >= 30
+        row_cols = cols
+        process_row(st, [(int(j), float(a)) for j, a in zip(cols, vals)])
+        settle()
+    kinds = {ev["event"] for ev in st.trace}
+    assert counts["steps"] >= 30 and counts["moved"] >= 30
     assert {"objective", "target"} <= kinds
     if lam is not None:
         assert "advice" in kinds
     if boxed:
-        assert "cap" in kinds and touched_tight >= 10
+        assert "cap" in kinds and counts["touched_tight"] >= 10
+
+
+def test_zero_weight_overflow_publishes_a_finite_point():
+    # Coordinate 0 gets no growth (its suggestion is 0 and lam is 0) but a
+    # fast rate (1e4); its exponential overflows long before the row is
+    # met, and 0 * inf published NaN.
+    adv = validate_advice([0.0, 1.0], 0.0, 2, boxed=False)
+    st = new_lp_solver(2, [1.0, 1.0], advice=adv)
+    process_row(st, [(0, 1e4), (1, 1.0)])
+    assert np.array_equal(current_solution(st), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("costs, error", [
+    ([1.0, 1.0, 1.0], LengthMismatch),          # three costs for n = 2
+    ([1.0, math.nan], MalformedDocument),
+    ([1.0, 0.0], NonPositiveCost),
+])
+def test_solver_checks_costs_as_instances_do(costs, error):
+    # The exact class: all three are MalformedDocuments.
+    for build in (lambda: make_lp_instance(2, costs, []),
+                  lambda: new_lp_solver(2, costs)):
+        with pytest.raises(error) as exc:
+            build()
+        assert exc.type is error

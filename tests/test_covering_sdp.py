@@ -7,7 +7,7 @@ import pytest
 from pdla import covering_lp
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
-                               process_matrix, run_sdp, separation)
+                               process_matrix, run_sdp)
 from pdla.errors import (DimensionMismatch, ExponentOverflow, LengthMismatch,
                          NoFeasibleSolution, NonMonotoneB, NonPositiveCost)
 from pdla.instances import (AdviceVector, CoveringSdpInstance, SolverParams,
@@ -129,17 +129,13 @@ def test_non_monotone_stream_rejected():
         process_matrix(st, I2(0.5))
 
 
-def test_separation_returns_least_eigenpair():
+def test_feasibility_gap_is_the_least_eigenvalue_before_any_round():
+    # At x = 0 the residual is -B = diag(-1, -2), least eigenvalue -2.
     inst = make_sdp_instance(2, 2, [1.0, 1.0],
                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
                              [np.diag([1.0, 2.0])])
     st = new_sdp_solver(inst)
-    sep = separation(st, inst.B_stream[0])
-    assert sep is not None
-    assert sep.value == pytest.approx(-2.0)
-    assert abs(sep.vector[1]) == pytest.approx(1.0)
-    assert np.allclose(sep.direction, np.outer(sep.vector, sep.vector))
-    assert np.trace(sep.direction) == pytest.approx(1.0)
+    assert feasibility_gap(st, inst.B_stream[0]) == pytest.approx(-2.0)
 
 
 def test_monotone_stream_keeps_all_rounds_feasible():

@@ -19,10 +19,12 @@ from pdla.growth import EXP_GUARD, PRIORITY, StopEvent
 
 def reference_first_crossing(u, g, rhs, hi_bound, tol):
     """Least delta in [0, hi_bound] with sum(u exp(g delta)) >= rhs, by
-    doubling and then bisection with every point evaluated."""
+    doubling and then bisection with every point evaluated. A zero-weight
+    term counts as zero, also where its exponential overflows."""
     with np.errstate(over="ignore"):
         def f(delta):
-            return float(np.dot(u, np.exp(g * delta))) - rhs
+            return float(np.dot(u, np.where(u > 0, np.exp(g * delta), 0.0))) \
+                - rhs
 
         if f(0.0) >= 0.0:
             return 0.0
@@ -129,9 +131,9 @@ def crossings(draw):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in dot")
 @settings(max_examples=400, deadline=None)
 @given(crossings())
-# Zero weight on a fast rate: exp overflows to inf and 0 * inf is NaN past
-# delta = 70.98, which the bisection reads as not crossed; the crossing lies
-# past that point, and just before it.
+# Zero weight on a fast rate: its exponential overflows to inf past
+# delta = 70.98, where 0 * inf would be NaN; the term counts as zero, and the
+# crossing lies past that point (at 100), and just before it (at 70).
 @example((np.array([1.0, 0.0]), np.array([1.0, 10.0]), math.exp(100.0), 700.0,
           1e-9))
 @example((np.array([1.0, 0.0]), np.array([1.0, 10.0]), math.exp(70.0), 700.0,
@@ -214,3 +216,45 @@ def test_first_crossing_evaluates_a_handful_of_points(monkeypatch):
     assert growth.first_crossing(*args) == want
     # The plain search evaluates 34 points here.
     assert len(calls) <= 8
+
+
+def test_zero_weight_overflow_does_not_hide_the_crossing():
+    # The zero-weight term's exponential overflows past delta = 70.98; read
+    # as NaN it pushed the crossing at 70 out to 128.
+    u, g = np.array([1.0, 0.0]), np.array([1.0, 10.0])
+    assert growth.first_crossing(u, g, math.exp(70.0), 700.0, 1e-9) == \
+        pytest.approx(70.0, abs=1e-9 * 70.0)
+
+
+def test_zero_weight_overflow_does_not_fire_the_objective():
+    # Same curve as a growth step: the row value reaches its target at 70;
+    # the objective's budget lies far beyond. A NaN read as crossed fired
+    # the objective at 128 instead.
+    ev = growth.find_stop(
+        xbar=[0.0, 0.0], D=[1.0, 0.0], w=[1.0, 10.0], c=[1.0, 1.0],
+        theta=math.exp(70.0) - 1.0, alpha=1e300, obj_now=0.0,
+        advice_target=np.array([np.inf, np.inf]), capped=False, tol=1e-9)
+    assert ev.kind == "target"
+    assert ev.delta == pytest.approx(70.0, abs=1e-9 * 70.0)
+
+
+def test_coefficient_vector_shares_the_capacity():
+    w = np.array([0.5, 1.0, 0.25, 2.0])
+    adv = np.array([0.6, 0.0, 0.3, 0.9])
+    below = np.array([True, True, False, True])
+    capacity, lam = 0.8, 0.25
+    # Infeasible advice: uniform at capacity / sum(w), whatever lam is.
+    D = growth.coefficient_vector(w, adv, below, lam, False, capacity)
+    assert np.array_equal(D, np.full(4, capacity / w.sum()))
+    # Feasible advice: lam shared uniformly, 1 - lam in proportion to the
+    # advice entries still above the point; together they fill the capacity.
+    D = growth.coefficient_vector(w, adv, below, lam, True, capacity)
+    above = adv * below
+    want = capacity * (lam / w.sum() + (1.0 - lam) * above / (w @ above))
+    assert np.allclose(D, want, rtol=1e-14, atol=0.0)
+    assert D[2] == D[1] == pytest.approx(capacity * lam / w.sum())
+    assert w @ D == pytest.approx(capacity)
+    # No advice entry above the point: only the uniform lam share.
+    D = growth.coefficient_vector(w, adv, np.zeros(4, dtype=bool), lam, True,
+                                  capacity)
+    assert np.allclose(D, capacity * lam / w.sum(), rtol=1e-14, atol=0.0)
