@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
                      NoProgress, NotConverged, PhaseRestartLimit)
-from .growth import StopEvent, advance, coefficient_vector, find_stop
+from .growth import TOL, StopEvent, advance, coefficient_vector, find_stop
 from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
                         Row, SolverParams, cost_vector, row_arrays)
 # Not called here; kept because the traced benchmark rebinds this name.
@@ -296,15 +296,18 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
         state.sparsity_seen = max(state.sparsity_seen,
                                   float(w.sum()) / capacity)
     ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
-                   np.where(below, adv_f, np.inf), state.boxed,
-                   state.params.tol_bisect)
+                   np.where(below, adv_f, np.inf), state.boxed, TOL)
     state.iterations += 1
     x_new = advance(xb, D, w, cf, ev.delta)
     if ev.kind == "advice":
         x_new[ev.j] = adv_f[ev.j]
     elif ev.kind == "cap":
         x_new[ev.j] = 1.0
-    ph.obj += float(cf @ (x_new - xb))
+    obj = ph.obj + float(cf @ (x_new - xb))
+    if not (np.isfinite(x_new).all() and np.isfinite(obj)):
+        raise ExponentOverflow(f"round {rnd}: a growth step of {ev.delta:.6g} "
+                               "leaves the point or its cost non-finite")
+    ph.obj = obj
     ph.x[fidx] = x_new
     if tight_mass > 0.0:
         ph.z[idx[~free]] += w_row[~free] * ev.delta

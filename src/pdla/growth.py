@@ -8,11 +8,10 @@ for a dual increment delta >= 0, where w_j is the coordinate's weight in the
 active constraint (a row entry, or A_j applied to the separating direction).
 An iteration ends at the first of a handful of monotone events: a coordinate
 reaching its cap or its suggested value (closed form), or the constraint
-value / objective crossing a threshold. A crossing is found by doubling and
-bisection, which evaluate the function only inside a bracket that Newton
-steps place first; the objective crossing is searched only when it can be
-the event selected. Events are resolved by a fixed priority when they
-coincide.
+value / objective crossing a threshold. A crossing is found by Newton's
+method from above in the dimensionless exponent delta * max(w / c), so the
+events do not depend on the units of costs or coefficients. Events that
+coincide within a relative tolerance are resolved by a fixed priority.
 """
 from __future__ import annotations
 
@@ -23,9 +22,8 @@ import numpy as np
 
 from .errors import ExponentOverflow, NoProgress
 
-EXP_GUARD = 700.0
-NEWTON_STEPS = 8     # cap on the Newton steps that place a crossing's bracket
-CERTIFY = 1e-12      # relative half-width of the bracket the Newton point gets
+EXP_GUARD = 700.0    # largest delta * max(w / c) a crossing search reaches
+TOL = 1e-9           # relative tolerance of the event search
 
 # Resolution order for coinciding events. Cap beats advice because it changes
 # the tight set; the objective check precedes the satisfied-by-two exit.
@@ -61,103 +59,50 @@ def coefficient_vector(w, advice_vals, below, lam, advice_feasible,
     return d * capacity
 
 
-def _excess(u, g, rhs, delta) -> tuple[float, np.ndarray]:
-    """sum(u * exp(g delta)) - rhs, the function every crossing search
-    signs, and the exponentials exp(g delta) it summed.
+def first_crossing(u, g, rhs, hi_bound, tol) -> float:
+    """Least delta in [0, hi_bound] with sum(u * exp(g delta)) >= rhs, up to
+    a relative tol from above; inf when the crossing lies past hi_bound or
+    past the exponent guard delta * max g = EXP_GUARD. Needs u >= 0, g >= 0;
+    terms with u = 0 are dropped, so max g runs over the others.
 
-    A zero-weight term counts as zero even where its exponential overflows
-    (0 * inf is NaN); the sum is redone without those terms only then."""
-    e = np.exp(g * delta)
-    total = float(np.dot(u, e))
-    if math.isnan(total):
-        e = np.where(u > 0, e, 0.0)
-        total = float(np.dot(u, e))
-    return total - rhs, e
-
-
-def _tie(best, tol) -> float:
-    """Width of the window in which events coincide with the earliest one."""
-    return max(8.0 * tol * max(1.0, best), 1e-15)
-
-
-def first_crossing(u, g, rhs, hi_bound, tol) -> float | None:
-    """Least delta in [0, hi_bound] with sum(u * exp(g delta)) >= rhs.
-
-    u >= 0 and g >= 0 make the left side nondecreasing; brackets by doubling,
-    then bisects until the interval is at most tol * max(1, hi) wide. That
-    width is absolute below 1, so the search is not scale-free (ROADMAP
-    item 3). Returns None when the crossing lies beyond hi_bound.
-
-    The bisection defines the answer, but it evaluates the function only at
-    points inside a bracket a < crossing <= b that Newton steps place first
-    (see _newton_bracket); the sign anywhere else follows from monotonicity.
+    Newton's method on phi(t) = log sum(v exp(r t)) in the dimensionless
+    exponent t = delta * max g, with r = g / max g <= 1 and v = u / rhs, so
+    the search reads the same at every scale of u, g and rhs. phi is convex
+    and increasing, so every Newton point lies at or past the crossing; the
+    first, from t = 0, is the Jensen bound. As phi'' <= phi' (every r is in
+    [0, 1]), a Newton step s <= 1/2 leaves the new point at most 2 s^2 past
+    the crossing, from either side; the point is returned once that is at
+    most tol * t, which for tol <= 1e-4 also keeps s below 1/2. An iterate
+    that reads below the crossing after the first step is roundoff, and is
+    returned as it is; an iterate clamped at the upper end that reads below
+    it means the crossing lies past it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _excess(u, g, rhs, 0.0)[0] >= 0.0:
-            return 0.0
-        if not np.isfinite(hi_bound) or _excess(u, g, rhs, hi_bound)[0] < 0.0:
-            return None
-        a, b = 0.0, hi_bound
-
-        def evaluate(delta):
-            nonlocal a, b
-            value, e = _excess(u, g, rhs, delta)
-            if value < 0.0:
-                a = delta
-            elif value >= 0.0:
-                b = delta
-            return value, e
-
-        def f(delta):
-            if delta <= a:
-                return -1.0
-            if delta >= b:
-                return 1.0
-            return evaluate(delta)[0]
-
-        _newton_bracket(u, g, rhs, hi_bound, evaluate, f)
-        lo, hi = 0.0, min(1.0, hi_bound)
-        while f(hi) < 0.0:
-            lo, hi = hi, min(2.0 * hi, hi_bound)
-        while hi - lo > tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if f(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-    return hi
-
-
-def _newton_bracket(u, g, rhs, hi_bound, evaluate, f) -> None:
-    """Narrow first_crossing's bracket to about 2 * CERTIFY * max(1, x).
-
-    Newton on log sum(u exp(g delta)) - log rhs, which is convex and
-    increasing, so from above the crossing every iterate stays above it. It
-    starts at the Jensen bound log(rhs / sum u) / gbar, gbar = sum(u g) / sum
-    u, or at hi_bound if that is smaller. Each evaluation narrows the bracket,
-    and two more at x - r and x + r, r = CERTIFY * max(1, x), certify the
-    last iterate x. A failed step (a non-finite value, a zero slope, a step
-    past zero, the step cap) only leaves the bracket wider.
-    """
-    ug = u * g
-    su, sug = float(u.sum()), float(ug.sum())
-    x = hi_bound
-    if sug > 0.0 and rhs > su:
-        x = min(x, math.log(rhs / su) * su / sug)
-    gmax = float(g.max())
-    for _ in range(NEWTON_STEPS):
-        value, e = evaluate(x)
-        slope = float(np.dot(ug, e))
-        if not (0.0 < value < np.inf and slope > 0.0):
-            break
-        step = math.log1p(value / rhs) * (value + rhs) / slope
-        x -= step
-        # The next iterate lies at most gmax * step**2 / 2 above the crossing.
-        if not x > 0.0 or gmax * step * step <= CERTIFY * max(1.0, x):
-            break
-    width = CERTIFY * max(1.0, x)
-    f(x - width)
-    f(x + width)
+    su = float(u.sum())
+    if su >= rhs:
+        return 0.0
+    live = u > 0
+    u, g = u[live], g[live]
+    gmax = float(g.max(initial=0.0))
+    t_hi = min(hi_bound * gmax, EXP_GUARD)
+    # phi' <= 1, so the crossing lies at or past t = -phi(0) = log(rhs / su).
+    if not (gmax > 0.0 and math.log(rhs / su) <= t_hi):
+        return np.inf
+    r = g / gmax
+    v = u / rhs
+    vr = v * r
+    t, s, sr = 0.0, su / rhs, float(vr.sum())
+    while True:
+        step = math.log(s) * s / sr
+        t_next = max(t - step, 0.0)
+        if t_next > t_hi:
+            t_next = t_hi
+        elif t_next == t or 2.0 * step * step <= tol * t_next:
+            return t_next / gmax
+        t = t_next
+        e = np.exp(r * t)
+        s, sr = float(v @ e), float(vr @ e)
+        if s < 1.0:
+            return np.inf if t == t_hi else t / gmax
 
 
 def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
@@ -168,7 +113,8 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     the active constraint (advice_target is +inf where no advice event is
     armed). theta is the satisfied-by-two threshold for sum(w x), alpha the
     phase budget for the full objective, obj_now its current value, and
-    capped arms x_j = 1 events.
+    capped arms x_j = 1 events. Events within a relative 8 tol of the
+    earliest coincide with it, and the first of them in PRIORITY is taken.
     """
     xbar = np.asarray(xbar, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -179,7 +125,6 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     if not growing.any():
         raise NoProgress("all growth rates vanished on a violated constraint")
     g = np.where(c > 0, w / c, 0.0)
-    exp_limit = EXP_GUARD / float(np.max(g[growing]))
 
     def closed_form(targets):
         armed = growing & np.isfinite(targets) & (xbar < targets)
@@ -198,34 +143,28 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     else:
         d_cap, j_cap = np.inf, None
 
-    bound = min(d_adv, d_cap, exp_limit)
+    bound = min(d_adv, d_cap)
     # Constraint value: sum(w x(delta)) = theta.
     d_tgt = first_crossing(w * k, g, theta + float(np.dot(w, D)), bound, tol)
-    d_tgt = np.inf if d_tgt is None else d_tgt
     # Objective: obj_now + sum(c (x(delta) - xbar)) = alpha. It is selected
-    # only if it fires within the tie window of the earliest other event;
-    # not crossed there, it changes nothing and is not searched.
-    u_obj = c * k
+    # only within the tie window of the earliest other event, so it is
+    # searched no further.
+    b0 = min(bound, d_tgt)
+    tie = 1.0 + 8.0 * tol
     rhs_o = alpha - obj_now + float(np.dot(c, xbar)) + float(np.dot(c, D))
-    b0 = min(d_cap, d_adv, d_tgt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        skip = np.isfinite(b0) and _excess(
-            u_obj, g, rhs_o, min(b0 + _tie(b0, tol), bound))[0] < 0.0
-    d_obj = None if skip else first_crossing(u_obj, g, rhs_o, bound, tol)
-
+    d_obj = first_crossing(c * k, g, rhs_o, min(b0 * tie, bound), tol)
     candidates = {
         "cap": (d_cap, j_cap),
         "advice": (d_adv, j_adv),
-        "objective": (np.inf if d_obj is None else d_obj, None),
+        "objective": (d_obj, None),
         "target": (d_tgt, None),
     }
-    best = min(delta for delta, _ in candidates.values())
+    best = min(b0, d_obj)
     if not np.isfinite(best):
         raise ExponentOverflow("no stop event within the exponent guard")
-    tie = _tie(best, tol)
     for kind in PRIORITY:
         delta, j = candidates[kind]
-        if delta <= best + tie:
+        if delta <= best * tie:
             return StopEvent(kind=kind, j=j, delta=float(delta))
     raise AssertionError("unreachable")
 

@@ -9,7 +9,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveCost,
     NotPsd,
 )
+from .growth import TOL
 from .symmetric import is_psd, min_eigpair
 
 SparseRow = list[tuple[int, float]]
@@ -35,7 +36,9 @@ SparseRow = list[tuple[int, float]]
 class SolverParams:
     """Numeric tolerances and safety caps shared by all solvers."""
 
-    tol_bisect: float = 1e-9   # relative tolerance of the event search
+    # The event search's relative tolerance, growth.TOL: a constant, kept
+    # readable here for code that replays a solver's growth steps.
+    tol_bisect: ClassVar[float] = TOL
     tol_feas: float = 1e-7     # a row counts as satisfied at value >= 1 - tol_feas
     tol_psd: float = 1e-7      # relative PSD slack for separation / validation
     max_phase: int = 200       # hard cap on guess-and-double restarts
@@ -44,7 +47,7 @@ class SolverParams:
     trace: bool = False        # collect per-round step reports on the state
 
     def __post_init__(self):
-        for name in ("tol_bisect", "tol_feas", "tol_psd"):
+        for name in ("tol_feas", "tol_psd"):
             if getattr(self, name) <= 0:
                 raise MalformedDocument(f"{name} must be positive")
         if self.max_phase < 1:

@@ -403,6 +403,27 @@ def test_zero_weight_overflow_publishes_a_finite_point():
     assert np.array_equal(current_solution(st), [0.0, 1.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+def test_a_non_finite_step_raises_instead_of_publishing(monkeypatch, bad):
+    # No input is known to drive a step non-finite since the event search
+    # runs in the exponent; a step that does anyway must raise, leaving the
+    # published point as it was. 1e308 is finite, but its cost is not.
+    st = new_lp_solver(2, [2.0, 1.0])
+    before = current_solution(st)
+    real = covering_lp.advance
+
+    def broken(*args):
+        x = real(*args)
+        x[0] = bad
+        return x
+
+    monkeypatch.setattr(covering_lp, "advance", broken)
+    with pytest.raises(ExponentOverflow):
+        process_row(st, [(0, 1.0), (1, 1.0)])
+    assert np.array_equal(current_solution(st), before)
+
+
 @pytest.mark.parametrize("costs, error", [
     ([1.0, 1.0, 1.0], LengthMismatch),          # three costs for n = 2
     ([1.0, math.nan], MalformedDocument),

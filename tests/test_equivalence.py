@@ -7,6 +7,11 @@ Its `sdp/*` entries were re-recorded when SDP separation moved from a Jacobi
 eigensolver (off-diagonal target 1e-10) to LAPACK's least-eigenpair driver;
 that moved the recorded floats by at most 2.3e-11 relative, with counts and
 events unchanged, and left the `lp/*` entries byte-identical.
+All entries were re-recorded on top of commit 20202fc, when the event
+search became one Newton search in the dimensionless exponent with a
+relative stopping rule; every count and event string stayed the same, and
+the floats moved by at most 2.5e-8 relative (an `x_best` entry of
+`lp/3/box/1.0`).
 Counts and event sequences must match exactly; costs, published points,
 dual objectives and dual scales to a relative 1e-12. Re-record only for a
 change that is meant to alter solver outputs.

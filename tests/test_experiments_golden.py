@@ -6,6 +6,11 @@ trials checked each instance's rows once for all of their solver runs, by
 running this module as a script
 (`PYTHONPATH=src python tests/test_experiments_golden.py`). Re-record only
 for a change that is meant to alter experiment outputs.
+It was re-recorded on top of commit 20202fc, when the event search became
+one Newton search in the dimensionless exponent with a relative stopping
+rule: in all 34 CSV rows every violations, iterations and phases value
+stayed the same, and the other numbers moved by at most 1.7e-8 relative (a
+CorruptionSweep dual_scale); GraphSequence's bytes did not change.
 """
 import hashlib
 import json

@@ -276,11 +276,11 @@ def test_sdp_instance_validation_and_roundtrip():
 
 def test_solver_params_validation():
     p = SolverParams()
-    assert p.tol_bisect == 1e-9 and p.max_phase == 200
+    assert p.max_phase == 200
     with pytest.raises(TypeError):
         SolverParams(tol_sym=1e-8)  # symmetry slack is make_sdp_instance's
-    with pytest.raises(MalformedDocument):
-        SolverParams(tol_bisect=0.0)
+    with pytest.raises(TypeError):
+        SolverParams(tol_bisect=1e-6)  # the event search's is growth.TOL
     with pytest.raises(MalformedDocument):
         SolverParams(max_phase=0)
 
