@@ -27,6 +27,11 @@ objective `Phase.dual_obj` (right side times dual), so only the SDP keeps a
 dual accumulator of its own, the matrix dual (`Separation.accumulate`).
 The growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 `advance` through this module's globals.
+
+`process_row` feeds one row and is the only growth path. Instance runs
+(`run_lp`, `run_source` over a row list, the experiment runs) go through
+`run_rows`, which books the rows that hold on arrival in blocks, one
+segmented sum per block, and sends only the others to `process_row`.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
-                     NoProgress, NotConverged, PhaseRestartLimit)
+                     NoProgress, NotConverged, PdlaError, PhaseRestartLimit)
 from .growth import TOL, StopEvent, advance, coefficient_vector, find_stop
 from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
                         Row, SolverParams, cost_vector, row_arrays)
@@ -392,11 +397,9 @@ def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]
     Oracle mode calls source.oracle(published_x) and stops at None. With
     params.debug each produced row is re-checked to be genuinely violated.
     """
-    reports = []
     if source.rows is not None:
-        for row in source.rows:
-            reports.append(process_row(state, row))
-        return reports
+        return run_rows(state, source.rows)
+    reports = []
     for _ in range(MAX_ROUNDS):
         x = current_solution(state)
         row = source.oracle(x)
@@ -416,8 +419,72 @@ def run_lp(inst: CoveringLpInstance, advice: AdviceVector | None = None,
            params: SolverParams | None = None):
     """Convenience: run the full row list of an instance, return (state, reports)."""
     state = solver_for_instance(inst, advice=advice, params=params)
-    reports = [process_row(state, row) for row in inst.rows]
-    return state, reports
+    return state, run_rows(state, inst.rows)
+
+
+def run_rows(state: SolverState, rows, reports: bool = True):
+    """Feed a row list in order, with the same effect on the state as
+    process_row on each row; return every row's report (None when reports
+    is false).
+
+    A row that holds on arrival changes only the round counter and the
+    column statistics. One segmented sum per block gives every remaining
+    row's value at the active phase point; a sum below 1 is decided by the
+    row's own dot product, the test process_row makes (tol_feas dwarfs the
+    roundoff of the reordered sum). The first row, a failing row and, on a
+    boxed state, any row while a coordinate waits to be snapped onto the
+    tight set take process_row; the rows before it are booked at once.
+    """
+    rows = list(rows)
+    arrays = []
+    for row in rows:
+        try:
+            arrays.append(row_arrays(row, state.n))
+        except PdlaError:
+            break   # process_row raises it again in the row's turn
+    out = [] if reports else None
+    if arrays:
+        starts = np.cumsum([0] + [idx.size for idx, _ in arrays])
+        flat_idx = np.concatenate([idx for idx, _ in arrays])
+        flat_vals = np.concatenate([vals for _, vals in arrays])
+    bar = 1.0 - state.params.tol_feas
+    i, m = 0, len(arrays)
+    while i < m:
+        ph = state.phase
+        stop = i
+        if ph is not None and not (
+                state.boxed and ((ph.x >= 1.0 - SNAP) & ~ph.tight).any()):
+            s = starts[i]
+            sums = np.add.reduceat(flat_vals[s:] * ph.x[flat_idx[s:]],
+                                   starts[i:-1] - s)
+            stop = m
+            for k in np.flatnonzero(sums < 1.0).tolist():
+                idx, vals = arrays[i + k]
+                if not float(vals @ ph.x[idx]) >= bar:
+                    stop = i + k
+                    break
+            # A block repeats columns, so its statistics take ufunc.at.
+            cols, vals = flat_idx[s:starts[stop]], flat_vals[s:starts[stop]]
+            np.maximum.at(state.col_max, cols, vals)
+            np.minimum.at(state.col_min, cols, vals)
+            if reports:
+                for idx, vals in arrays[i:stop]:
+                    state.round_no += 1
+                    out.append(StepReport(
+                        round_no=state.round_no,
+                        stop_reason="already_satisfied", iterations=0,
+                        phases_entered=0, row_value=float(vals @ ph.x[idx]),
+                        y_round=0.0, tight_added=[]))
+            else:
+                state.round_no += stop - i
+        if stop < m:
+            rep = process_row(state, rows[stop])
+            if reports:
+                out.append(rep)
+        i = stop + 1
+    if m < len(rows):
+        process_row(state, rows[m])
+    return out
 
 
 def kappa_seen(state: SolverState) -> float:

@@ -18,8 +18,9 @@ from numpy.random import SeedSequence, default_rng
 from .applications import SetSystem, set_cover_instance
 from .baselines import offline_solve
 from .covering_lp import (current_solution, dual_certificate, new_lp_solver,
-                          process_row)
-# Not called here; kept because the traced benchmark rebinds this name.
+                          run_rows)
+# Not called here; kept because the traced benchmark rebinds these names.
+from .covering_lp import process_row  # noqa: F401
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import MalformedDocument, MalformedLine
 from .instances import (AdviceVector, CoveringLpInstance, Row,
@@ -178,8 +179,7 @@ def _run_instance(inst: CoveringLpInstance, advice: AdviceVector | None):
     """One solver run over the instance's rows, which were checked when the
     instance was built."""
     st = new_lp_solver(inst.n, inst.c, advice=advice, boxed=inst.boxed)
-    for row in inst.rows:
-        process_row(st, row)
+    run_rows(st, inst.rows, reports=False)
     return st, dual_certificate(st)
 
 

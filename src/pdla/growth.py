@@ -124,22 +124,25 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     growing = (w > 0) & (k > 0)
     if not growing.any():
         raise NoProgress("all growth rates vanished on a violated constraint")
-    g = np.where(c > 0, w / c, 0.0)
+    g = w / c if c.min() > 0.0 else np.where(c > 0, w / c, 0.0)
 
-    def closed_form(targets):
-        armed = growing & np.isfinite(targets) & (xbar < targets)
-        if not armed.any():
+    def closed_form(targets, armed):
+        """Earliest time and position at which an armed coordinate reaches
+        its target (an array over the support, or one number for all)."""
+        armed = np.flatnonzero(armed)
+        if not armed.size:
             return np.inf, None
-        deltas = np.full(xbar.shape, np.inf)
-        deltas[armed] = (c[armed] / w[armed]) * np.log(
-            (targets[armed] + D[armed]) / k[armed])
-        deltas = np.maximum(deltas, 0.0)
-        jmin = int(np.argmin(deltas))
-        return float(deltas[jmin]), jmin
+        t = targets if np.ndim(targets) == 0 else targets[armed]
+        deltas = np.maximum((c[armed] / w[armed]) * np.log(
+            (t + D[armed]) / k[armed]), 0.0)
+        i = int(np.argmin(deltas))
+        return float(deltas[i]), int(armed[i])
 
-    d_adv, j_adv = closed_form(np.asarray(advice_target, dtype=float))
+    advice_target = np.asarray(advice_target, dtype=float)
+    d_adv, j_adv = closed_form(advice_target, growing & (
+        xbar < advice_target) & np.isfinite(advice_target))
     if capped:
-        d_cap, j_cap = closed_form(np.full(xbar.shape, 1.0))
+        d_cap, j_cap = closed_form(1.0, growing & (xbar < 1.0))
     else:
         d_cap, j_cap = np.inf, None
 

@@ -9,7 +9,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import (
     NonPositiveCost,
     NotPsd,
 )
-from .growth import TOL
 from .symmetric import is_psd, min_eigpair
 
 SparseRow = list[tuple[int, float]]
@@ -36,9 +35,6 @@ SparseRow = list[tuple[int, float]]
 class SolverParams:
     """Numeric tolerances and safety caps shared by all solvers."""
 
-    # The event search's relative tolerance, growth.TOL: a constant, kept
-    # readable here for code that replays a solver's growth steps.
-    tol_bisect: ClassVar[float] = TOL
     tol_feas: float = 1e-7     # a row counts as satisfied at value >= 1 - tol_feas
     tol_psd: float = 1e-7      # relative PSD slack for separation / validation
     max_phase: int = 200       # hard cap on guess-and-double restarts

@@ -31,7 +31,7 @@ from pdla.covering_sdp import kappa_seen as sdp_kappa_seen
 from pdla.errors import PhaseRestartLimit, UnscalableRow
 from pdla.experiments import (ExperimentConfig, corrupt_advice, gen_synthetic,
                               run_experiment)
-from pdla.growth import advance, coefficient_vector, find_stop
+from pdla.growth import TOL, advance, coefficient_vector, find_stop
 from pdla.instances import (SolverParams, make_lp_instance, make_sdp_instance,
                             validate_advice)
 
@@ -341,8 +341,7 @@ def diagonal_reference(inst, alpha1):
             zeros = np.zeros(fidx.size)
             D = coefficient_vector(w, zeros, zeros, 1.0, False, capacity)
             ev = find_stop(xb, D, w, cf, 2.0 * capacity, alpha, obj,
-                           np.full(fidx.size, np.inf), boxed,
-                           params.tol_bisect)
+                           np.full(fidx.size, np.inf), boxed, TOL)
             iters += 1
             x_new = advance(xb, D, w, cf, ev.delta)
             if ev.kind == "cap":

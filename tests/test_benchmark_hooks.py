@@ -28,16 +28,34 @@ def test_benchmark_bindings_resolve(monkeypatch):
     assert covering_lp.find_stop is growth.find_stop
 
 
-def test_traced_experiment_runs_count_every_row(monkeypatch):
-    # Experiment solver runs go through experiments.process_row, so the
-    # traced benchmark attributes their rows to covering_lp.process_row.
+def test_traced_experiment_runs_count_the_rows_that_grow(monkeypatch):
+    # Experiment runs feed their rows through covering_lp.run_rows, which
+    # books the rows that hold on arrival in blocks. Only the first row of
+    # a run and the rows that grow the point or restart the phase reach
+    # covering_lp.process_row, where the traced benchmark counts them.
     monkeypatch.syspath_prepend(PERFBENCH)
     import spans
 
+    runs = []
+    real_run = experiments._run_instance
+
+    def counted(inst, advice):
+        before = len(tracer.spans)
+        out = real_run(inst, advice)
+        runs.append((inst, advice, len(tracer.spans) - before))
+        return out
+
+    monkeypatch.setattr(experiments, "_run_instance", counted)
     cfg = experiments.ExperimentConfig(kind="CorruptionSweep", n=20, trials=1)
     with spans.installed(spans.Tracer(),
                          only={"covering_lp.process_row"}) as tracer:
         experiments.run_experiment(cfg)
     calls, _ = tracer.summary({spans.SETUP})
-    assert calls["covering_lp.process_row"] == \
-        cfg.n * len(cfg.corruption_rates)
+    assert len(runs) == len(cfg.corruption_rates)
+    assert calls["covering_lp.process_row"] == sum(r[2] for r in runs)
+    assert calls["covering_lp.process_row"] < cfg.n * len(runs)
+    for inst, advice, traced in runs:
+        st = covering_lp.new_lp_solver(inst.n, inst.c, advice=advice)
+        reports = [covering_lp.process_row(st, row) for row in inst.rows]
+        assert traced == 1 + sum(r.iterations > 0 or r.phases_entered > 0
+                                 for r in reports[1:])
