@@ -30,8 +30,9 @@ The growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 
 `process_row` feeds one row and is the only growth path. Instance runs
 (`run_lp`, `run_source` over a row list, the experiment runs) go through
-`run_rows`, which books the rows that hold on arrival in blocks, one
-segmented sum per block, and sends only the others to `process_row`.
+`run_rows`, which books the rows that hold on arrival in blocks, found by
+segmented sums over doubling windows, and sends only the others to
+`process_row`.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ ADVICE_ROW_TOL = 1e-9   # slack when testing a row against the suggestion
 OBJ_ENTRY_TOL = 1e-12   # relative slack for the budget check at iteration entry
 MAX_ROUNDS = 1_000_000  # safety stop for oracle-driven runs
 MAX_ITER_ROUND = 200_000  # safety stop for the growth steps of one round
+ROW_WINDOW = 16         # rows summed at once by run_rows after a growing row
 
 
 @dataclass
@@ -428,52 +430,59 @@ def run_rows(state: SolverState, rows, reports: bool = True):
     is false).
 
     A row that holds on arrival changes only the round counter and the
-    column statistics. One segmented sum per block gives every remaining
-    row's value at the active phase point; a sum below 1 is decided by the
-    row's own dot product, the test process_row makes (tol_feas dwarfs the
-    roundoff of the reordered sum). The first row, a failing row and, on a
-    boxed state, any row while a coordinate waits to be snapped onto the
-    tight set take process_row; the rows before it are booked at once.
+    column statistics. Segmented sums over a window of the following rows
+    give their values at the active phase point; the window starts at
+    ROW_WINDOW rows and doubles while its rows hold, so the rows summed
+    before the next growing row are at most ROW_WINDOW plus twice the rows
+    booked. A sum that could lie within roundoff of 1 is decided by the
+    row's own dot product, the test process_row makes. The first row, a
+    failing row and, on a boxed state, any row while a coordinate waits to
+    be snapped onto the tight set take process_row; the rows before it are
+    booked at once. Each row is checked once; process_row takes the
+    checked Row as it is.
     """
-    rows = list(rows)
-    arrays = []
-    for row in rows:
+    rows, error = list(rows), None
+    for k, row in enumerate(rows):
         try:
-            arrays.append(row_arrays(row, state.n))
-        except PdlaError:
-            break   # process_row raises it again in the row's turn
+            if not (type(row) is Row and row.n <= state.n):
+                rows[k] = Row(*row_arrays(row, state.n), state.n)
+        except PdlaError as exc:
+            error, rows = exc, rows[:k]   # raised again in the row's turn
+            break
     out = [] if reports else None
-    if arrays:
-        starts = np.cumsum([0] + [idx.size for idx, _ in arrays])
-        flat_idx = np.concatenate([idx for idx, _ in arrays])
-        flat_vals = np.concatenate([vals for _, vals in arrays])
+    m = len(rows)
+    if m:
+        lens = np.array([row.idx.size for row in rows])
+        starts = np.concatenate(([0], np.cumsum(lens)))
+        flat_idx = np.concatenate([row.idx for row in rows])
+        flat_vals = np.concatenate([row.vals for row in rows])
+        # A block sum and the row's own dot product, each over k
+        # non-negative products in its own order, differ by less than
+        # (k + 1) eps of their size; a sum above this proves the row holds
+        # whatever tol_feas is.
+        sure = 1.0 + 4.0 * np.finfo(float).eps * lens
     bar = 1.0 - state.params.tol_feas
-    i, m = 0, len(arrays)
+    i = 0
     while i < m:
         ph = state.phase
         stop = i
         if ph is not None and not (
                 state.boxed and ((ph.x >= 1.0 - SNAP) & ~ph.tight).any()):
-            s = starts[i]
-            sums = np.add.reduceat(flat_vals[s:] * ph.x[flat_idx[s:]],
-                                   starts[i:-1] - s)
-            stop = m
-            for k in np.flatnonzero(sums < 1.0).tolist():
-                idx, vals = arrays[i + k]
-                if not float(vals @ ph.x[idx]) >= bar:
-                    stop = i + k
-                    break
+            stop = _first_failing(ph.x, rows, i, flat_idx, flat_vals, starts,
+                                  sure, bar)
             # A block repeats columns, so its statistics take ufunc.at.
-            cols, vals = flat_idx[s:starts[stop]], flat_vals[s:starts[stop]]
+            cols = flat_idx[starts[i]:starts[stop]]
+            vals = flat_vals[starts[i]:starts[stop]]
             np.maximum.at(state.col_max, cols, vals)
             np.minimum.at(state.col_min, cols, vals)
             if reports:
-                for idx, vals in arrays[i:stop]:
+                for row in rows[i:stop]:
                     state.round_no += 1
                     out.append(StepReport(
                         round_no=state.round_no,
                         stop_reason="already_satisfied", iterations=0,
-                        phases_entered=0, row_value=float(vals @ ph.x[idx]),
+                        phases_entered=0,
+                        row_value=float(row.vals @ ph.x[row.idx]),
                         y_round=0.0, tight_added=[]))
             else:
                 state.round_no += stop - i
@@ -482,9 +491,25 @@ def run_rows(state: SolverState, rows, reports: bool = True):
             if reports:
                 out.append(rep)
         i = stop + 1
-    if m < len(rows):
-        process_row(state, rows[m])
+    if error is not None:
+        raise error
     return out
+
+
+def _first_failing(x, rows, i, flat_idx, flat_vals, starts, sure, bar) -> int:
+    """Position of the first row from i on that fails at x, or len(rows)."""
+    m, width = len(rows), ROW_WINDOW
+    while i < m:
+        end = min(i + width, m)
+        s, e = starts[i], starts[end]
+        sums = np.add.reduceat(flat_vals[s:e] * x[flat_idx[s:e]],
+                               starts[i:end] - s)
+        for k in np.flatnonzero(sums < sure[i:end]).tolist():
+            row = rows[i + k]
+            if not float(row.vals @ x[row.idx]) >= bar:
+                return i + k
+        i, width = end, 2 * width
+    return m
 
 
 def kappa_seen(state: SolverState) -> float:

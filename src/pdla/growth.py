@@ -111,10 +111,11 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
 
     xbar, D, w, c, advice_target are aligned arrays over the free support of
     the active constraint (advice_target is +inf where no advice event is
-    armed). theta is the satisfied-by-two threshold for sum(w x), alpha the
-    phase budget for the full objective, obj_now its current value, and
-    capped arms x_j = 1 events. Events within a relative 8 tol of the
-    earliest coincide with it, and the first of them in PRIORITY is taken.
+    armed); every cost in c is positive. theta is the satisfied-by-two
+    threshold for sum(w x), alpha the phase budget for the full objective,
+    obj_now its current value, and capped arms x_j = 1 events. Events within
+    a relative 8 tol of the earliest coincide with it, and the first of them
+    in PRIORITY is taken.
     """
     xbar = np.asarray(xbar, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -124,7 +125,7 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     growing = (w > 0) & (k > 0)
     if not growing.any():
         raise NoProgress("all growth rates vanished on a violated constraint")
-    g = w / c if c.min() > 0.0 else np.where(c > 0, w / c, 0.0)
+    g = w / c
 
     def closed_form(targets, armed):
         """Earliest time and position at which an armed coordinate reaches

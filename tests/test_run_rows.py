@@ -6,7 +6,9 @@ solver state, the trace, the dual certificate and the step reports exactly
 as feeding every row to `process_row` does, and raise the same error at the
 same row. Rows are drawn with repeats and shrunken copies of earlier rows,
 so that many arrive satisfied, and a probe row can sit exactly on the
-feasibility bar `1 - tol_feas` or one ulp either side of it.
+feasibility bar `1 - tol_feas` or one ulp either side of it. They are fed
+as checked Rows, as lists of pairs and as one-shot iterators of pairs, at
+the default tol_feas and at 1e-16, where the bar is the float below 1.
 """
 import numpy as np
 import pytest
@@ -89,7 +91,9 @@ def runs(draw):
         x = np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-3, 1, n))
         advice = validate_advice(np.minimum(x, 1.0) if boxed else x, lam, n,
                                  boxed=boxed)
-    params = SolverParams(trace=draw(st.booleans()))
+    # 1e-16 puts the bar one ulp below 1, far inside the roundoff of a sum.
+    params = SolverParams(trace=draw(st.booleans()),
+                          tol_feas=draw(st.sampled_from([1e-7, 1e-16])))
     rows = _rows(rng, n, draw(st.integers(1, 30)))
     # Insert a row on the feasibility bar, at the point its turn sees.
     side = draw(st.sampled_from([None, -1, 0, 1]))
@@ -108,13 +112,16 @@ def test_run_rows_matches_the_per_row_loop(run):
     n, c, advice, params, boxed, rows = run
     want, want_reports, want_error = _per_row(*run)
     inst = make_lp_instance(n, c, rows, boxed=boxed)
-    for feed, reports in ((inst.rows, True), (inst.rows, False),
-                          (rows, True)):
+    # Rows as the instance's Rows, as lists of pairs, and as one-shot
+    # iterators of pairs, which can be read only once.
+    for feed, reports in ((lambda: inst.rows, True),
+                          (lambda: inst.rows, False), (lambda: rows, True),
+                          (lambda: (iter(r) for r in rows), True)):
         st = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
                                        boxed=boxed)
         got, error = None, None
         try:
-            got = covering_lp.run_rows(st, feed, reports=reports)
+            got = covering_lp.run_rows(st, feed(), reports=reports)
         except PdlaError as exc:
             error = (type(exc), str(exc))
         assert error == want_error
@@ -128,6 +135,11 @@ def test_run_rows_matches_the_per_row_loop(run):
                                        boxed=boxed)
         assert covering_lp.run_source(st, ConstraintSource(rows=rows)) == \
             want_reports
+        st = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
+                                       boxed=boxed)
+        one_shot = [zip([j for j, _ in r], [v for _, v in r]) for r in rows]
+        assert covering_lp.run_source(
+            st, ConstraintSource(rows=one_shot)) == want_reports
 
 
 def test_run_rows_books_satisfied_rows_without_process_row(monkeypatch):
@@ -185,3 +197,31 @@ def test_run_rows_leaves_a_pending_snap_to_process_row():
         states.append(_state(st))
     assert states[0] == states[1]
     assert states[0]["phase"][3] == [False, False, True]
+
+
+def test_run_rows_decides_rows_near_one_by_their_own_dot():
+    # With tol_feas = 1e-16 the bar is the float just below 1. A block sum
+    # adds the products in another order than the row's own dot product, so
+    # it can round to 1 where the dot stays below the bar: such a row fails
+    # process_row's test and must grow, not be booked.
+    n = 30
+    params = SolverParams(tol_feas=1e-16)
+    rng = default_rng(0)
+    x = rng.uniform(0.1, 1.0, n)
+    rows = []
+    for _ in range(2000):
+        vals = rng.uniform(0.0, 1.0, n)
+        vals /= vals @ x
+        if np.add.reduceat(vals * x, [0])[0] >= 1.0 \
+                and not float(vals @ x) >= 1.0 - params.tol_feas:
+            rows.append(Row(np.arange(n), vals, n))
+    states = []
+    for feed in (lambda st: [covering_lp.process_row(st, r) for r in rows[:3]],
+                 lambda st: covering_lp.run_rows(st, rows[:3])):
+        st = covering_lp.new_lp_solver(n, np.ones(n), params=params)
+        covering_lp.process_row(st, Row(np.arange(n), np.ones(n), n))
+        st.phase.x[:] = x
+        st.phase.obj = float(st.c @ x)
+        feed(st)
+        states.append(_state(st))
+    assert states[0] == states[1]
