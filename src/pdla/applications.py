@@ -286,14 +286,17 @@ def solve_gst_online(tree: RootedTree, groups: list[list[int]],
     return current_solution(st), st
 
 
-def parse_tree_doc(doc: dict) -> tuple[RootedTree, list[list[int]]]:
+def parse_tree_doc(doc: dict,
+                   groups=None) -> tuple[RootedTree, list[list[int]]]:
     """JSON layout: {"nodes": N, "root": r, "edges": [[u, v, cost], ...],
-    "groups": [[v, ...], ...]}."""
+    "groups": [[v, ...], ...]}; `groups`, when given, replaces the
+    document's and passes the same check."""
     try:
         num_nodes = int(doc["nodes"])
         root = int(doc["root"])
         edges = [(int(u), int(v), float(cst)) for u, v, cst in doc["edges"]]
-        groups = [[int(v) for v in g] for g in doc["groups"]]
+        groups = [[int(v) for v in g]
+                  for g in (doc["groups"] if groups is None else groups)]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"bad tree document: {exc}") from None
     return RootedTree.from_edge_list(num_nodes, root, edges), groups

@@ -115,11 +115,8 @@ def _cmd_set_cover(args) -> int:
 
 def _cmd_gst(args) -> int:
     doc = json.loads(_read(args.tree))
-    tree, groups = parse_tree_doc(doc)
-    if args.groups is not None:
-        groups = json.loads(_read(args.groups))
-        if not isinstance(groups, list):
-            raise MalformedDocument("groups file must hold a list of lists")
+    override = None if args.groups is None else json.loads(_read(args.groups))
+    tree, groups = parse_tree_doc(doc, override)
     n_edges = len(tree.edges)
     adv = _load_advice(args, n_edges, True)
     _, st = solve_gst_online(tree, groups, advice=adv,

@@ -15,18 +15,19 @@ discount the dual objective.
 
 The covering SDP solver reduces every violated round to a covering row, so
 the primal-dual growth lives here once: phase start (`start_phase`), the
-round loop (`grow_round`) with its tight-set snap, budget check and growth
-step, and `current_solution`, `kappa_seen` and `beta_seen`. So do the
-solver-state checks (`SolverState`), the round entry with the first budget
-guess (`open_round`) and the dual certificate (`dual_certificate`). A
-solver keeps only its separation step (a `Separation`: is the round's
-constraint met, and if not, which covering row is violated), its first
-budget estimate and its step report. Every growth step folds its dual into
-the column load `Phase.load` (A^T y, or A_j . Y for the SDP) and the dual
-objective `Phase.dual_obj` (right side times dual), so only the SDP keeps a
-dual accumulator of its own, the matrix dual (`Separation.accumulate`).
-The growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
-`advance` through this module's globals.
+round (`grow_round`: its count, phase 1, the tight-set snap, budget check
+and growth step), the solver-state checks (`SolverState`), the dual
+certificate (`dual_certificate`), `current_solution`, `kappa_seen` and
+`beta_seen`. A solver keeps only its step report and its separation step
+(a `Separation`): the first budget guess, whether the round's constraint
+is met, the violated covering row, and whether the suggestion meets the
+constraint, asked only at the round's first growth step. Every growth step
+folds its dual into the column load `Phase.load` (A^T y, or A_j . Y for
+the SDP) and the dual objective `Phase.dual_obj` (right side times dual),
+so only the SDP keeps a dual accumulator of its own, the matrix dual
+(`Separation.accumulate`). The growth step (`_grow_step`) calls
+`find_stop`, `coefficient_vector` and `advance` through this module's
+globals.
 
 `process_row` feeds one row and is the only growth path. Instance runs
 (`run_lp`, `run_source` over a row list, the experiment runs) go through
@@ -139,10 +140,12 @@ class Separation:
     """A solver's separation step, as the shared growth loop uses it.
 
     `support` holds the coordinates the round's constraint can involve.
-    holds(x) tells whether the constraint is met at x; once it fails and the
-    budget check passes, cut() gives the violated covering row as weights
-    over `support` and a right side. accumulate(ph, delta) adds one growth
-    step's dual mass to the solver's own accumulators.
+    estimate() gives the budget guess that opens phase 1. holds(x) tells
+    whether the constraint is met at x; once it fails and the budget check
+    passes, cut() gives the violated covering row as weights over `support`
+    and a right side, and advice_holds(adv) whether the suggestion meets
+    the constraint. accumulate(ph, delta) adds one growth step's dual mass
+    to the solver's own accumulators.
     """
     support: np.ndarray
 
@@ -156,9 +159,18 @@ class Separation:
 class _RowSeparation(Separation):
     """The LP's separation step: a streamed row is its own cut."""
 
-    def __init__(self, idx: np.ndarray, vals: np.ndarray, tol_feas: float):
-        self.support, self.vals, self.tol_feas = idx, vals, tol_feas
+    def __init__(self, state: SolverState, idx, vals):
+        self.support, self.vals, self.c = idx, vals, state.c
+        self.tol_feas = state.params.tol_feas
         self.value = 0.0
+
+    def estimate(self) -> float:
+        """The cheapest way to cover the row alone."""
+        return float(np.min(self.c[self.support] / self.vals))
+
+    def advice_holds(self, adv: AdviceVector) -> bool:
+        return float(self.vals @ adv.x_prime[self.support]) >= \
+            1.0 - ADVICE_ROW_TOL
 
     def holds(self, x: np.ndarray) -> bool:
         self.value = float(self.vals @ x[self.support])
@@ -209,25 +221,23 @@ def start_phase(state: SolverState, alpha: float) -> None:
                                   load=np.zeros(state.n), dual_obj=0.0)
 
 
-def open_round(state: SolverState, estimate) -> int:
-    """Count a new round and return its number; before the first phase,
-    open phase 1 at params.initial_alpha, or at estimate() when unset."""
+def grow_round(state: SolverState,
+               sep: Separation) -> tuple[int, RoundGrowth]:
+    """Count a new round and grow the active phase until `sep` finds it
+    satisfied; return the round number and what the loop did.
+
+    Before the first phase it opens phase 1 at params.initial_alpha, or at
+    sep.estimate() when unset. Its first growth step asks whether the
+    suggestion meets the constraint (sep.advice_holds), which arms
+    suggestion-proportional sharing; a round that holds never asks.
+    """
     state.round_no += 1
+    rnd = state.round_no
     if state.phase is None:
         alpha = state.params.initial_alpha
-        start_phase(state, float(estimate() if alpha is None else alpha))
-    return state.round_no
-
-
-def grow_round(state: SolverState, rnd: int, sep: Separation,
-               branch_feasible: bool) -> RoundGrowth:
-    """Grow the active phase until `sep` finds round `rnd` satisfied.
-
-    branch_feasible says whether the suggestion itself meets the round's
-    constraint, which arms suggestion-proportional sharing.
-    """
+        start_phase(state, float(sep.estimate() if alpha is None else alpha))
     g = RoundGrowth()
-    counted_violation = False
+    branch_feasible = None
     while True:
         if g.iterations > MAX_ITER_ROUND:
             raise NotConverged(
@@ -245,9 +255,10 @@ def grow_round(state: SolverState, rnd: int, sep: Separation,
         if sep.holds(ph.x):
             break
         if ph.obj < ph.alpha * (1.0 - OBJ_ENTRY_TOL):
-            if not counted_violation:
+            if branch_feasible is None:
                 state.violations_seen += 1
-                counted_violation = True
+                branch_feasible = state.advice is not None and \
+                    sep.advice_holds(state.advice)
             ev = _grow_step(state, rnd, ph, sep, branch_feasible)
             g.iterations += 1
             g.y_round += ev.delta
@@ -266,7 +277,7 @@ def grow_round(state: SolverState, rnd: int, sep: Separation,
     if g.y_round > 0.0:
         ph.y[rnd] = g.y_round
     np.maximum(state.x_best, ph.x, out=state.x_best)
-    return g
+    return rnd, g
 
 
 def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
@@ -330,19 +341,6 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
     return ev
 
 
-def _advice_feasible(state: SolverState, idx: np.ndarray,
-                     vals: np.ndarray) -> bool:
-    """Whether the suggestion itself satisfies the row (vals over idx)."""
-    adv = state.advice
-    return adv is not None and \
-        float(vals @ adv.x_prime[idx]) >= 1.0 - ADVICE_ROW_TOL
-
-
-def _initial_alpha(state: SolverState, idx, vals) -> float:
-    """First budget guess: the cheapest way to cover the row alone."""
-    return float(np.min(state.c[idx] / vals))
-
-
 def process_row(state: SolverState, row) -> StepReport:
     """Feed one covering row; returns once the row is satisfied.
 
@@ -358,9 +356,8 @@ def process_row(state: SolverState, row) -> StepReport:
     # Validated columns are unique, so plain fancy-index updates suffice.
     state.col_max[idx] = np.maximum(state.col_max[idx], vals)
     state.col_min[idx] = np.minimum(state.col_min[idx], vals)
-    rnd = open_round(state, lambda: _initial_alpha(state, idx, vals))
-    sep = _RowSeparation(idx, vals, state.params.tol_feas)
-    g = grow_round(state, rnd, sep, _advice_feasible(state, idx, vals))
+    sep = _RowSeparation(state, idx, vals)
+    rnd, g = grow_round(state, sep)
     reason = "satisfied_by_2" if g.last_event == "target" \
         else "already_satisfied"
     return StepReport(round_no=rnd, stop_reason=reason,
@@ -396,8 +393,9 @@ def dual_certificate(state: SolverState) -> DualCertificate:
 def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]:
     """Drive the solver from a fixed row list or a separation oracle.
 
-    Oracle mode calls source.oracle(published_x) and stops at None. With
-    params.debug each produced row is re-checked to be genuinely violated.
+    Oracle mode calls source.oracle(published_x) and stops at None; a row
+    the published point already satisfies raises NoProgress, since growing
+    against it cannot change the point.
     """
     if source.rows is not None:
         return run_rows(state, source.rows)
@@ -407,12 +405,11 @@ def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]
         row = source.oracle(x)
         if row is None:
             return reports
-        if state.params.debug:
-            row = Row(*row_arrays(row, state.n), state.n)
-            val = float(row.vals @ x[row.idx])
-            if val >= 1.0:
-                raise NoProgress(
-                    f"oracle produced a satisfied row (value {val:.6g})")
+        row = Row(*row_arrays(row, state.n), state.n)
+        val = float(row.vals @ x[row.idx])
+        if val >= 1.0:
+            raise NoProgress(
+                f"oracle produced a satisfied row (value {val:.6g})")
         reports.append(process_row(state, row))
     raise NotConverged(f"oracle still separating after {MAX_ROUNDS} rounds")
 
@@ -435,11 +432,11 @@ def run_rows(state: SolverState, rows, reports: bool = True):
     ROW_WINDOW rows and doubles while its rows hold, so the rows summed
     before the next growing row are at most ROW_WINDOW plus twice the rows
     booked. A sum that could lie within roundoff of 1 is decided by the
-    row's own dot product, the test process_row makes. The first row, a
-    failing row and, on a boxed state, any row while a coordinate waits to
-    be snapped onto the tight set take process_row; the rows before it are
-    booked at once. Each row is checked once; process_row takes the
-    checked Row as it is.
+    row's own dot product, the test process_row makes. The first row and
+    a failing row take process_row; the rows before it are booked at once.
+    No boxed coordinate awaits a snap between rounds (grow_round snaps the
+    support before each test, start_phase every coordinate). Each row is
+    checked once; process_row takes the checked Row as it is.
     """
     rows, error = list(rows), None
     for k, row in enumerate(rows):
@@ -466,8 +463,7 @@ def run_rows(state: SolverState, rows, reports: bool = True):
     while i < m:
         ph = state.phase
         stop = i
-        if ph is not None and not (
-                state.boxed and ((ph.x >= 1.0 - SNAP) & ~ph.tight).any()):
+        if ph is not None:
             stop = _first_failing(ph.x, rows, i, flat_idx, flat_vals, starts,
                                   sure, bar)
             # A block repeats columns, so its statistics take ufunc.at.

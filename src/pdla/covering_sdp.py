@@ -4,16 +4,16 @@ A stream of monotonically growing symmetric targets B_1 <= B_2 <= ... arrives
 online and the solver maintains x >= 0 with sum_j A_j x_j >= B_i in the PSD
 order. Each violated round is reduced to covering rows through the least
 eigenvector v of the residual: the implicit row has weights w_j = v' A_j v
-and right side b = v' B_i v. The solver-state checks, the round entry,
+and right side b = v' B_i v. The solver-state checks, the round,
 phase restarts, the tight-set snap, the budget check, the growth step and
 the dual certificate are the LP solver's (`covering_lp`), and so are the
 column load A_j (x) Y and the dual objective that every growth step folds
 in. This module keeps only its separation step (`_EigenSeparation`: the
-residual's least eigenpair, the implicit row and the column statistics),
-its first budget estimate, its step report and its own dual accumulator
-(`SdpPhase`: the matrix dual Y). Every stop event returns to a fresh
-eigendirection. The boxed variant enforces x <= 1 through the same
-tight-set mechanism.
+first budget guess, the residual's least eigenpair, the implicit row and
+its column statistics, whether sum_j x'_j A_j covers the target), its step
+report and its own dual accumulator (`SdpPhase`: the matrix dual Y). Every
+stop event returns to a fresh eigendirection. The boxed variant enforces
+x <= 1 through the same tight-set mechanism.
 
 The matrix dual Y accumulates delta * v v' per growth step, giving the
 scaled certificate A_j (x) Y <= c_j after dividing by the reported factor.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering_lp import (DualCertificate, Phase, Separation, SolverState,
-                          grow_round, open_round)
+                          grow_round)
 from .covering_lp import dual_certificate as _lp_dual_certificate
 from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
 from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
@@ -97,6 +97,20 @@ class _EigenSeparation(Separation):
         self.support = np.arange(state.n)
         self.floor = -state.params.tol_psd * max(1.0, float(np.linalg.norm(B)))
 
+    def estimate(self) -> float:
+        """The cheapest single coordinate whose trace covers the target's."""
+        st = self.state
+        ok = st.traces > 0
+        if not ok.any():
+            raise NoFeasibleSolution(
+                "every coverage matrix has zero trace; nothing can grow")
+        return float(np.min(st.c[ok] * np.trace(self.B) / st.traces[ok]))
+
+    def advice_holds(self, adv: AdviceVector) -> bool:
+        """Whether sum_j x'_j A_j (the state's S_advice) covers B."""
+        return is_psd(self.state.S_advice - self.B,
+                      tol_psd=self.state.params.tol_psd)
+
     def holds(self, x: np.ndarray) -> bool:
         resid = np.tensordot(x, self.state.A, axes=1) - self.B
         self.lam, self.v = min_eigpair(resid)
@@ -129,16 +143,6 @@ def new_sdp_solver(inst: CoveringSdpInstance,
                           boxed=inst.boxed, advice=advice, params=params)
 
 
-def _initial_alpha(state: SdpSolverState, B: np.ndarray) -> float:
-    """First budget guess: the cheapest single coordinate whose trace
-    covers the target's."""
-    ok = state.traces > 0
-    if not ok.any():
-        raise NoFeasibleSolution(
-            "every coverage matrix has zero trace; nothing can grow")
-    return float(np.min(state.c[ok] * np.trace(B) / state.traces[ok]))
-
-
 def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     """Feed one target matrix; returns once the residual is PSD within tol.
 
@@ -166,12 +170,8 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
                              stop_reason="already_satisfied", iterations=0,
                              phases_entered=0, residual_eig=0.0, y_round=0.0,
                              tight_added=[])
-    rnd = open_round(state, lambda: _initial_alpha(state, B))
-    branch_feasible = state.advice is not None and \
-        is_psd(state.S_advice - B, tol_psd=state.params.tol_psd)
-
     sep = _EigenSeparation(state, B)
-    g = grow_round(state, rnd, sep, branch_feasible)
+    rnd, g = grow_round(state, sep)
     reason = "already_satisfied" if g.iterations == 0 and \
         g.phases_entered == 0 else "satisfied"
     return SdpStepReport(round_no=rnd, stop_reason=reason,

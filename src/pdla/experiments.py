@@ -75,10 +75,13 @@ class ExperimentConfig:
         if unknown:
             raise MalformedDocument(f"unknown config keys {sorted(unknown)}")
         doc = dict(doc)
-        for key in ("lambdas", "corruption_rates", "graph_paths"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return ExperimentConfig(**doc)
+        try:
+            for key in ("lambdas", "corruption_rates", "graph_paths"):
+                if key in doc:
+                    doc[key] = tuple(doc[key])
+            return ExperimentConfig(**doc)
+        except TypeError as exc:
+            raise MalformedDocument(f"bad config value: {exc}") from None
 
 
 # ------------------------------------------------------------- generators

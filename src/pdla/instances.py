@@ -38,7 +38,6 @@ class SolverParams:
     tol_feas: float = 1e-7     # a row counts as satisfied at value >= 1 - tol_feas
     tol_psd: float = 1e-7      # relative PSD slack for separation / validation
     max_phase: int = 200       # hard cap on guess-and-double restarts
-    debug: bool = False        # check that each oracle row is violated
     initial_alpha: float | None = None  # override the first cost estimate (diagnostics)
     trace: bool = False        # collect per-round step reports on the state
 

@@ -145,3 +145,20 @@ def test_offline_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["objective"] == pytest.approx(1.0, rel=1e-5)
     assert doc["gap"] <= 1e-5
+
+
+def test_gst_groups_override_that_is_not_a_list_of_lists_is_bad_input(
+        tmp_path, capsys):
+    doc = {"nodes": 2, "root": 0, "edges": [[0, 1, 5.0]], "groups": [[1]]}
+    t = _write(tmp_path, "tree.json", doc)
+    g = _write(tmp_path, "groups.json", [1, 2])
+    assert cli.main(["gst", "--tree", t, "--groups", g]) == 4
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [{"n": "abc"}, {"lambdas": 0.5}])
+def test_experiment_config_of_the_wrong_type_is_bad_input(tmp_path, capsys,
+                                                          cfg):
+    cfgp = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main(["experiment", "corruption", "--config", cfgp]) == 4
+    assert "bad input" in capsys.readouterr().err

@@ -189,7 +189,7 @@ def test_run_source_oracle_mode_separates_until_covered():
                 worst, worst_val = r, val
         return worst
 
-    st = new_lp_solver(2, [1.0, 1.0], params=SolverParams(debug=True))
+    st = new_lp_solver(2, [1.0, 1.0])
     reports = run_source(st, ConstraintSource(oracle=oracle))
     x = current_solution(st)
     for r in rows:
@@ -197,9 +197,9 @@ def test_run_source_oracle_mode_separates_until_covered():
     assert len(reports) >= 2
 
 
-def test_run_source_debug_rejects_a_satisfied_oracle_row():
+def test_run_source_rejects_a_satisfied_oracle_row():
     # The oracle hands the same row again once x already covers it.
-    st = new_lp_solver(1, [1.0], params=SolverParams(debug=True))
+    st = new_lp_solver(1, [1.0])
     rows = iter([[(0, 1.0)], [(0, 1.0)]])
     with pytest.raises(NoProgress, match="satisfied row"):
         run_source(st, ConstraintSource(oracle=lambda x: next(rows)))

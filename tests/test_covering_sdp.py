@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdla import covering_lp
+from pdla import covering_lp, covering_sdp
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp)
@@ -303,3 +303,25 @@ def test_initial_alpha_opens_phase_one_in_every_variant(kind):
     assert st.phase.index == 1 and st.phase.alpha == 3.0
     assert rep.iterations == 0 and rep.stop_reason == "already_satisfied"
     assert current_solution(st)[0] == (1.0 if boxed else 1.5)
+
+
+def test_only_a_violated_round_asks_whether_the_suggestion_covers(
+        monkeypatch):
+    # Every round checks that the stream grows (one is_psd call). Only a
+    # round that grows asks whether the suggestion covers the target; the
+    # repeated target holds on arrival and asks nothing more.
+    calls = []
+    real = covering_sdp.is_psd
+    monkeypatch.setattr(covering_sdp, "is_psd",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    inst = make_sdp_instance(2, 2, [1.0, 1.0], [np.diag([1.0, 0.0]),
+                                                np.diag([0.0, 1.0])],
+                             [I2(), I2()])
+    st = new_sdp_solver(inst, advice=validate_advice([1.0, 1.0], 0.5, 2,
+                                                     boxed=False))
+    counts = []
+    for B in inst.B_stream:
+        calls.clear()
+        rep = process_matrix(st, B)
+        counts.append((rep.stop_reason, len(calls)))
+    assert counts == [("satisfied", 2), ("already_satisfied", 1)]

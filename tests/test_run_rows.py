@@ -179,26 +179,6 @@ def test_run_rows_feeds_the_rows_before_a_malformed_one():
     assert st.col_max.tolist() == [2.0, 0.0]
 
 
-def test_run_rows_leaves_a_pending_snap_to_process_row():
-    # A boxed round ends with every coordinate at its cap in the tight set,
-    # so plant one that is not: x_2 within SNAP of 1. The per-row loop
-    # snaps it on the next row that touches it; run_rows must send rows to
-    # process_row until then instead of booking them.
-    rows = make_lp_instance(3, [1.0, 1.0, 1.0], [[(0, 1.0), (1, 1.0)],
-                                                  [(2, 1.0)], [(0, 2.0)]],
-                            boxed=True).rows
-    states = []
-    for feed in (lambda st: [covering_lp.process_row(st, r) for r in rows[1:]],
-                 lambda st: covering_lp.run_rows(st, rows[1:])):
-        st = covering_lp.new_lp_solver(3, [1.0, 1.0, 1.0], boxed=True)
-        covering_lp.process_row(st, rows[0])
-        st.phase.x[2] = 1.0 - 1e-13
-        feed(st)
-        states.append(_state(st))
-    assert states[0] == states[1]
-    assert states[0]["phase"][3] == [False, False, True]
-
-
 def test_run_rows_decides_rows_near_one_by_their_own_dot():
     # With tol_feas = 1e-16 the bar is the float just below 1. A block sum
     # adds the products in another order than the row's own dot product, so

@@ -3,13 +3,17 @@
 The streams feed small LP and SDP instances whose costs and coefficients
 spread over 1e-8 to 1e8, half of them boxed and 60% with advice at lambda in
 {0, 0.3, 1}. After every round the published point must be finite, must not
-decrease, and must cover everything fed so far. A stream may end early only
-with `NoFeasibleSolution`, and an LP stream only on a boxed row that cannot
-reach 1 even at the all-ones point; any other exception fails the test.
+decrease, and must cover everything fed so far; on a boxed state no
+coordinate outside the tight set may lie within SNAP of its cap, the
+invariant `covering_lp.run_rows` relies on when it books rows in blocks. A
+stream may end early only with `NoFeasibleSolution`, and an LP stream only
+on a boxed row that cannot reach 1 even at the all-ones point; any other
+exception fails the test.
 
-The metamorphic tests rescale an instance: its normalized cost and its
-iteration and phase counts must not depend on the units of the costs or of
-the coefficients.
+The metamorphic tests rescale an instance or permute its columns: its
+normalized cost and its iteration and phase counts must not depend on the
+units of the costs or of the coefficients, nor on the order of the
+columns.
 """
 import numpy as np
 import pytest
@@ -41,6 +45,13 @@ def _advice(rng, n, boxed):
     return validate_advice(x, rng.choice([0.0, 0.3, 1.0]), n, boxed=boxed)
 
 
+def _no_pending_snap(st):
+    """No boxed coordinate outside the tight set sits within SNAP of 1."""
+    ph = st.phase
+    return not (st.boxed and ph is not None and
+                ((ph.x >= 1.0 - covering_lp.SNAP) & ~ph.tight).any())
+
+
 def _lp_stream(seed):
     """Feed one random LP stream; returns how it ended."""
     rng = default_rng([11, seed])
@@ -63,6 +74,7 @@ def _lp_stream(seed):
         assert np.all(np.isfinite(x)) and np.all(x >= prev), seed
         assert all(float(v @ x[i]) >= 1.0 - PARAMS.tol_feas
                    for i, v in fed), seed
+        assert _no_pending_snap(st), seed
         prev = x
     return "ok"
 
@@ -94,6 +106,7 @@ def _sdp_stream(seed):
         # The targets grow, so covering the last one covers them all.
         floor = -PARAMS.tol_psd * max(1.0, float(np.linalg.norm(target)))
         assert covering_sdp.feasibility_gap(st, target) >= floor, seed
+        assert _no_pending_snap(st), seed
         prev = x
     return "ok"
 
@@ -180,6 +193,25 @@ def test_lp_coefficient_scaling_is_metamorphic(case):
         advice.x_prime / s, advice.lam, inst.n, boxed=False)
     _same_run(_lp_run(_scaled_lp(inst, coef=s), scaled_advice),
               _lp_run(inst, advice), 1.0 / s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lp_cases(st.booleans()), st.integers(0, 2**32 - 1))
+def test_lp_column_permutation_is_metamorphic(case, seed):
+    # Column j becomes column perm[j] in the costs, the rows and the advice.
+    inst, advice, _ = case
+    perm = default_rng(seed).permutation(inst.n)
+    c = np.empty(inst.n)
+    c[perm] = inst.c
+    rows = [[(int(perm[j]), a) for j, a in row] for row in inst.rows]
+    permuted = make_lp_instance(inst.n, c, rows, boxed=inst.boxed)
+    permuted_advice = None
+    if advice is not None:
+        x = np.empty(inst.n)
+        x[perm] = advice.x_prime
+        permuted_advice = validate_advice(x, advice.lam, inst.n,
+                                          boxed=inst.boxed)
+    _same_run(_lp_run(permuted, permuted_advice), _lp_run(inst, advice), 1.0)
 
 
 def _sdp_run(inst, advice=None):
