@@ -295,8 +295,11 @@ def parse_tree_doc(doc: dict,
         num_nodes = int(doc["nodes"])
         root = int(doc["root"])
         edges = [(int(u), int(v), float(cst)) for u, v, cst in doc["edges"]]
-        groups = [[int(v) for v in g]
-                  for g in (doc["groups"] if groups is None else groups)]
+        groups = doc["groups"] if groups is None else groups
+        if not isinstance(groups, list) or not all(
+                isinstance(g, list) for g in groups):
+            raise TypeError("groups must be a list of lists")
+        groups = [[int(v) for v in g] for g in groups]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocument(f"bad tree document: {exc}") from None
     return RootedTree.from_edge_list(num_nodes, root, edges), groups

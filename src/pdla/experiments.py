@@ -11,6 +11,7 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -51,6 +52,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MalformedDocument(f"unknown experiment kind {self.kind!r}")
+        # bool passes for a number in Python, but is no count or rate here;
+        # numpy ints become ints, which make_lp_instance asks for
+        for name in ("n", "trials", "seed", "drift_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise MalformedDocument(f"{name} must be an integer")
+            setattr(self, name, int(value))
+        reals = (self.density, self.cost_scale, self.eps_offline,
+                 *self.lambdas, *self.corruption_rates)
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
+            raise MalformedDocument("density, cost_scale, eps_offline, lambdas"
+                                    " and corruption_rates must be numbers")
+        if not isinstance(self.full, bool):
+            raise MalformedDocument("full must be true or false")
+        paths = (*self.graph_paths, *([] if self.out is None else [self.out]))
+        if not all(isinstance(p, str) for p in paths):
+            raise MalformedDocument("graph_paths and out must be file names")
+        if self.seed < 0:
+            raise MalformedDocument("seed must be >= 0")
         if self.trials < 1:
             raise MalformedDocument("trials must be >= 1")
         if self.n < 2:
@@ -133,7 +153,7 @@ def drift_instance(inst: CoveringLpInstance, flips: int,
     return make_lp_instance(n, inst.c, rows, boxed=inst.boxed)
 
 
-def _parse_edges(path: str) -> tuple[list[tuple[int, int]], int]:
+def _parse_edges(path: str) -> list[tuple[int, int]]:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     skipped = 0
@@ -159,13 +179,13 @@ def _parse_edges(path: str) -> tuple[list[tuple[int, int]], int]:
             edges.append(key)
     if skipped:
         log.warning("%s: skipped %d self-loop(s)", path, skipped)
-    return edges, skipped
+    return edges
 
 
 def ingest_edge_list(path: str, cost_seed=0,
                      cost_scale: float = 10.0) -> SetSystem:
     """Vertex cover as set cover: vertices are sets, edges are elements."""
-    edges, _ = _parse_edges(path)
+    edges = _parse_edges(path)
     if not edges:
         raise MalformedDocument(f"{path}: no edges")
     nodes = sorted({u for e in edges for u in e})
@@ -186,99 +206,62 @@ def _run_instance(inst: CoveringLpInstance, advice: AdviceVector | None):
     return st, dual_certificate(st)
 
 
-def _metric(lam, trial, step, inst, st, cert, cost_advice, cost_off):
-    cost = float(inst.c @ current_solution(st))
-    return RunMetrics(lam=lam, trial=trial, step=step, cost_alg=cost,
-                      cost_advice=cost_advice, cost_offline=cost_off,
-                      ratio=cost / cost_off,
-                      violations=st.violations_seen,
-                      iterations=st.iterations,
-                      phases=len(st.alpha_history),
-                      dual_scale=cert.scale)
-
-
-def _trial_lambda_sweep(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
+def _trial_lambda_sweep(cfg: ExperimentConfig, trial: int):
     inst = gen_synthetic(cfg.n, SeedSequence([cfg.seed, trial]),
                          cfg.density, cfg.cost_scale)
     off = offline_solve(inst, cfg.eps_offline)
-    cost_advice = float(inst.c @ off.x)
-    out = []
     for lam in cfg.lambdas:
-        adv = validate_advice(off.x, lam, inst.n, boxed=inst.boxed)
-        st, cert = _run_instance(inst, adv)
-        out.append(_metric(lam, trial, 0, inst, st, cert, cost_advice,
-                           off.objective))
-    return out
+        yield lam, 0, inst, off.x, off.objective
 
 
-def _trial_corruption(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
+def _trial_corruption(cfg: ExperimentConfig, trial: int):
     ss = SeedSequence([cfg.seed, trial])
     inst = gen_synthetic(cfg.n, ss, cfg.density, cfg.cost_scale)
     off = offline_solve(inst, cfg.eps_offline)
-    lam = cfg.lambdas[0]
     children = ss.spawn(len(cfg.corruption_rates))
-    out = []
     for ip, p in enumerate(cfg.corruption_rates):
         xp = corrupt_advice(off.x, p, children[ip])
-        adv = validate_advice(xp, lam, inst.n, boxed=inst.boxed)
-        st, cert = _run_instance(inst, adv)
-        out.append(_metric(lam, trial, ip, inst, st, cert,
-                           float(inst.c @ xp), off.objective))
-    return out
+        yield cfg.lambdas[0], ip, inst, xp, off.objective
 
 
-def _trial_drift(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
+def _trial_drift(cfg: ExperimentConfig, trial: int):
     ss = SeedSequence([cfg.seed, trial])
     inst = gen_synthetic(cfg.n, ss, cfg.density, cfg.cost_scale)
-    base = offline_solve(inst, cfg.eps_offline)
-    lam = cfg.lambdas[0]
-    adv = validate_advice(base.x, lam, inst.n, boxed=inst.boxed)
-    cost_advice = float(inst.c @ base.x)
+    base = off = offline_solve(inst, cfg.eps_offline)
     children = ss.spawn(cfg.drift_steps)
-    out = []
     for step in range(cfg.drift_steps):
         if step > 0:
             inst = drift_instance(inst, cfg.n, children[step])
-        off = offline_solve(inst, cfg.eps_offline)
-        st, cert = _run_instance(inst, adv)
-        out.append(_metric(lam, trial, step, inst, st, cert, cost_advice,
-                           off.objective))
-    return out
+            off = offline_solve(inst, cfg.eps_offline)
+        yield cfg.lambdas[0], step, inst, base.x, off.objective
 
 
 def _graph_snapshots(cfg: ExperimentConfig):
-    parsed = [(_parse_edges(p)[0], p) for p in cfg.graph_paths]
+    parsed = [_parse_edges(p) for p in cfg.graph_paths]
     if not cfg.full:
         # keep the two smallest snapshots, preserving file order
-        order = sorted(range(len(parsed)), key=lambda k: len(parsed[k][0]))
-        keep = sorted(order[:2])
-        parsed = [parsed[k] for k in keep]
-    nodes = sorted({u for edges, _ in parsed for e in edges for u in e})
+        order = sorted(range(len(parsed)), key=lambda k: len(parsed[k]))
+        parsed = [parsed[k] for k in sorted(order[:2])]
+    nodes = sorted({u for edges in parsed for e in edges for u in e})
     if not nodes:
         raise MalformedDocument("graph sequence has no edges")
     index = {u: j for j, u in enumerate(nodes)}
-    snapshots = []
-    for edges, _ in parsed:
-        snapshots.append([[index[u], index[v]] for (u, v) in edges])
+    snapshots = [[[index[u], index[v]] for (u, v) in edges]
+                 for edges in parsed]
     return snapshots, len(nodes)
 
 
-def _trial_graphs(cfg: ExperimentConfig, trial: int) -> list[RunMetrics]:
+def _trial_graphs(cfg: ExperimentConfig, trial: int):
     snapshots, n = _graph_snapshots(cfg)
     rng = default_rng(SeedSequence([cfg.seed, trial]))
     costs = (1.0 - rng.random(n)) * cfg.cost_scale
-    lam = cfg.lambdas[0]
     insts = [set_cover_instance(SetSystem(costs=costs, membership=snap))
              for snap in snapshots]
-    out = []
+    hint = offline_solve(insts[0], cfg.eps_offline)
     for step in range(1, len(insts)):
-        hint = offline_solve(insts[step - 1], cfg.eps_offline)
-        adv = validate_advice(hint.x, lam, n, boxed=True)
         off = offline_solve(insts[step], cfg.eps_offline)
-        st, cert = _run_instance(insts[step], adv)
-        out.append(_metric(lam, trial, step, insts[step], st, cert,
-                           float(costs @ hint.x), off.objective))
-    return out
+        yield cfg.lambdas[0], step, insts[step], hint.x, off.objective
+        hint = off
 
 
 _TRIALS = {"LambdaSweep": _trial_lambda_sweep,
@@ -288,10 +271,21 @@ _TRIALS = {"LambdaSweep": _trial_lambda_sweep,
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunMetrics]:
-    """Run all trials, return rows ordered by (trial, step, lambda); write
-    the CSV atomically when cfg.out is set."""
-    trial = _TRIALS[cfg.kind]
-    rows = [m for t in range(cfg.trials) for m in trial(cfg, t)]
+    """Run every solver run each trial yields as (lambda, step, instance,
+    advice, offline cost); return rows ordered by (trial, step, lambda) and
+    write the CSV atomically when cfg.out is set."""
+    rows = []
+    for t in range(cfg.trials):
+        for lam, step, inst, x, cost_off in _TRIALS[cfg.kind](cfg, t):
+            adv = validate_advice(x, lam, inst.n, boxed=inst.boxed)
+            st, cert = _run_instance(inst, adv)
+            cost = float(inst.c @ current_solution(st))
+            rows.append(RunMetrics(
+                lam=lam, trial=t, step=step, cost_alg=cost,
+                cost_advice=float(inst.c @ x), cost_offline=cost_off,
+                ratio=cost / cost_off, violations=st.violations_seen,
+                iterations=st.iterations, phases=len(st.alpha_history),
+                dual_scale=cert.scale))
     rows.sort(key=lambda m: (m.trial, m.step, m.lam))
     if cfg.out:
         write_csv(cfg.out, rows)

@@ -156,9 +156,40 @@ def test_gst_groups_override_that_is_not_a_list_of_lists_is_bad_input(
     assert "bad input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("groups_in_doc", [False, True])
+def test_gst_group_that_is_a_string_is_bad_input(tmp_path, capsys,
+                                                 groups_in_doc):
+    # A string group would otherwise be read digit by digit: "12" as [1, 2].
+    doc = {"nodes": 3, "root": 0, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+           "groups": ["12"] if groups_in_doc else [[1]]}
+    argv = ["gst", "--tree", _write(tmp_path, "tree.json", doc)]
+    if not groups_in_doc:
+        argv += ["--groups", _write(tmp_path, "groups.json", ["12"])]
+    assert cli.main(argv) == 4
+    assert "bad input" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg", [{"n": "abc"}, {"lambdas": 0.5}])
 def test_experiment_config_of_the_wrong_type_is_bad_input(tmp_path, capsys,
                                                           cfg):
     cfgp = _write(tmp_path, "cfg.json", cfg)
     assert cli.main(["experiment", "corruption", "--config", cfgp]) == 4
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("corruption", {"n": 20.5}), ("corruption", {"trials": 1.5}),
+    ("corruption", {"seed": 1.5}), ("corruption", {"seed": -1}),
+    ("corruption", {"cost_scale": "10"}), ("corruption", {"eps_offline": "x"}),
+    ("corruption", {"density": True}), ("corruption", {"lambdas": [True]}),
+    ("corruption", {"corruption_rates": [False]}),
+    ("corruption", {"full": "yes"}), ("corruption", {"trials": True}),
+    ("corruption", {"out": 5}), ("drift", {"drift_steps": 2.5}),
+    ("graphs", {"graph_paths": [0.5, 1.5]})])
+def test_every_experiment_config_field_is_type_checked(tmp_path, capsys,
+                                                       kind, cfg):
+    # Each of these once ran (a bool read as a number, a string as true)
+    # or died later with a traceback and exit 1.
+    cfgp = _write(tmp_path, "cfg.json", cfg)
+    assert cli.main(["experiment", kind, "--config", cfgp]) == 4
     assert "bad input" in capsys.readouterr().err

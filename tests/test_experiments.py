@@ -30,6 +30,12 @@ def test_config_validation():
     cfg = ExperimentConfig.from_doc(
         {"kind": "BatchDrift", "n": 10, "lambdas": [0.3], "drift_steps": 2})
     assert cfg.lambdas == (0.3,)
+    # numpy scalars are numbers too; only bools pose as them
+    cfg = ExperimentConfig(kind="BatchDrift", n=np.int64(10),
+                           trials=np.int32(1), seed=np.uint8(3),
+                           drift_steps=np.int64(2), density=np.float32(0.5),
+                           lambdas=(np.float64(0.3),))
+    assert run_experiment(cfg)[-1].step == 1
 
 
 def test_gen_synthetic_shape_and_determinism():

@@ -17,8 +17,10 @@ import json
 import os
 import tempfile
 
+import pytest
 from numpy.random import default_rng
 
+from pdla import experiments
 from pdla.experiments import ExperimentConfig, run_experiment
 
 EXPECTED = os.path.join(os.path.dirname(__file__), "experiments_golden.json")
@@ -69,6 +71,24 @@ def test_csv_bytes_match_recorded_runs(tmp_path):
     with open(EXPECTED) as fh:
         want = json.load(fh)
     assert csv_digests(str(tmp_path)) == want
+
+
+@pytest.mark.parametrize("kind", ["BatchDrift", "GraphSequence"])
+def test_each_instance_is_solved_offline_once(tmp_path, monkeypatch, kind):
+    # BatchDrift: 2 trials of 3 instances (the base and two drifts).
+    # GraphSequence: 2 trials of 3 snapshots, each the hint of the next.
+    solved = []
+    real = experiments.offline_solve
+
+    def counted(inst, eps):
+        solved.append(inst)
+        return real(inst, eps)
+
+    monkeypatch.setattr(experiments, "offline_solve", counted)
+    run_experiment(ExperimentConfig.from_doc(
+        {"kind": kind, **_configs(str(tmp_path))[kind]}))
+    assert len(solved) == 6
+    assert len({id(inst) for inst in solved}) == 6
 
 
 if __name__ == "__main__":

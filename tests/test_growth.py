@@ -54,7 +54,12 @@ def reference_band(u, g, rhs, hi_bound):
     """The reference crossings for rhs moved down and up by a relative
     ULPS. Roundoff in the sum leaves the crossing undetermined between
     them, so a search may return any point from the first to a relative tol
-    past the second."""
+    past the second. A positive rhs is divided out first, as first_crossing
+    does, so that tiny (even subnormal) u and rhs are compared, and rhs
+    moved, at full precision."""
+    if rhs > 0:
+        with np.errstate(over="ignore"):  # u / rhs = inf: crossed at 0
+            u, rhs = u / rhs, 1.0
     return (reference_first_crossing(u, g, rhs * (1.0 - ULPS), hi_bound),
             reference_first_crossing(u, g, rhs * (1.0 + ULPS), hi_bound))
 
@@ -214,6 +219,11 @@ def stops(draw):
 @given(stops())
 @example((np.array([0.0]), np.array([0.0]), np.array([1.0]), np.array([1.0]),
           1.0, 1.0, 0.0, np.array([np.inf]), False, 1e-9))
+# Subnormal xbar, theta and alpha: the reference once evaluated its sums on
+# the subnormal grid and placed the objective crossing 1.4e-9 too early.
+@example((np.array([2.225e-313, 0.0]), np.array([0.0, 0.0]),
+          np.array([1.0, 0.0]), np.array([1.0, 1.0]), 2.2425e-313, 1.745e-315,
+          0.0, np.array([np.inf, np.inf]), False, 1e-9))
 def test_find_stop_matches_the_reference(args):
     try:
         want, band, near_edge = reference_find_stop(*args)

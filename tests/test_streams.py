@@ -221,10 +221,9 @@ def _sdp_run(inst, advice=None):
         return None
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(-12, 12),
-       st.sampled_from([None, 0.0, 0.3, 1.0]), st.booleans())
-def test_sdp_cost_scaling_is_metamorphic(seed, k, lam, boxed):
+def _sdp_case(seed, lam, boxed):
+    """Costs, rank-2 A_j and three growing targets of a small SDP, with
+    advice at lam (none when lam is None)."""
     rng = default_rng(seed)
     n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
     A = []
@@ -239,8 +238,30 @@ def test_sdp_cost_scaling_is_metamorphic(seed, k, lam, boxed):
     c = 10.0 ** rng.uniform(-1, 1, n)
     advice = None if lam is None else validate_advice(
         rng.uniform(0.0, 1.0, n), lam, n, boxed=boxed)
+    return n, d, c, A, B, advice
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-12, 12),
+       st.sampled_from([None, 0.0, 0.3, 1.0]), st.booleans())
+def test_sdp_cost_scaling_is_metamorphic(seed, k, lam, boxed):
+    n, d, c, A, B, advice = _sdp_case(seed, lam, boxed)
     s = 10.0 ** k
     _same_run(_sdp_run(make_sdp_instance(n, d, c * s, A, B, boxed=boxed),
                        advice),
               _sdp_run(make_sdp_instance(n, d, c, A, B, boxed=boxed), advice),
               s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-12, 12),
+       st.sampled_from([None, 0.0, 0.3, 1.0]))
+def test_sdp_coefficient_scaling_is_metamorphic(seed, k, lam):
+    # Every A_j times s and advice over s describe the same instance in x / s.
+    n, d, c, A, B, advice = _sdp_case(seed, lam, boxed=False)
+    s = 10.0 ** k
+    scaled_advice = None if advice is None else validate_advice(
+        advice.x_prime / s, advice.lam, n, boxed=False)
+    _same_run(_sdp_run(make_sdp_instance(n, d, c, [a * s for a in A], B),
+                       scaled_advice),
+              _sdp_run(make_sdp_instance(n, d, c, A, B), advice), 1.0 / s)
