@@ -112,7 +112,8 @@ class _EigenSeparation(Separation):
                       tol_psd=self.state.params.tol_psd)
 
     def holds(self, x: np.ndarray) -> bool:
-        resid = np.tensordot(x, self.state.A, axes=1) - self.B
+        n, d = self.state.n, self.state.d
+        resid = (x @ self.state.A.reshape(n, d * d)).reshape(d, d) - self.B
         self.lam, self.v = min_eigpair(resid)
         return self.lam >= self.floor
 

@@ -53,7 +53,7 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise MalformedDocument(f"unknown experiment kind {self.kind!r}")
         # bool passes for a number in Python, but is no count or rate here;
-        # numpy ints become ints, which make_lp_instance asks for
+        # numpy ints become ints
         for name in ("n", "trials", "seed", "drift_steps"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
@@ -97,6 +97,9 @@ class ExperimentConfig:
         doc = dict(doc)
         try:
             for key in ("lambdas", "corruption_rates", "graph_paths"):
+                if isinstance(doc.get(key), str):
+                    # tuple() would read a string character by character
+                    raise MalformedDocument(f"{key} must be a list")
                 if key in doc:
                     doc[key] = tuple(doc[key])
             return ExperimentConfig(**doc)

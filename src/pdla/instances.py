@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable
 
 import numpy as np
@@ -272,9 +272,20 @@ def _checked_entries(row, n: int) -> SparseRow:
     return clean
 
 
+def _positive_int(value, message: str) -> int:
+    """value as an int when it is an integer >= 1 (numpy integers included,
+    bool not); otherwise MalformedDocument(message)."""
+    try:
+        count = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
+        raise MalformedDocument(message)
+    return count
+
+
 def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
-    if not isinstance(n, int) or n < 1:
-        raise MalformedDocument("n must be a positive integer")
+    n = _positive_int(n, "n must be a positive integer")
     cv = cost_vector(c, n)
     checked = [Row(*row_arrays(r, n), n) for r in rows]
     return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
@@ -351,8 +362,8 @@ def _check_psd(m: np.ndarray, tol_psd: float, what: str) -> None:
 
 def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
                       tol_sym=1e-8, tol_psd=1e-7) -> CoveringSdpInstance:
-    if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
-        raise MalformedDocument("n and d must be positive integers")
+    n, d = (_positive_int(v, "n and d must be positive integers")
+            for v in (n, d))
     cv = cost_vector(c, n)
     if len(A) != n:
         raise LengthMismatch(f"got {len(A)} action matrices, expected {n}")

@@ -325,3 +325,65 @@ def test_only_a_violated_round_asks_whether_the_suggestion_covers(
         rep = process_matrix(st, B)
         counts.append((rep.stop_reason, len(calls)))
     assert counts == [("satisfied", 2), ("already_satisfied", 1)]
+
+
+def _eigh_min_eigpair(m):
+    """min_eigpair through scipy's eigh: the same diagonal path and sign
+    rule, with the one pair from eigh(subset_by_index=[0, 0], driver="evr")."""
+    from scipy.linalg import eigh
+    a = np.asarray(m, dtype=float)
+    diag = np.diag(a)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        return min_eigpair(a)
+    vals, vecs = eigh(0.5 * (a + a.T), subset_by_index=[0, 0], driver="evr",
+                      overwrite_a=True, check_finite=False)
+    vec = vecs[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    return float(vals[0]), vec
+
+
+def _stream_shaped_instances():
+    """Ten instances with n = d = 24, A_j = U U' with U Gaussian d x 2, 20
+    targets growing by G G' / 60 with G Gaussian d x 3, costs uniform in
+    [0.1, 1]."""
+    n = d = 24
+    targets = 20
+    cases = []
+    for k in range(10):
+        rng = np.random.default_rng([1, k])
+        A = [u @ u.T for u in rng.standard_normal((n, d, 2))]
+        c = rng.uniform(0.1, 1.0, n)
+        B, cur = [], np.zeros((d, d))
+        for _ in range(targets):
+            g = rng.standard_normal((d, 3))
+            cur = cur + g @ g.T / (3 * targets)
+            B.append(cur)
+        cases.append(make_sdp_instance(n, d, c, A, B))
+    return cases
+
+
+def _tensordot_holds(self, x):
+    """_EigenSeparation.holds with the residual summed by tensordot."""
+    resid = np.tensordot(x, self.state.A, axes=1) - self.B
+    self.lam, self.v = covering_sdp.min_eigpair(resid)
+    return self.lam >= self.floor
+
+
+def test_runs_equal_the_eigh_based_separation_bit_for_bit(monkeypatch):
+    # The direct LAPACK call and the residual's matvec change no bit of a
+    # run against eigh and tensordot: published point, counts, phases and
+    # each round's exit eigenvalue.
+    def summary(inst):
+        st, reps = run_sdp(inst)
+        return (st.x_best.tobytes(), st.iterations, st.alpha_history,
+                [(r.iterations, r.phases_entered, r.residual_eig)
+                 for r in reps])
+
+    cases = _stream_shaped_instances()
+    shipped = [summary(inst) for inst in cases]
+    monkeypatch.setattr(covering_sdp, "min_eigpair", _eigh_min_eigpair)
+    monkeypatch.setattr(covering_sdp._EigenSeparation, "holds",
+                        _tensordot_holds)
+    assert [summary(inst) for inst in cases] == shipped
+    assert sum(s[1] for s in shipped) > 0

@@ -30,12 +30,24 @@ def test_config_validation():
     cfg = ExperimentConfig.from_doc(
         {"kind": "BatchDrift", "n": 10, "lambdas": [0.3], "drift_steps": 2})
     assert cfg.lambdas == (0.3,)
+    cfg = ExperimentConfig.from_doc(
+        {"kind": "GraphSequence", "graph_paths": ("a", "b"),
+         "corruption_rates": (0.5,)})
+    assert cfg.graph_paths == ("a", "b") and cfg.corruption_rates == (0.5,)
     # numpy scalars are numbers too; only bools pose as them
     cfg = ExperimentConfig(kind="BatchDrift", n=np.int64(10),
                            trials=np.int32(1), seed=np.uint8(3),
                            drift_steps=np.int64(2), density=np.float32(0.5),
                            lambdas=(np.float64(0.3),))
     assert run_experiment(cfg)[-1].step == 1
+
+
+@pytest.mark.parametrize("key", ["lambdas", "corruption_rates",
+                                 "graph_paths"])
+def test_config_list_given_as_a_string_is_malformed(key):
+    # tuple("ab") would read the string as its characters ("a", "b").
+    with pytest.raises(MalformedDocument, match=key):
+        ExperimentConfig.from_doc({"kind": "GraphSequence", key: "ab"})
 
 
 def test_gen_synthetic_shape_and_determinism():

@@ -226,6 +226,15 @@ def test_lp_instance_validation_and_roundtrip():
         make_lp_instance(2, [1.0], [[(0, 1.0)]])
 
 
+def test_lp_instance_size_is_any_positive_integer():
+    # numpy integers pass and are stored as int; bool, float and 0 do not.
+    inst = make_lp_instance(np.int64(2), np.array([1.0, 1.0]), [[(0, 1.0)]])
+    assert inst.n == 2 and type(inst.n) is int
+    for bad in (True, 2.0, 0):
+        with pytest.raises(MalformedDocument, match="positive integer"):
+            make_lp_instance(bad, np.array([1.0, 1.0]), [[(0, 1.0)]])
+
+
 def test_box_normalization_helper():
     # General caps u scale into the unit box: columns j get a_ij * u_j and
     # costs c_j * u_j, so x_unit = x / u preserves cost and coverage.

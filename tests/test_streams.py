@@ -5,10 +5,13 @@ spread over 1e-8 to 1e8, half of them boxed and 60% with advice at lambda in
 {0, 0.3, 1}. After every round the published point must be finite, must not
 decrease, and must cover everything fed so far; on a boxed state no
 coordinate outside the tight set may lie within SNAP of its cap, the
-invariant `covering_lp.run_rows` relies on when it books rows in blocks. A
-stream may end early only with `NoFeasibleSolution`, and an LP stream only
-on a boxed row that cannot reach 1 even at the all-ones point; any other
-exception fails the test.
+invariant `covering_lp.run_rows` relies on when it books rows in blocks.
+The scaled dual certificate, objective / scale, is a feasible dual value, so
+it is a lower bound on OPT: after every round it must not exceed the
+published cost, and on an LP stream the best such bound must not exceed the
+offline optimum of the rows fed. A stream may end early only with
+`NoFeasibleSolution`, and an LP stream only on a boxed row that cannot reach
+1 even at the all-ones point; any other exception fails the test.
 
 The metamorphic tests rescale an instance or permute its columns: its
 normalized cost and its iteration and phase counts must not depend on the
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from pdla import covering_lp, covering_sdp
+from pdla.baselines import offline_solve
 from pdla.errors import NoFeasibleSolution
 from pdla.experiments import gen_synthetic
 from pdla.instances import (SolverParams, make_lp_instance, make_sdp_instance,
@@ -30,6 +34,7 @@ from pdla.instances import (SolverParams, make_lp_instance, make_sdp_instance,
 PARAMS = SolverParams()
 LP_STREAMS, SDP_STREAMS = 300, 100
 REL = 1e-9
+EPS_OFFLINE = 1e-6
 
 
 def _spread(rng, size):
@@ -52,6 +57,16 @@ def _no_pending_snap(st):
                 ((ph.x >= 1.0 - covering_lp.SNAP) & ~ph.tight).any())
 
 
+def _certified_bound(cert, cost, seed):
+    """The certificate's lower bound on OPT (0 without dual mass), checked
+    against the published cost."""
+    if cert.scale <= 0.0:
+        return 0.0
+    bound = cert.objective / cert.scale
+    assert bound <= cost * (1.0 + REL), seed
+    return bound
+
+
 def _lp_stream(seed):
     """Feed one random LP stream; returns how it ended."""
     rng = default_rng([11, seed])
@@ -59,7 +74,8 @@ def _lp_stream(seed):
     boxed = bool(rng.random() < 0.5)
     st = covering_lp.new_lp_solver(n, _spread(rng, n),
                                    advice=_advice(rng, n, boxed), boxed=boxed)
-    fed, prev = [], np.zeros(n)
+    fed, prev, best = [], np.zeros(n), 0.0
+    end = "ok"
     for _ in range(int(rng.integers(1, 15))):
         idx = np.sort(rng.choice(n, int(rng.integers(1, n + 1)),
                                  replace=False))
@@ -68,15 +84,23 @@ def _lp_stream(seed):
             covering_lp.process_row(st, list(zip(idx.tolist(), vals.tolist())))
         except NoFeasibleSolution:
             assert boxed and vals.sum() < 1.0
-            return "infeasible"
+            end = "infeasible"
+            break
         fed.append((idx, vals))
         x = covering_lp.current_solution(st)
         assert np.all(np.isfinite(x)) and np.all(x >= prev), seed
         assert all(float(v @ x[i]) >= 1.0 - PARAMS.tol_feas
                    for i, v in fed), seed
         assert _no_pending_snap(st), seed
+        best = max(best, _certified_bound(covering_lp.dual_certificate(st),
+                                          float(st.c @ x), seed))
         prev = x
-    return "ok"
+    if fed:
+        rows = [list(zip(i.tolist(), v.tolist())) for i, v in fed]
+        opt = offline_solve(make_lp_instance(n, st.c, rows, boxed=boxed),
+                            eps=EPS_OFFLINE).objective
+        assert best <= opt * (1.0 + EPS_OFFLINE), seed
+    return end
 
 
 def _sdp_stream(seed):
@@ -107,6 +131,8 @@ def _sdp_stream(seed):
         floor = -PARAMS.tol_psd * max(1.0, float(np.linalg.norm(target)))
         assert covering_sdp.feasibility_gap(st, target) >= floor, seed
         assert _no_pending_snap(st), seed
+        _certified_bound(covering_sdp.dual_certificate(st), float(st.c @ x),
+                         seed)
         prev = x
     return "ok"
 

@@ -1,7 +1,9 @@
 """Least eigenpairs and PSD tests checked against numpy.linalg and hand cases."""
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from pdla import symmetric
 from pdla.errors import AsymmetricMatrix, DimensionMismatch, NotConverged
 from pdla.symmetric import is_psd, min_eigpair
 
@@ -124,3 +126,41 @@ def test_psd_projection_cases():
     assert lam == pytest.approx(1.0)
     assert np.allclose(m @ u, u, atol=1e-10)
     assert u @ q[:, 2] == pytest.approx(0.0, abs=1e-10)
+
+
+def _eigh_pair(m):
+    """The least pair from scipy's eigh with the MRRR driver, sign-fixed."""
+    vals, vecs = eigh(0.5 * (m + m.T), subset_by_index=[0, 0], driver="evr")
+    vec = vecs[:, 0]
+    return vals[0], vec if vec[np.argmax(np.abs(vec))] > 0 else -vec
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 24, 100])
+def test_min_eigpair_is_eighs_evr_result_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    spectrum = np.r_[-1.0, -1.0, rng.uniform(0.0, 5.0, d)][:d]
+    mats = [q @ np.diag(spectrum) @ q.T]          # repeated least eigenvalue
+    for _ in range(5):
+        a = rng.normal(size=(d, d))
+        mats.append(a + a.T)
+    for m in mats:
+        lam, v = min_eigpair(m)
+        ref_lam, ref_v = _eigh_pair(m)
+        assert lam == ref_lam
+        assert np.array_equal(v, ref_v)
+
+
+def test_lapack_failure_is_not_converged(monkeypatch):
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    drv, lwork, liwork = symmetric._syevr(2)
+
+    def failing(*args, **kwargs):
+        *out, _ = drv(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setitem(symmetric._SYEVR, 2, (failing, lwork, liwork))
+    with pytest.raises(NotConverged, match="LAPACK"):
+        min_eigpair(m)
+    with pytest.raises(NotConverged):
+        is_psd(m)
