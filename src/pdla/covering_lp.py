@@ -288,11 +288,15 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
     of the right side as capacity and accrue packing duals instead."""
     w_row, rhs = sep.cut()
     idx = sep.support
-    free = ~ph.tight[idx]
-    fidx = idx[free]
-    w = w_row[free]
-    tight_mass = float(w_row[~free].sum())
-    if float(w.sum()) <= 0.0:
+    if state.boxed:
+        free = ~ph.tight[idx]
+        fidx, w = idx[free], w_row[free]
+        tight_mass = float(w_row[~free].sum())
+    else:
+        # Nothing is tight without a cap: the whole row is free.
+        fidx, w, tight_mass = idx, w_row, 0.0
+    wsum = float(w.sum())
+    if wsum <= 0.0:
         why = ("every coordinate it weighs is at its cap" if tight_mass > 0.0
                else "it has no weight on any coordinate")
         raise NoFeasibleSolution(
@@ -302,21 +306,27 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
     xb = ph.x[fidx]
     cf = state.c[fidx]
     adv = state.advice
-    adv_f = np.zeros(fidx.size) if adv is None else adv.x_prime[fidx]
-    below = xb < adv_f          # never, without a suggestion
-    lam = 1.0 if adv is None else adv.lam
-    D = coefficient_vector(w, adv_f, below, lam, branch_feasible, capacity)
-    if branch_feasible and not (((w > 0) & (xb + D > 0)).any()):
+    if adv is None:
+        adv_f = below = None
+        lam = 1.0
+    else:
+        adv_f = adv.x_prime[fidx]
+        below = xb < adv_f
+        lam = adv.lam
+    D = coefficient_vector(w, adv_f, below, lam, branch_feasible, capacity,
+                           wsum)
+    k = xb + D
+    if branch_feasible and not (((w > 0) & (k > 0)).any()):
         # Suggestion-proportional sharing can stall when the suggestion has
         # no mass along this row; fall back to uniform.
-        D = coefficient_vector(w, adv_f, below, lam, False, capacity)
+        D = coefficient_vector(w, adv_f, below, lam, False, capacity, wsum)
+        k = xb + D
     if state.boxed:
-        state.sparsity_seen = max(state.sparsity_seen,
-                                  float(w.sum()) / capacity)
-    ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj,
-                   np.where(below, adv_f, np.inf), state.boxed, TOL)
+        state.sparsity_seen = max(state.sparsity_seen, wsum / capacity)
+    ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj, adv_f,
+                   state.boxed, TOL, k)
     state.iterations += 1
-    x_new = advance(xb, D, w, cf, ev.delta)
+    x_new = advance(xb, D, w, cf, ev.delta, k)
     if ev.kind == "advice":
         x_new[ev.j] = adv_f[ev.j]
     elif ev.kind == "cap":

@@ -95,6 +95,7 @@ class _EigenSeparation(Separation):
     def __init__(self, state: SdpSolverState, B: np.ndarray):
         self.state, self.B = state, B
         self.support = np.arange(state.n)
+        self.A_flat = state.A.reshape(state.n, state.d * state.d)
         self.floor = -state.params.tol_psd * max(1.0, float(np.linalg.norm(B)))
 
     def estimate(self) -> float:
@@ -112,26 +113,28 @@ class _EigenSeparation(Separation):
                       tol_psd=self.state.params.tol_psd)
 
     def holds(self, x: np.ndarray) -> bool:
-        n, d = self.state.n, self.state.d
-        resid = (x @ self.state.A.reshape(n, d * d)).reshape(d, d) - self.B
+        d = self.state.d
+        resid = (x @ self.A_flat).reshape(d, d) - self.B
         self.lam, self.v = min_eigpair(resid)
         return self.lam >= self.floor
 
     def cut(self) -> tuple[np.ndarray, float]:
         st, v = self.state, self.v
-        w = np.einsum("jkl,k,l->j", st.A, v, v)
+        self.vv = np.outer(v, v)
+        w = self.A_flat @ self.vv.ravel()
         w = np.where(w > SPAN_TOL * st.traces, w, 0.0)
         self.b = float(v @ self.B @ v)
         if self.b <= 0.0:
             raise NotConverged(
                 "separating direction has nonpositive target mass")
         cols = np.nonzero(w > 0)[0]
-        np.maximum.at(st.col_max, cols, w[cols] / self.b)
-        np.minimum.at(st.col_min, cols, w[cols] / self.b)
+        r = w[cols] / self.b
+        st.col_max[cols] = np.maximum(st.col_max[cols], r)
+        st.col_min[cols] = np.minimum(st.col_min[cols], r)
         return w, self.b
 
     def accumulate(self, ph: SdpPhase, delta: float) -> None:
-        ph.Y += delta * np.outer(self.v, self.v)
+        ph.Y += delta * self.vv
 
     def trace_fields(self) -> dict:
         return {"residual": self.lam}
@@ -155,7 +158,10 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     if B.shape != (state.d, state.d):
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")
-    if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd):
+    # make_sdp_instance's monotone test: the floor is relative to the
+    # newer target's norm.
+    if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd,
+                  scale=float(np.linalg.norm(B))):
         raise NonMonotoneB(
             f"round {state.round_no + 1} target decreased somewhere")
     # A read-only array that owns its data (an instance target) is kept as

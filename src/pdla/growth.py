@@ -38,16 +38,18 @@ class StopEvent:
 
 
 def coefficient_vector(w, advice_vals, below, lam, advice_feasible,
-                       capacity) -> np.ndarray:
+                       capacity, n1=None) -> np.ndarray:
     """Additive coefficients D_j over the free support of one constraint.
 
     With trusted-and-feasible advice the coordinate shares lam of the growth
     uniformly and (1 - lam) proportionally to the advice entries still above
-    the current point; otherwise growth is uniform. Terms with a zero
-    indicator are zero even when their normalizer vanishes.
+    the current point; otherwise growth is uniform, and advice_vals and
+    below are not read. Terms with a zero indicator are zero even when their
+    normalizer vanishes. n1 is sum(w) when the caller has it.
     """
     w = np.asarray(w, dtype=float)
-    n1 = float(w.sum())
+    if n1 is None:
+        n1 = float(w.sum())
     if n1 <= 0:
         raise NoProgress("constraint has no positive weight on free coordinates")
     if not advice_feasible:
@@ -106,22 +108,24 @@ def first_crossing(u, g, rhs, hi_bound, tol) -> float:
 
 
 def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
-              capped: bool, tol: float) -> StopEvent:
+              capped: bool, tol: float, k=None) -> StopEvent:
     """First stop event for one growth iteration over the free support.
 
     xbar, D, w, c, advice_target are aligned arrays over the free support of
-    the active constraint (advice_target is +inf where no advice event is
-    armed); every cost in c is positive. theta is the satisfied-by-two
-    threshold for sum(w x), alpha the phase budget for the full objective,
-    obj_now its current value, and capped arms x_j = 1 events. Events within
-    a relative 8 tol of the earliest coincide with it, and the first of them
-    in PRIORITY is taken.
+    the active constraint; every cost in c is positive. An advice event is
+    armed where xbar < advice_target, and a target of +inf never fires;
+    advice_target is None without a suggestion. theta is the satisfied-by-two threshold for
+    sum(w x), alpha the phase budget for the full objective, obj_now its
+    current value, and capped arms x_j = 1 events. Events within a relative
+    8 tol of the earliest coincide with it, and the first of them in
+    PRIORITY is taken. k is xbar + D when the caller has it.
     """
     xbar = np.asarray(xbar, dtype=float)
     D = np.asarray(D, dtype=float)
     w = np.asarray(w, dtype=float)
     c = np.asarray(c, dtype=float)
-    k = xbar + D
+    if k is None:
+        k = xbar + D
     growing = (w > 0) & (k > 0)
     if not growing.any():
         raise NoProgress("all growth rates vanished on a violated constraint")
@@ -139,9 +143,12 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
         i = int(np.argmin(deltas))
         return float(deltas[i]), int(armed[i])
 
-    advice_target = np.asarray(advice_target, dtype=float)
-    d_adv, j_adv = closed_form(advice_target, growing & (
-        xbar < advice_target) & np.isfinite(advice_target))
+    if advice_target is None:
+        d_adv, j_adv = np.inf, None
+    else:
+        advice_target = np.asarray(advice_target, dtype=float)
+        d_adv, j_adv = closed_form(advice_target,
+                                   growing & (xbar < advice_target))
     if capped:
         d_cap, j_cap = closed_form(1.0, growing & (xbar < 1.0))
     else:
@@ -173,10 +180,12 @@ def find_stop(xbar, D, w, c, theta, alpha, obj_now, advice_target,
     raise AssertionError("unreachable")
 
 
-def advance(xbar, D, w, c, delta) -> np.ndarray:
+def advance(xbar, D, w, c, delta, k=None) -> np.ndarray:
     """Move every free coordinate along its growth curve by delta; one that
-    does not grow (xbar + D = 0) stays put even where its exponential
+    does not grow (k = xbar + D = 0) stays put even where its exponential
     overflows."""
+    if k is None:
+        k = xbar + D
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (xbar + D) * np.exp(w * delta / c) - D
+        out = k * np.exp(w * delta / c) - D
     return np.fmax(out, xbar)

@@ -379,10 +379,11 @@ def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
     for i, raw in enumerate(B_stream):
         b = _as_sym_matrix(raw, d, tol_sym, f"B[{i}]")
         _check_psd(b, tol_psd, f"B[{i}]")
-        lam_min = min_eigpair(b - prev)[0]
-        if lam_min < -tol_psd * max(1.0, float(np.linalg.norm(b))):
-            raise NonMonotoneB(
-                f"B[{i}] is not >= B[{i - 1}] (eigenvalue {lam_min})")
+        # The monotone test process_matrix makes: the floor is relative to
+        # the newer target's norm.
+        if not is_psd(b - prev, tol_psd, scale=float(np.linalg.norm(b))):
+            raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}] (eigenvalue "
+                               f"{min_eigpair(b - prev)[0]})")
         # Frozen, so solvers can keep the target without copying it.
         b.setflags(write=False)
         targets.append(b)

@@ -8,6 +8,11 @@ gives the same bits without `eigh`'s per-call argument handling; the driver
 and its workspace sizes are cached per dimension. A diagonal matrix is
 answered exactly from its diagonal. The eigenvector's largest-magnitude
 entry is made positive so the output is deterministic.
+
+`is_psd` decides by a Cholesky factorization (`dpotrf`) of the matrix
+shifted by half its floor, and asks `dsyevr` only when that fails or when
+the factorization's roundoff could reach the shift, so every decision is
+the least eigenvalue's.
 """
 from __future__ import annotations
 
@@ -16,9 +21,15 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import AsymmetricMatrix, DimensionMismatch, NotConverged
 
+# Cholesky of M + s I is trusted to prove lambda_min(M) >= -2 s only while
+# its backward error, about d^2 eps (||M|| + s), stays below s by this factor.
+_CHOL_MARGIN = 16.0
+_EPS = float(np.finfo(float).eps)
 
-# d -> (dsyevr, lwork, liwork), filled on first use of each dimension.
+# Filled on first use of each dimension: d -> (dsyevr, lwork, liwork) and
+# d -> dpotrf.
 _SYEVR: dict[int, tuple] = {}
+_POTRF: dict[int, object] = {}
 
 
 def _syevr(d: int) -> tuple:
@@ -32,26 +43,29 @@ def _syevr(d: int) -> tuple:
     return _SYEVR[d]
 
 
-def _as_array(m) -> np.ndarray:
+def _potrf(d: int):
+    if d not in _POTRF:
+        _POTRF[d], = get_lapack_funcs(("potrf",), (np.empty((d, d)),))
+    return _POTRF[d]
+
+
+def _checked(m) -> tuple[np.ndarray, float]:
+    """The matrix as a float array and its Frobenius norm, after the input
+    checks, in this order: square and nonempty, finite, symmetric within a
+    relative 1e-8."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    return a
-
-
-def min_eigpair(m) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its unit eigenvector.
-
-    A diagonal matrix gives its least diagonal entry and the positive
-    coordinate axis of that entry, the lowest index on ties. Raises
-    AsymmetricMatrix beyond a relative 1e-8 asymmetry and NotConverged on
-    non-finite entries or a LAPACK failure.
-    """
-    a = _as_array(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(
+            f"expected a nonempty square matrix, got {a.shape}")
     if not np.isfinite(a).all():
         raise NotConverged("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, float(np.linalg.norm(a))):
+    norm = float(np.linalg.norm(a))
+    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, norm):
         raise AsymmetricMatrix("matrix is not symmetric within tolerance")
+    return a, norm
+
+
+def _least_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
     diag = np.diag(a)
     if np.count_nonzero(a) == np.count_nonzero(diag):
         k = int(np.argmin(diag))
@@ -70,8 +84,39 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
     return float(vals[0]), vec
 
 
-def is_psd(m, tol_psd: float = 1e-7) -> bool:
-    """True when lambda_min >= -tol_psd * max(1, ||M||_F)."""
-    a = _as_array(m)
-    lam, _ = min_eigpair(a)
-    return lam >= -tol_psd * max(1.0, float(np.linalg.norm(a)))
+def min_eigpair(m) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and its unit eigenvector.
+
+    A diagonal matrix gives its least diagonal entry and the positive
+    coordinate axis of that entry, the lowest index on ties. Raises
+    DimensionMismatch unless the matrix is square and nonempty,
+    AsymmetricMatrix beyond a relative 1e-8 asymmetry and NotConverged on
+    non-finite entries or a LAPACK failure.
+    """
+    return _least_pair(_checked(m)[0])
+
+
+def is_psd(m, tol_psd: float = 1e-7, scale: float | None = None) -> bool:
+    """True when lambda_min >= -tol_psd * max(1, scale), where scale
+    defaults to ||M||_F; the monotone tests pass the newer target's norm.
+
+    Raises as min_eigpair does. A successful Cholesky factorization of
+    M + (floor / 2) I answers True; a failed one, or a shift too small
+    against the factorization's roundoff, leaves the answer to the least
+    eigenvalue.
+    """
+    a, norm = _checked(m)
+    floor = tol_psd * max(1.0, norm if scale is None else scale)
+    d = a.shape[0]
+    shift = 0.5 * floor
+    if _CHOL_MARGIN * d * (d + 1) * _EPS * (norm + shift) <= shift:
+        s = 0.5 * (a + a.T)
+        s.flat[::d + 1] += shift
+        # s is symmetric, so its transpose is the same matrix in the
+        # Fortran order dpotrf factors in place.
+        _, info = _potrf(d)(s.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return True
+        if info < 0:
+            raise NotConverged(f"LAPACK Cholesky failed: info={info}")
+    return _least_pair(a)[0] >= -floor

@@ -59,3 +59,41 @@ def test_traced_experiment_runs_count_the_rows_that_grow(monkeypatch):
         reports = [covering_lp.process_row(st, row) for row in inst.rows]
         assert traced == 1 + sum(r.iterations > 0 or r.phases_entered > 0
                                  for r in reports[1:])
+
+
+def test_sdp_rounds_reach_the_eigen_layer_through_covering_sdp(monkeypatch,
+                                                              tmp_path):
+    # The benchmark's host sampling and its traced eig probe see the eigen
+    # layer through covering_sdp's globals: one is_psd per round (the
+    # monotone check) and one min_eigpair per separation test.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+    import workloads
+
+    inst = workloads.SdpStream().prepare(1, tmp_path)[0]
+    with spans.installed(spans.Tracer(), only={"symmetric.is_psd",
+                                               "symmetric.min_eigpair"}) \
+            as tracer:
+        covering_sdp.run_sdp(inst)
+    traced, _ = tracer.summary({spans.SETUP})
+
+    counts = {"is_psd": 0, "min_eigpair": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(covering_sdp, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(covering_sdp, name, counted)
+    st = covering_sdp.new_sdp_solver(inst)
+    per_round = []
+    for B in inst.B_stream:
+        before = dict(counts)
+        rep = covering_sdp.process_matrix(st, B)
+        per_round.append((counts["is_psd"] - before["is_psd"],
+                          counts["min_eigpair"] - before["min_eigpair"],
+                          rep.iterations))
+    assert all(psd == 1 for psd, _, _ in per_round)
+    assert all(eig == 1 + iters for _, eig, iters in per_round)
+    assert sum(iters for _, _, iters in per_round) > 0
+    assert traced["symmetric.is_psd"] == counts["is_psd"]
+    assert traced["symmetric.min_eigpair"] == counts["min_eigpair"]

@@ -129,6 +129,26 @@ def test_non_monotone_stream_rejected():
         process_matrix(st, I2(0.5))
 
 
+def test_builder_and_solver_share_one_monotone_test():
+    # B_2 - B_1 = diag(1, 1, -5e-7) is within 1e-7 of ||B_2||_F = 18.5 but
+    # not of ||B_2 - B_1||_F = 1.41. Both checks measure the decrease
+    # against the newer target's norm, so the stream builds and runs.
+    eye = np.eye(3)
+    B = [np.diag([10.0, 10.0, 10.0]), np.diag([11.0, 11.0, 10.0 - 5e-7])]
+    inst = make_sdp_instance(2, 3, [1, 1], [eye, eye], B)
+    st, reports = run_sdp(inst)
+    assert [r.round_no for r in reports] == [1, 2]
+    assert feasibility_gap(st, inst.B_stream[1]) >= -1e-7 * 18.5
+    # A decrease past that floor (1.85e-6) is refused by both.
+    B[1] = np.diag([11.0, 11.0, 10.0 - 5e-6])
+    with pytest.raises(NonMonotoneB):
+        make_sdp_instance(2, 3, [1, 1], [eye, eye], B)
+    st = new_sdp_solver(inst)
+    process_matrix(st, B[0])
+    with pytest.raises(NonMonotoneB):
+        process_matrix(st, B[1])
+
+
 def test_feasibility_gap_is_the_least_eigenvalue_before_any_round():
     # At x = 0 the residual is -B = diag(-1, -2), least eigenvalue -2.
     inst = make_sdp_instance(2, 2, [1.0, 1.0],

@@ -1,6 +1,8 @@
 """Least eigenpairs and PSD tests checked against numpy.linalg and hand cases."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from pdla import symmetric
@@ -162,5 +164,83 @@ def test_lapack_failure_is_not_converged(monkeypatch):
     monkeypatch.setitem(symmetric._SYEVR, 2, (failing, lwork, liwork))
     with pytest.raises(NotConverged, match="LAPACK"):
         min_eigpair(m)
+    # is_psd certifies a positive definite matrix by Cholesky alone, so the
+    # eigen fallback runs on an indefinite one (eigenvalues -1 and 3).
+    with pytest.raises(NotConverged, match="LAPACK"):
+        is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cholesky_argument_error_is_not_converged(monkeypatch):
+    potrf = symmetric._potrf(2)
+
+    def failing(*args, **kwargs):
+        c, _ = potrf(*args, **kwargs)
+        return c, -1
+
+    monkeypatch.setitem(symmetric._POTRF, 2, failing)
+    with pytest.raises(NotConverged, match="Cholesky"):
+        is_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (1, 0)])
+def test_empty_matrix_is_a_dimension_mismatch(shape):
+    with pytest.raises(DimensionMismatch):
+        min_eigpair(np.zeros(shape))
+    with pytest.raises(DimensionMismatch):
+        is_psd(np.zeros(shape))
+
+
+def _psd_reference(m, tol):
+    return min_eigpair(m)[0] >= -tol * max(1.0, float(np.linalg.norm(m)))
+
+
+@st.composite
+def _near_threshold(draw):
+    """M = Q diag(lam) Q' whose least eigenvalue lies within a few floors
+    of is_psd's threshold, on either side; also rank-deficient PSD and
+    diagonal draws."""
+    d = draw(st.integers(1, 30))
+    tol = draw(st.sampled_from([1e-7, 1e-10]))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["near", "rank_deficient", "diagonal"]))
+    lam = rng.uniform(0.0, 1.0, d) * scale
+    if kind == "rank_deficient":
+        lam[:draw(st.integers(1, d))] = 0.0
+    elif d > 1:
+        lam[0] = 0.0
+    # The threshold at this spectrum; the least eigenvalue moves the norm
+    # by at most a few floors, which the offsets below dwarf.
+    floor = tol * max(1.0, float(np.linalg.norm(lam)))
+    if kind != "rank_deficient":
+        lam[0] = -floor * draw(st.sampled_from(
+            [0.0, 0.25, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 4.0, -1.0]))
+    rng.shuffle(lam)
+    if kind == "diagonal":
+        return np.diag(lam), tol
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (q * lam) @ q.T, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_threshold())
+def test_cholesky_shortcut_decides_as_the_least_eigenvalue(case):
+    m, tol = case
+    assert is_psd(m, tol) == _psd_reference(m, tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_input_errors_come_before_any_factorization(bad, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("factorized a rejected matrix")
+
+    monkeypatch.setattr(symmetric, "_potrf", never)
+    monkeypatch.setattr(symmetric, "_syevr", never)
+    m = np.eye(3)
+    m[2, 1] = bad
     with pytest.raises(NotConverged):
+        is_psd(m)
+    m = np.eye(3)
+    m[2, 1] = 1e-3
+    with pytest.raises(AsymmetricMatrix):
         is_psd(m)
