@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering_lp import current_solution, run_lp
-from .covering_lp_box import new_lp_box_solver, process_row_box
+from .covering_lp import current_solution, run_lp, run_source
+from .covering_lp_box import new_lp_box_solver
+# Not called here; kept because the traced benchmark rebinds this name.
+from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import (Infeasible, MalformedDocument, UncoverableElement)
-from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
-                        SparseRow, make_lp_instance)
+from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
+                        SolverParams, SparseRow, make_lp_instance)
 
 
 # ---------------------------------------------------------------- set cover
@@ -77,13 +79,12 @@ class FlowNetwork:
     num_nodes: int
     arcs: list[tuple[int, int, float]] = field(default_factory=list)
 
-    def add_arc(self, u: int, v: int, cap: float) -> int:
+    def add_arc(self, u: int, v: int, cap: float) -> None:
         if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
             raise MalformedDocument(f"arc ({u}, {v}) out of range")
         if cap < 0 or not np.isfinite(cap):
             raise MalformedDocument(f"arc ({u}, {v}) has capacity {cap}")
         self.arcs.append((u, v, float(cap)))
-        return len(self.arcs) - 1
 
 
 def max_flow(net: FlowNetwork, s: int, t: int):
@@ -122,64 +123,66 @@ def max_flow(net: FlowNetwork, s: int, t: int):
                     dq.append(v)
         return level if level[t] >= 0 else None
 
-    def dfs_push(u, limit, level, iters):
-        if u == t:
-            return limit
-        while iters[u] < len(adj[u]):
-            e = adj[u][iters[u]]
-            v = heads[e]
-            if caps[e] > eps and level[v] == level[u] + 1:
-                pushed = dfs_push(v, min(limit, caps[e]), level, iters)
-                if pushed > eps:
-                    caps[e] -= pushed
-                    caps[e ^ 1] += pushed
-                    return pushed
-            iters[u] += 1
-        return 0.0
-
     value = 0.0
     while True:
         level = bfs_levels()
         if level is None:
             break
-        iters = [0] * n
+        # Blocking flow: walk admissible arcs from s, keeping the arcs
+        # walked; at t push the path's least capacity and restart from s,
+        # at a dead end retreat one arc and skip it.
+        iters, path, u = [0] * n, [], s
         while True:
-            pushed = dfs_push(s, np.inf, level, iters)
-            if pushed <= eps:
+            if u == t:
+                pushed = min(caps[e] for e in path)
+                for e in path:
+                    caps[e] -= pushed
+                    caps[e ^ 1] += pushed
+                value += pushed
+                path.clear()
+                u = s
+            elif iters[u] < len(adj[u]):
+                e = adj[u][iters[u]]
+                if caps[e] > eps and level[heads[e]] == level[u] + 1:
+                    path.append(e)
+                    u = heads[e]
+                else:
+                    iters[u] += 1
+            elif path:
+                u = heads[path.pop() ^ 1]
+                iters[u] += 1
+            else:
                 break
-            value += pushed
 
     # Source side of the cut under residual reachability.
-    reach = [False] * n
-    reach[s] = True
-    dq = deque([s])
-    while dq:
-        u = dq.popleft()
-        for e in adj[u]:
-            v = heads[e]
-            if caps[e] > eps and not reach[v]:
-                reach[v] = True
-                dq.append(v)
+    reach = _reachable(n, s, lambda u: (heads[e] for e in adj[u]
+                                        if caps[e] > eps))
     # Drop boundary arcs whose head has no directed path to t at all
     # (zero-capacity dead ends); those arcs separate nothing, and keeping
     # them would hand the covering solver constraints over unrelated
     # coordinates. Arc existence, not current capacity, decides this, so
     # a saturated corridor still counts as a path.
-    coreach = [False] * n
-    coreach[t] = True
     rev: list[list[int]] = [[] for _ in range(n)]
     for (u, v, _) in net.arcs:
         rev[v].append(u)
-    dq = deque([t])
-    while dq:
-        u = dq.popleft()
-        for w in rev[u]:
-            if not coreach[w]:
-                coreach[w] = True
-                dq.append(w)
+    coreach = _reachable(n, t, rev.__getitem__)
     cut = [k for k, (u, v, _) in enumerate(net.arcs)
            if reach[u] and not reach[v] and coreach[v]]
     return value, cut
+
+
+def _reachable(n: int, start: int, successors) -> list[bool]:
+    """Breadth-first reachability from start; successors(u) yields the
+    vertices one step from u."""
+    seen = [False] * n
+    seen[start] = True
+    dq = deque([start])
+    while dq:
+        for v in successors(dq.popleft()):
+            if not seen[v]:
+                seen[v] = True
+                dq.append(v)
+    return seen
 
 
 # ------------------------------------------------------- group Steiner tree
@@ -209,7 +212,6 @@ class RootedTree:
                 raise MalformedDocument(f"edge {k} has cost {cost}")
             adj[u].append((v, k))
             adj[v].append((u, k))
-        parent = [-1] * num_nodes
         seen = [False] * num_nodes
         seen[root] = True
         order = deque([root])
@@ -219,24 +221,22 @@ class RootedTree:
             for (v, k) in adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    parent[v] = u
                     oriented[k] = (u, v, edges[k][2])
                     order.append(v)
         if not all(seen):
+            # A cycle among n - 1 edges always leaves some node unreached.
             raise MalformedDocument("edge list is not connected")
-        if any(o is None for o in oriented):
-            raise MalformedDocument("edge list contains a cycle")
         return RootedTree(root=root, num_nodes=num_nodes, edges=oriented)
 
 
 def gst_oracle(tree: RootedTree, group: list[int], x_edges,
-               tol: float = 1e-7) -> SparseRow | None:
+               tol: float = SolverParams.tol_feas) -> SparseRow | None:
     """Violated root-to-group cut under edge values x, or None.
 
     Caps each tree edge at its value, connects the group to a super sink
     with capacity above any possible cut, and runs max flow from the root.
-    A flow value below 1 - tol yields the min cut restricted to tree edges
-    as a unit covering row.
+    A flow value below 1 - tol (the solver's default `tol_feas`) yields the
+    min cut restricted to tree edges as a unit covering row.
     """
     if len(group) == 0:
         raise MalformedDocument("group is empty")
@@ -249,16 +249,15 @@ def gst_oracle(tree: RootedTree, group: list[int], x_edges,
     net = FlowNetwork(num_nodes=tree.num_nodes + 1)
     sink = tree.num_nodes
     big = float(np.sum(np.minimum(x, 1.0))) + 1.0
-    tree_arc_of_edge = []
+    # Tree edge k is arc k: the tree arcs go in first.
     for k, (u, v, _) in enumerate(tree.edges):
-        tree_arc_of_edge.append(net.add_arc(u, v, min(float(x[k]), 1.0)))
+        net.add_arc(u, v, min(float(x[k]), 1.0))
     for v in set(group):
         net.add_arc(v, sink, big)
     value, cut = max_flow(net, tree.root, sink)
     if value >= 1.0 - tol:
         return None
-    arc_to_edge = {a: k for k, a in enumerate(tree_arc_of_edge)}
-    row = [(arc_to_edge[a], 1.0) for a in cut if a in arc_to_edge]
+    row = [(a, 1.0) for a in cut if a < len(tree.edges)]
     if not row:
         raise Infeasible("violated group admits no tree cut")
     return row
@@ -269,20 +268,17 @@ def solve_gst_online(tree: RootedTree, groups: list[list[int]],
                      params: SolverParams | None = None):
     """Online fractional group Steiner on a tree; returns (x, state).
 
-    Groups arrive one at a time; each repeatedly contributes its currently
-    most violated root cut until the flow to the group reaches 1. On a tree
-    the all-ones labeling cuts every group, so the boxed LP never turns
-    infeasible and rows never exceed the tree size.
+    Groups arrive one at a time; each drives `run_source` with `gst_oracle`
+    cutting at the solver's tol_feas, until the flow to the group reaches
+    1 - tol_feas. On a tree the all-ones labeling cuts every group, so the
+    boxed LP never turns infeasible and rows never exceed the tree size.
     """
     n = len(tree.edges)
     costs = np.array([cost for (_, _, cost) in tree.edges])
     st = new_lp_box_solver(n, costs, advice=advice, params=params)
     for group in groups:
-        while True:
-            row = gst_oracle(tree, group, current_solution(st))
-            if row is None:
-                break
-            process_row_box(st, row)
+        run_source(st, ConstraintSource(oracle=lambda x, g=group: gst_oracle(
+            tree, g, x, st.params.tol_feas)))
     return current_solution(st), st
 
 

@@ -15,13 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .covering_lp import current_solution, new_lp_solver, process_row
+from .covering_lp import (ADVICE_ROW_TOL, current_solution, new_lp_solver,
+                          process_row)
 from .errors import (Infeasible, MalformedDocument, NotConverged,
                      UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
                         row_arrays)
-
-ROW_TOL = 1e-9
 
 
 @dataclass
@@ -75,7 +74,7 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
         row = Row(*row_arrays(row, n), n)
         process_row(online, row)
         x_on = current_solution(online)
-        if advice_ok and row.vals @ xp[row.idx] < 1.0 - ROW_TOL:
+        if advice_ok and row.vals @ xp[row.idx] < 1.0 - ADVICE_ROW_TOL:
             advice_ok = False
         cost_on = float(c @ x_on)
         switched = False
@@ -105,7 +104,7 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
     x = np.zeros(n)
     for i, row in enumerate(rows, start=1):
         idx, vals = row_arrays(row, n)
-        if vals @ x[idx] >= 1.0 - ROW_TOL:
+        if vals @ x[idx] >= 1.0 - ADVICE_ROW_TOL:
             continue
         aval = vals @ xp[idx]
         if aval <= 0.0:

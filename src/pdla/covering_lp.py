@@ -403,9 +403,10 @@ def dual_certificate(state: SolverState) -> DualCertificate:
 def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]:
     """Drive the solver from a fixed row list or a separation oracle.
 
-    Oracle mode calls source.oracle(published_x) and stops at None; a row
-    the published point already satisfies raises NoProgress, since growing
-    against it cannot change the point.
+    Oracle mode calls source.oracle(published_x) and stops at None. A row
+    that holds at the published point by process_row's own test (value at
+    least 1 - tol_feas) raises NoProgress, since growing against it cannot
+    change the point; more than MAX_ROUNDS rows raise NotConverged.
     """
     if source.rows is not None:
         return run_rows(state, source.rows)
@@ -416,10 +417,10 @@ def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]
         if row is None:
             return reports
         row = Row(*row_arrays(row, state.n), state.n)
-        val = float(row.vals @ x[row.idx])
-        if val >= 1.0:
+        sep = _RowSeparation(state, row.idx, row.vals)
+        if sep.holds(x):
             raise NoProgress(
-                f"oracle produced a satisfied row (value {val:.6g})")
+                f"oracle produced a satisfied row (value {sep.value:.6g})")
         reports.append(process_row(state, row))
     raise NotConverged(f"oracle still separating after {MAX_ROUNDS} rounds")
 

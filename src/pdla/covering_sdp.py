@@ -28,8 +28,8 @@ from .covering_lp import (DualCertificate, Phase, Separation, SolverState,
                           grow_round)
 from .covering_lp import dual_certificate as _lp_dual_certificate
 from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
-from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
-                     NotConverged)
+from .errors import (DimensionMismatch, MalformedDocument, NoFeasibleSolution,
+                     NonMonotoneB, NotConverged)
 # Not called here; kept because the traced benchmark rebinds these names.
 from .growth import advance, coefficient_vector, find_stop  # noqa: F401
 from .instances import AdviceVector, CoveringSdpInstance, SolverParams
@@ -150,14 +150,16 @@ def new_sdp_solver(inst: CoveringSdpInstance,
 def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     """Feed one target matrix; returns once the residual is PSD within tol.
 
-    Raises NonMonotoneB when the stream decreases, NoFeasibleSolution when a
-    residual direction admits no growth, and PhaseRestartLimit on runaway
-    budget guesses.
+    Raises MalformedDocument on a non-finite target, NonMonotoneB when the
+    stream decreases, NoFeasibleSolution when a residual direction admits
+    no growth, and PhaseRestartLimit on runaway budget guesses.
     """
     B = np.asarray(B, dtype=float)
     if B.shape != (state.d, state.d):
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")
+    if not np.isfinite(B).all():
+        raise MalformedDocument("target must be finite")
     # make_sdp_instance's monotone test: the floor is relative to the
     # newer target's norm.
     if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd,

@@ -29,6 +29,8 @@ from .errors import (
 from .symmetric import is_psd, min_eigpair
 
 SparseRow = list[tuple[int, float]]
+TOL_SYM = 1e-8   # relative asymmetry an SDP instance's matrices may carry
+TOL_PSD = 1e-7   # relative PSD slack of SDP instance validation
 
 
 @dataclass
@@ -342,7 +344,8 @@ def normalize_box_bounds(n, c, rows, u):
 # --- SDP ---------------------------------------------------------------------
 
 
-def _as_sym_matrix(raw, d: int, tol_sym: float, what: str) -> np.ndarray:
+def _as_psd_matrix(raw, d: int, what: str) -> np.ndarray:
+    """raw as a d x d matrix, checked finite, symmetric and PSD."""
     m = np.asarray(raw, dtype=float)
     if m.size != d * d:
         raise LengthMismatch(f"{what} has {m.size} entries, expected {d * d}")
@@ -350,38 +353,31 @@ def _as_sym_matrix(raw, d: int, tol_sym: float, what: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise MalformedDocument(f"{what} must be finite")
     scale = max(1.0, float(np.linalg.norm(m)))
-    if np.max(np.abs(m - m.T)) > tol_sym * scale:
+    if np.max(np.abs(m - m.T)) > TOL_SYM * scale:
         raise AsymmetricMatrix(f"{what} is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
-
-
-def _check_psd(m: np.ndarray, tol_psd: float, what: str) -> None:
-    if not is_psd(m, tol_psd):
+    m = 0.5 * (m + m.T)
+    if not is_psd(m, TOL_PSD):
         raise NotPsd(f"{what} has eigenvalue {min_eigpair(m)[0]}")
+    return m
 
 
-def make_sdp_instance(n, d, c, A, B_stream, boxed=False,
-                      tol_sym=1e-8, tol_psd=1e-7) -> CoveringSdpInstance:
+def make_sdp_instance(n, d, c, A, B_stream,
+                      boxed=False) -> CoveringSdpInstance:
     n, d = (_positive_int(v, "n and d must be positive integers")
             for v in (n, d))
     cv = cost_vector(c, n)
     if len(A) != n:
         raise LengthMismatch(f"got {len(A)} action matrices, expected {n}")
-    mats = []
-    for j, raw in enumerate(A):
-        m = _as_sym_matrix(raw, d, tol_sym, f"A[{j}]")
-        _check_psd(m, tol_psd, f"A[{j}]")
-        mats.append(m)
+    mats = [_as_psd_matrix(raw, d, f"A[{j}]") for j, raw in enumerate(A)]
     if len(B_stream) < 1:
         raise MalformedDocument("B stream must be nonempty")
     targets = []
     prev = np.zeros((d, d))
     for i, raw in enumerate(B_stream):
-        b = _as_sym_matrix(raw, d, tol_sym, f"B[{i}]")
-        _check_psd(b, tol_psd, f"B[{i}]")
+        b = _as_psd_matrix(raw, d, f"B[{i}]")
         # The monotone test process_matrix makes: the floor is relative to
         # the newer target's norm.
-        if not is_psd(b - prev, tol_psd, scale=float(np.linalg.norm(b))):
+        if not is_psd(b - prev, TOL_PSD, scale=float(np.linalg.norm(b))):
             raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}] (eigenvalue "
                                f"{min_eigpair(b - prev)[0]})")
         # Frozen, so solvers can keep the target without copying it.

@@ -1,14 +1,16 @@
 """Set cover, max flow / min cut, and group Steiner adapters."""
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
+from pdla import applications
 from pdla.applications import (FlowNetwork, RootedTree, SetSystem, gst_oracle,
                                max_flow, parse_tree_doc, set_cover_instance,
                                set_cover_stream, solve_gst_online,
                                solve_set_cover)
 from pdla.covering_lp import dual_certificate
 from pdla.errors import MalformedDocument, UncoverableElement
-from pdla.instances import validate_advice
+from pdla.instances import SolverParams, validate_advice
 
 
 def test_set_cover_stream_rows():
@@ -72,6 +74,56 @@ def test_max_flow_validation():
     net.add_arc(0, 1, 1.0)
     with pytest.raises(MalformedDocument):
         max_flow(net, 1, 1)
+
+
+def test_max_flow_on_a_deep_path():
+    # One vertex per level: a search that recursed once per level would
+    # exceed the interpreter's recursion limit long before the sink.
+    n = 2500
+    net = FlowNetwork(num_nodes=n)
+    for v in range(n - 1):
+        net.add_arc(v, v + 1, 0.25 if v == 1700 else 1.0)
+    value, cut = max_flow(net, 0, n - 1)
+    assert value == 0.25
+    assert cut == [1700]
+
+
+def test_gst_oracle_on_a_deep_path_tree():
+    n = 1500
+    tree = RootedTree.from_edge_list(
+        n, 0, [(v, v + 1, 1.0) for v in range(n - 1)])
+    x = np.ones(n - 1)
+    assert gst_oracle(tree, [n - 1], x) is None
+    x[1234] = 0.4
+    assert gst_oracle(tree, [n - 1], x) == [(1234, 1.0)]
+    assert gst_oracle(tree, [1000], x) is None   # above the weak edge
+
+
+_PATH3 = RootedTree.from_edge_list(3, 0, [(0, 1, 1.0), (1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: SetSystem(costs=[1.0, 2.0], membership=[[0, 1, 0]]),
+                 "repeats a set", id="repeated-set"),
+    pytest.param(lambda: SetSystem(costs=[1.0, 2.0], membership=[[0], [2]]),
+                 "out of range", id="set-out-of-range"),
+    pytest.param(lambda: RootedTree.from_edge_list(
+        3, 3, [(0, 1, 1.0), (1, 2, 1.0)]), "root 3", id="bad-root"),
+    pytest.param(lambda: RootedTree.from_edge_list(
+        3, 0, [(0, 1, 1.0), (1, 1, 1.0)]), "invalid", id="self-loop"),
+    pytest.param(lambda: RootedTree.from_edge_list(
+        3, 0, [(0, 1, 1.0), (1, 5, 1.0)]), "invalid", id="edge-out-of-range"),
+    pytest.param(lambda: RootedTree.from_edge_list(
+        4, 0, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)]), "not connected",
+        id="cycle"),
+    pytest.param(lambda: gst_oracle(_PATH3, [], [1.0, 1.0]), "empty",
+                 id="empty-group"),
+    pytest.param(lambda: gst_oracle(_PATH3, [1, 3], [1.0, 1.0]),
+                 "out of range", id="group-out-of-range"),
+])
+def test_application_input_errors(build, match):
+    with pytest.raises(MalformedDocument, match=match):
+        build()
 
 
 def test_gst_oracle_picks_most_violated_cut():
@@ -154,3 +206,31 @@ def test_gst_oriented_away_from_root():
     tree2 = RootedTree.from_edge_list(3, 0, [(1, 0, 1.0), (2, 1, 1.0)])
     assert tree2.edges[0] == (0, 1, 1.0)
     assert tree2.edges[1] == (1, 2, 1.0)
+
+
+def test_gst_cuts_at_the_solver_tolerance(monkeypatch):
+    # With tol_feas = 0.2 the solver books a cut of value 0.8 as covered,
+    # so an oracle that kept cutting below 1 would hand it the same
+    # satisfied cut forever. The counter bounds such a spin.
+    rng = default_rng(0)
+    n = 60
+    parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    costs = rng.uniform(0.5, 1.5, n - 1)
+    tree = RootedTree.from_edge_list(
+        n, 0, [(parents[v - 1], v, float(costs[v - 1])) for v in range(1, n)])
+    groups = [sorted(int(v) for v in rng.choice(np.arange(1, n), 3,
+                                                 replace=False))
+              for _ in range(8)]
+    real, calls = applications.gst_oracle, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 2000, "the oracle keeps separating"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "gst_oracle", counted)
+    x, st = solve_gst_online(tree, groups,
+                             params=SolverParams(tol_feas=0.2))
+    for group in groups:
+        assert real(tree, group, x, 0.2) is None
+    assert len(calls) == st.round_no + len(groups)

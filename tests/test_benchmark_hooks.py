@@ -5,12 +5,15 @@ refactor that moves or drops one of those names breaks `run.py --trace 1`
 even when every solver test passes. This test installs the bindings the
 way the traced run does.
 """
+import ast
+import glob
 import os
 
 from pdla import covering_lp, covering_sdp, experiments, growth
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+KEEP_ALIVE = "kept because the traced benchmark rebinds"
 
 
 def test_benchmark_bindings_resolve(monkeypatch):
@@ -26,6 +29,31 @@ def test_benchmark_bindings_resolve(monkeypatch):
         # The shared growth step is reached through covering_lp's globals.
         assert covering_lp.find_stop is not growth.find_stop
     assert covering_lp.find_stop is growth.find_stop
+
+
+def test_every_keep_alive_import_is_a_benchmark_binding(monkeypatch):
+    # An import kept only for the traced benchmark must name a binding
+    # spans.py installs; once the benchmark binds each layer where it is
+    # defined, the stale keep-alives fail here instead of lingering.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+
+    bound = {(module, name) for module, name, _ in spans.BINDINGS}
+    kept = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "pdla", "*.py"))):
+        with open(path) as fh:
+            text = fh.read()
+        marks = {k + 2 for k, line in enumerate(text.splitlines())
+                 if KEEP_ALIVE in line}
+        found = {node.lineno: node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.ImportFrom)}
+        module = "pdla." + os.path.basename(path)[:-3]
+        for lineno in marks:
+            assert lineno in found, f"{path}:{lineno} is not an import"
+            kept += [(module, alias.asname or alias.name)
+                     for alias in found[lineno].names]
+    assert kept
+    assert [pair for pair in kept if pair not in bound] == []
 
 
 def test_traced_experiment_runs_count_the_rows_that_grow(monkeypatch):

@@ -206,6 +206,25 @@ def test_run_source_rejects_a_satisfied_oracle_row():
     assert st.round_no == 1
 
 
+def test_run_source_rejects_a_row_that_holds_within_tol_feas(monkeypatch):
+    # x = [25, 25] after the first row. The oracle's row has value
+    # 1 - 5e-8 there: below 1, but a row process_row books as satisfied, so
+    # growing against it could never move the point.
+    monkeypatch.setattr(covering_lp, "MAX_ROUNDS", 1000)
+    st = new_lp_solver(2, [1.0, 1.0], params=SolverParams(initial_alpha=100.0))
+    process_row(st, [(0, 1.0)])
+    assert list(current_solution(st)) == [25.0, 25.0]
+    calls = []
+
+    def oracle(x):
+        calls.append(x)
+        return [(0, (1.0 - 5e-8) / 25.0)]
+
+    with pytest.raises(NoProgress, match="satisfied row"):
+        run_source(st, ConstraintSource(oracle=oracle))
+    assert len(calls) == 1 and st.round_no == 1
+
+
 def test_run_lp_instance_convenience():
     inst = make_lp_instance(2, [1.0, 1.0], [[(0, 1.0)], [(1, 1.0)]])
     st, reports = run_lp(inst)

@@ -9,7 +9,8 @@ from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp)
 from pdla.errors import (DimensionMismatch, ExponentOverflow, LengthMismatch,
-                         NoFeasibleSolution, NonMonotoneB, NonPositiveCost)
+                         MalformedDocument, NoFeasibleSolution, NonMonotoneB,
+                         NonPositiveCost)
 from pdla.instances import (AdviceVector, CoveringSdpInstance, SolverParams,
                             make_sdp_instance, validate_advice)
 from pdla.symmetric import min_eigpair
@@ -304,6 +305,18 @@ def test_sdp_solver_checks_the_shape_of_A(n, d, A):
                               B_stream=[np.eye(d)])
     with pytest.raises(DimensionMismatch, match="expected"):
         new_sdp_solver(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_target_is_bad_input(bad):
+    # make_sdp_instance rejects the same target as MalformedDocument; the
+    # streaming entry point must not report it as a numeric failure.
+    st = new_sdp_solver(make_sdp_instance(1, 2, [1.0], [I2()], [I2()]))
+    B = I2()
+    B[0, 1] = B[1, 0] = bad
+    with pytest.raises(MalformedDocument, match="finite"):
+        process_matrix(st, B)
+    assert st.round_no == 0
 
 
 @pytest.mark.parametrize("kind", ["lp", "lp_box", "sdp", "sdp_box"])

@@ -287,7 +287,7 @@ def test_solver_params_validation():
     p = SolverParams()
     assert p.max_phase == 200
     with pytest.raises(TypeError):
-        SolverParams(tol_sym=1e-8)  # symmetry slack is make_sdp_instance's
+        SolverParams(tol_sym=1e-8)  # symmetry slack is instances.TOL_SYM
     with pytest.raises(TypeError):
         SolverParams(tol_bisect=1e-6)  # the event search's is growth.TOL
     with pytest.raises(MalformedDocument):
