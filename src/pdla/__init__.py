@@ -7,12 +7,12 @@ s-t cuts, group Steiner on trees), and an experiment harness with a CLI.
 """
 
 from .errors import PdlaError
-from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
-                        CoveringSdpInstance, SolverParams)
+from .instances import (AdviceVector, CoveringLpInstance, CoveringSdpInstance,
+                        SolverParams)
 
 __all__ = [
-    "PdlaError", "AdviceVector", "ConstraintSource", "CoveringLpInstance",
-    "CoveringSdpInstance", "SolverParams",
+    "PdlaError", "AdviceVector", "CoveringLpInstance", "CoveringSdpInstance",
+    "SolverParams",
 ]
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from .covering_lp_box import new_lp_box_solver
 # Not called here; kept because the traced benchmark rebinds this name.
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import (Infeasible, MalformedDocument, UncoverableElement)
-from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
-                        SolverParams, SparseRow, make_lp_instance)
+from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
+                        SparseRow, make_lp_instance)
 
 
 # ---------------------------------------------------------------- set cover
@@ -277,8 +277,8 @@ def solve_gst_online(tree: RootedTree, groups: list[list[int]],
     costs = np.array([cost for (_, _, cost) in tree.edges])
     st = new_lp_box_solver(n, costs, advice=advice, params=params)
     for group in groups:
-        run_source(st, ConstraintSource(oracle=lambda x, g=group: gst_oracle(
-            tree, g, x, st.params.tol_feas)))
+        run_source(st, lambda x, g=group: gst_oracle(tree, g, x,
+                                                     st.params.tol_feas))
     return current_solution(st), st
 
 
@@ -288,14 +288,24 @@ def parse_tree_doc(doc: dict,
     "groups": [[v, ...], ...]}; `groups`, when given, replaces the
     document's and passes the same check."""
     try:
-        num_nodes = int(doc["nodes"])
-        root = int(doc["root"])
-        edges = [(int(u), int(v), float(cst)) for u, v, cst in doc["edges"]]
+        num_nodes = _integral(doc["nodes"])
+        root = _integral(doc["root"])
+        edges = [(_integral(u), _integral(v), float(cst))
+                 for u, v, cst in doc["edges"]]
         groups = doc["groups"] if groups is None else groups
         if not isinstance(groups, list) or not all(
                 isinstance(g, list) for g in groups):
             raise TypeError("groups must be a list of lists")
-        groups = [[int(v) for v in g] for g in groups]
-    except (KeyError, TypeError, ValueError) as exc:
+        groups = [[_integral(v) for v in g] for g in groups]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedDocument(f"bad tree document: {exc}") from None
     return RootedTree.from_edge_list(num_nodes, root, edges), groups
+
+
+def _integral(raw) -> int:
+    """raw as an int by the row columns' rule: integral and not a bool."""
+    j = int(raw)
+    if isinstance(raw, (bool, np.bool_)) or \
+            (j != raw and not isinstance(raw, (str, bytes))):
+        raise ValueError(f"{raw!r} is not an integer")
+    return j

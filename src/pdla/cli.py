@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .applications import (parse_tree_doc, set_cover_instance,
                            solve_gst_online)
@@ -22,9 +23,8 @@ from .errors import (EmptyRow, ExponentOverflow, Infeasible,
                      NotConverged, PdlaError, PhaseRestartLimit,
                      UncoverableElement, UnscalableRow)
 from .experiments import ExperimentConfig, ingest_edge_list, run_experiment
-from .instances import (SolverParams, make_lp_instance, parse_advice,
-                        parse_lp_instance, parse_sdp_instance,
-                        validate_advice)
+from .instances import (SolverParams, parse_advice, parse_lp_instance,
+                        parse_sdp_instance, validate_advice)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -92,15 +92,15 @@ def _solve_lp(args, inst) -> int:
 
 def _cmd_solve_lp(args) -> int:
     inst = parse_lp_instance(_read(args.instance))
-    if args.boxed and not inst.boxed:
-        inst = make_lp_instance(inst.n, inst.c, inst.rows, boxed=True)
+    if args.boxed:
+        inst = replace(inst, boxed=True)
     return _solve_lp(args, inst)
 
 
 def _cmd_solve_sdp(args) -> int:
     inst = parse_sdp_instance(_read(args.instance))
     if args.boxed:
-        inst.boxed = True
+        inst = replace(inst, boxed=True)
     adv = _load_advice(args, inst.n, inst.boxed)
     st, _ = run_sdp(inst, advice=adv, params=SolverParams(trace=args.trace))
     return _finish(st, sdp_dual_certificate(st))

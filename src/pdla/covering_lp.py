@@ -29,11 +29,11 @@ so only the SDP keeps a dual accumulator of its own, the matrix dual
 `find_stop`, `coefficient_vector` and `advance` through this module's
 globals.
 
-`process_row` feeds one row and is the only growth path. Instance runs
-(`run_lp`, `run_source` over a row list, the experiment runs) go through
-`run_rows`, which books the rows that hold on arrival in blocks, found by
-segmented sums over doubling windows, and sends only the others to
-`process_row`.
+`process_row` feeds one row and is the only growth path. Row lists (`run_lp`
+and the experiment runs) go through `run_rows`, which books the rows that
+hold on arrival in blocks, found by segmented sums over doubling windows,
+and sends only the others to `process_row`. A separation oracle goes
+through `run_source`.
 """
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ import numpy as np
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
                      NoProgress, NotConverged, PdlaError, PhaseRestartLimit)
 from .growth import TOL, StopEvent, advance, coefficient_vector, find_stop
-from .instances import (AdviceVector, ConstraintSource, CoveringLpInstance,
-                        Row, SolverParams, cost_vector, row_arrays)
+from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
+                        cost_vector, row_arrays)
 # Not called here; kept because the traced benchmark rebinds this name.
 from .instances import validate_row  # noqa: F401
 
@@ -400,20 +400,18 @@ def dual_certificate(state: SolverState) -> DualCertificate:
                            objective=float(ph.dual_obj - ph.z.sum()))
 
 
-def run_source(state: SolverState, source: ConstraintSource) -> list[StepReport]:
-    """Drive the solver from a fixed row list or a separation oracle.
+def run_source(state: SolverState, oracle) -> list[StepReport]:
+    """Drive the solver from a separation oracle: x -> violated row or None.
 
-    Oracle mode calls source.oracle(published_x) and stops at None. A row
-    that holds at the published point by process_row's own test (value at
-    least 1 - tol_feas) raises NoProgress, since growing against it cannot
-    change the point; more than MAX_ROUNDS rows raise NotConverged.
+    Calls oracle(published_x) until it returns None. A row that holds at
+    the published point by process_row's own test (value at least
+    1 - tol_feas) raises NoProgress, since growing against it cannot change
+    the point; more than MAX_ROUNDS rows raise NotConverged.
     """
-    if source.rows is not None:
-        return run_rows(state, source.rows)
     reports = []
     for _ in range(MAX_ROUNDS):
         x = current_solution(state)
-        row = source.oracle(x)
+        row = oracle(x)
         if row is None:
             return reports
         row = Row(*row_arrays(row, state.n), state.n)

@@ -1,4 +1,4 @@
-"""Problem instances, advice vectors, constraint sources and solver knobs.
+"""Problem instances, advice vectors and solver knobs.
 
 External formats are JSON with numbers as decimal text, so parse followed by
 serialize is the identity on the parsed values (floats round-trip exactly).
@@ -8,8 +8,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import index, itemgetter
-from typing import Callable
+from operator import index
 
 import numpy as np
 
@@ -45,10 +44,11 @@ class SolverParams:
 
     def __post_init__(self):
         for name in ("tol_feas", "tol_psd"):
-            if getattr(self, name) <= 0:
-                raise MalformedDocument(f"{name} must be positive")
-        if self.max_phase < 1:
-            raise MalformedDocument("max_phase must be >= 1")
+            # A slack of 1 or more counts every constraint as met at x = 0.
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise MalformedDocument(f"{name} must lie in (0, 1)")
+        self.max_phase = _positive_int(self.max_phase,
+                                       "max_phase must be an integer >= 1")
         if self.initial_alpha is not None and \
                 not (np.isfinite(self.initial_alpha) and self.initial_alpha > 0):
             raise MalformedDocument("initial_alpha must be finite and positive")
@@ -100,18 +100,6 @@ class AdviceVector:
     lam: float
 
 
-@dataclass
-class ConstraintSource:
-    """Either a fixed row list or a separation callback x -> violated row."""
-
-    rows: list[SparseRow] | None = None
-    oracle: Callable[[np.ndarray], SparseRow | None] | None = None
-
-    def __post_init__(self):
-        if (self.rows is None) == (self.oracle is None):
-            raise MalformedDocument("provide exactly one of rows or oracle")
-
-
 # --- validation helpers -------------------------------------------------------
 
 
@@ -142,8 +130,8 @@ class Row(Sequence):
     __hash__ = None
 
     def __init__(self, idx: np.ndarray, vals: np.ndarray, n: int):
-        # Copies, so the Row owns its arrays: the array check's `vals` is a
-        # view that would keep its 2 x k temporary alive.
+        # Copies, so the Row owns its arrays and freezing them leaves the
+        # caller's arrays writable.
         self.idx = np.array(idx, dtype=np.int64)
         self.vals = np.array(vals, dtype=float)
         self.idx.flags.writeable = False
@@ -179,21 +167,15 @@ def row_arrays(row: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
     values, a positive entry.
 
     A `Row` checked at no more than `n` columns passes as its own read-only
-    arrays. A long numeric (k, 2) row is checked as whole arrays. A short
-    row, one that numpy cannot read as such an array, or one that fails a
-    check, is checked entry by entry instead, so errors name the first bad
-    entry whichever path the row took.
+    arrays. Any other row is checked entry by entry, and an error names the
+    first bad entry.
     """
     if type(row) is Row and row.n <= n:
         return row.idx, row.vals
-    arrays = _checked_arrays(row, n)
-    if arrays is None:
-        clean = _checked_entries(row, n)
-        arrays = (np.fromiter((j for j, _ in clean), dtype=np.int64,
-                              count=len(clean)),
-                  np.fromiter((v for _, v in clean), dtype=float,
-                              count=len(clean)))
-    return arrays
+    clean = _checked_entries(row, n)
+    return (np.fromiter((j for j, _ in clean), dtype=np.int64,
+                        count=len(clean)),
+            np.fromiter((v for _, v in clean), dtype=float, count=len(clean)))
 
 
 def validate_row(row: Sequence, n: int) -> SparseRow:
@@ -204,39 +186,6 @@ def validate_row(row: Sequence, n: int) -> SparseRow:
 
 
 _BOOL_TYPES = frozenset({bool, np.bool_})
-# The array check costs about a dozen numpy calls at any length, so rows
-# shorter than this (the group Steiner cuts, say) are cheaper entry by entry.
-_MIN_ARRAY_ROW = 16
-
-
-def _checked_arrays(row, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """`(idx, vals)` of a numeric row of at least `_MIN_ARRAY_ROW` entries
-    that passes every check, else None.
-
-    Only integer and float arrays are taken: numpy parses strings in its own
-    way, and these convert entry by entry exactly as int() and float() do.
-    Boolean columns would pass as 0.0 and 1.0, so their types are looked at.
-    """
-    try:
-        if len(row) < _MIN_ARRAY_ROW:
-            return None
-        a = np.array(row)
-        if a.dtype.kind not in "iuf" or a.ndim != 2 or a.shape[1] != 2 \
-                or not _BOOL_TYPES.isdisjoint(map(type, map(itemgetter(0), row))):
-            return None
-    except (TypeError, ValueError, OverflowError):
-        return None
-    # Contiguous rows: a strided vals would change the BLAS summation order.
-    cols, vals = np.array(a.T, dtype=float, order="C")
-    s = np.sort(cols)   # NaN sorts last
-    if not (0.0 <= s[0] and s[-1] < n and np.all(s[1:] > s[:-1])):
-        return None
-    idx = cols.astype(np.int64)
-    if not np.array_equal(idx, cols):
-        return None
-    if not (vals.min() >= 0.0 and 0.0 < vals.max() < np.inf):
-        return None
-    return idx, vals
 
 
 def _checked_entries(row, n: int) -> SparseRow:

@@ -108,6 +108,26 @@ def test_solve_sdp_diagonal(tmp_path, capsys):
     assert out["x"][0] >= 0.5 - 1e-6 and out["x"][1] >= 0.5 - 1e-6
 
 
+@pytest.mark.parametrize("command, doc, unboxed", [
+    ("solve-lp", {"n": 2, "c": [1.0, 100.0],
+                  "rows": [[[0, 0.5], [1, 0.5]]]}, None),
+    ("solve-sdp", {"n": 2, "d": 2, "c": [1.0, 0.1],
+                   "A": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                   "B": [[[1.5, 0.0], [0.0, 0.5]]]}, [1.0, 4.0]),
+], ids=["lp", "sdp"])
+def test_boxed_flag_caps_the_solution(tmp_path, capsys, command, doc,
+                                      unboxed):
+    inst = _write(tmp_path, "inst.json", doc)
+    assert cli.main([command, "--instance", inst]) == 0
+    x = json.loads(capsys.readouterr().out)["x"]
+    if unboxed is None:   # the cheap column alone covers the row
+        assert x[0] == pytest.approx(2.45, abs=0.01) and x[0] > 2.0
+    else:
+        assert x == pytest.approx(unboxed)
+    assert cli.main([command, "--instance", inst, "--boxed"]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == pytest.approx([1, 1])
+
+
 def test_set_cover_command(tmp_path, capsys):
     g = tmp_path / "graph.txt"
     g.write_text("# toy\n1 2\n2 3\n")
@@ -192,4 +212,18 @@ def test_every_experiment_config_field_is_type_checked(tmp_path, capsys,
     # or died later with a traceback and exit 1.
     cfgp = _write(tmp_path, "cfg.json", cfg)
     assert cli.main(["experiment", kind, "--config", cfgp]) == 4
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"nodes": 3.9}, {"root": 0.5}, {"root": True},
+    {"edges": [[0, 1.7, 1.0], [1, 2, 1.0]]}, {"groups": [[2.9]]},
+    {"groups": [[True]]}, {"nodes": float("inf")},
+], ids=["nodes", "root", "bool-root", "edge", "group", "bool-group",
+        "inf-nodes"])
+def test_gst_non_integral_vertex_is_bad_input(tmp_path, capsys, change):
+    doc = {"nodes": 3, "root": 0, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+           "groups": [[2]], **change}
+    assert cli.main(["gst", "--tree", _write(tmp_path, "tree.json", doc)]) \
+        == 4
     assert "bad input" in capsys.readouterr().err

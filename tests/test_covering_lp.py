@@ -16,9 +16,7 @@ from pdla.covering_lp import (current_solution, dual_certificate,
                               solver_for_instance)
 from pdla.errors import (EmptyRow, ExponentOverflow, LengthMismatch,
                          MalformedDocument, NonPositiveCost, NoProgress)
-from pdla.instances import (AdviceVector, ConstraintSource,
-                            CoveringLpInstance, SolverParams, make_lp_instance,
-                            validate_advice)
+from pdla.instances import SolverParams, make_lp_instance, validate_advice
 
 
 def test_trace_single_coordinate_budget_ladder():
@@ -190,7 +188,7 @@ def test_run_source_oracle_mode_separates_until_covered():
         return worst
 
     st = new_lp_solver(2, [1.0, 1.0])
-    reports = run_source(st, ConstraintSource(oracle=oracle))
+    reports = run_source(st, oracle)
     x = current_solution(st)
     for r in rows:
         assert sum(a * x[j] for j, a in r) >= 1.0 - 1e-7
@@ -202,7 +200,7 @@ def test_run_source_rejects_a_satisfied_oracle_row():
     st = new_lp_solver(1, [1.0])
     rows = iter([[(0, 1.0)], [(0, 1.0)]])
     with pytest.raises(NoProgress, match="satisfied row"):
-        run_source(st, ConstraintSource(oracle=lambda x: next(rows)))
+        run_source(st, lambda x: next(rows))
     assert st.round_no == 1
 
 
@@ -221,7 +219,7 @@ def test_run_source_rejects_a_row_that_holds_within_tol_feas(monkeypatch):
         return [(0, (1.0 - 5e-8) / 25.0)]
 
     with pytest.raises(NoProgress, match="satisfied row"):
-        run_source(st, ConstraintSource(oracle=oracle))
+        run_source(st, oracle)
     assert len(calls) == 1 and st.round_no == 1
 
 

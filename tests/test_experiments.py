@@ -200,10 +200,9 @@ def test_corruption_sweep_checks_no_row(monkeypatch):
     # offline solve and the five solver runs of a trial take them as they
     # are: no row of a sweep goes through a row check.
     calls = []
-    for name in ("_checked_arrays", "_checked_entries"):
-        check = getattr(instances, name)
-        monkeypatch.setattr(instances, name, lambda row, n, check=check:
-                            calls.append(len(row)) or check(row, n))
+    check = instances._checked_entries
+    monkeypatch.setattr(instances, "_checked_entries", lambda row, n:
+                        calls.append(len(row)) or check(row, n))
     cfg = ExperimentConfig(kind="CorruptionSweep", trials=2)
     assert len(run_experiment(cfg)) == cfg.trials * len(cfg.corruption_rates)
     assert calls == []

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdla import instances
+import pdla
+from pdla import covering_lp_box, instances
 from pdla.covering_lp import dual_certificate, new_lp_solver, process_row
 from pdla.covering_lp_box import sparsity_ratio
 from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
                          LambdaOutOfRange, LengthMismatch, MalformedDocument,
                          NegativeAdvice, NegativeEntry, NonMonotoneB,
                          NonPositiveCost, NotPsd, PdlaError)
-from pdla.instances import (AdviceVector, ConstraintSource, Row, SolverParams,
+from pdla.instances import (AdviceVector, Row, SolverParams,
                             make_lp_instance, make_sdp_instance,
                             normalize_box_bounds, parse_advice,
                             parse_lp_instance, parse_sdp_instance, row_arrays,
@@ -112,21 +113,47 @@ _NEAR_VALID_ROWS = st.lists(st.integers(0, 5), min_size=1, unique=True) \
 @example([(0, 1.0), (2, 1.0), (0, 1.0)], 3)
 def test_row_checks_agree_with_per_entry_loop(row, n):
     want = _outcome(instances._checked_entries, row, n)
-    # Short rows skip the array check unless its length floor is lowered.
-    for floor in (instances._MIN_ARRAY_ROW, 1):
-        with mock.patch.object(instances, "_MIN_ARRAY_ROW", floor):
-            assert _outcome(row_arrays, row, n) == want
-            assert _outcome(validate_row, row, n) == want
+    assert _outcome(row_arrays, row, n) == want
+    assert _outcome(validate_row, row, n) == want
 
 
-def test_long_rows_take_the_array_check():
-    row = [(j, 0.5 * j) for j in range(40)]
-    idx, vals = instances._checked_arrays(row, 40)
-    assert idx.tolist() == list(range(40)) and vals[1] == 0.5
-    assert validate_row(row, 40) == row
-    assert instances._checked_arrays(row[:3], 40) is None
-    with pytest.raises(MalformedDocument, match=re.escape("(True, 1.0)")):
-        row_arrays(row[:-1] + [(True, 1.0)], 40)
+_LONG = [(j, 0.25 * j + 0.5) for j in range(40)]
+
+
+@pytest.mark.parametrize("row", [
+    _LONG,
+    [(np.float32(j), np.float32(v)) for j, v in _LONG],
+    [(np.int32(j), np.int32(j + 1)) for j, _ in _LONG],
+    np.array(_LONG),
+    [(float(j), v) for j, v in _LONG],
+    _LONG[::-1],
+    _LONG[7::3] + _LONG[::3] + _LONG[2::3],
+], ids=["plain", "float32", "int32", "ndarray", "float-columns",
+        "reversed", "shuffled"])
+def test_long_rows_give_the_per_entry_arrays(row):
+    idx, vals = row_arrays(row, 40)
+    want_idx = np.array([int(j) for j, _ in row], dtype=np.int64)
+    want_vals = np.array([float(v) for _, v in row], dtype=np.float64)
+    for got, want in ((idx, want_idx), (vals, want_vals)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ((True, 1.0), MalformedDocument,
+     "boolean column index in row entry (True, 1.0)"),
+    ((2.5, 1.0), MalformedDocument,
+     "non-integral column index in row entry (2.5, 1.0)"),
+    ((40, 1.0), MalformedDocument, "column 40 out of range for n=40"),
+    ((3, 1.0), MalformedDocument, "duplicate column 3 in row"),
+    ((39, np.nan), MalformedDocument, "row entries must be finite"),
+    ((39, -1.0), NegativeEntry, "negative coefficient -1.0 at column 39"),
+], ids=["boolean-column", "non-integral-column", "out-of-range",
+        "duplicate", "non-finite", "negative"])
+def test_long_rows_name_their_first_bad_entry(bad, error, message):
+    with pytest.raises(error) as exc:
+        row_arrays(_LONG[:-1] + [bad], 40)
+    assert str(exc.value) == message
 
 
 def _typed(pairs):
@@ -148,30 +175,27 @@ def _run(row, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_PLAIN_ROWS, _NEAR_VALID_ROWS), st.integers(1, 6),
-       st.sampled_from([instances._MIN_ARRAY_ROW, 1]))
-def test_instance_rows_are_rows_checked_once(row, n, floor):
-    # Both sides of the array check's length floor, as above.
-    with mock.patch.object(instances, "_MIN_ARRAY_ROW", floor):
-        want = _outcome(validate_row, row, n)
-        built = _outcome(lambda r, n: make_lp_instance(n, np.ones(n), [r]),
-                         row, n)
-        if want[0] != "ok":
-            assert built == want
-            return
-        want, got = want[1], built[1].rows[0]
-        assert type(got) is Row
-        assert _typed(got) == _typed(want)
-        assert got == want and want == got and len(got) == len(want)
-        assert _typed([got[0], got[-1]]) == _typed([want[0], want[-1]])
-        assert _typed(got[1:]) == _typed(want[1:])
-        idx, vals = row_arrays(got, n)
-        assert idx is got.idx and vals is got.vals
-        assert row_arrays(got, n + 1)[0] is got.idx
-        assert not idx.flags.writeable and not vals.flags.writeable
-        assert idx.flags.owndata and vals.flags.owndata
-        assert idx.dtype == np.int64 and vals.dtype == np.float64
-        assert _run(got, n) == _run(row, n)
+@given(st.one_of(_PLAIN_ROWS, _NEAR_VALID_ROWS), st.integers(1, 6))
+def test_instance_rows_are_rows_checked_once(row, n):
+    want = _outcome(validate_row, row, n)
+    built = _outcome(lambda r, n: make_lp_instance(n, np.ones(n), [r]),
+                     row, n)
+    if want[0] != "ok":
+        assert built == want
+        return
+    want, got = want[1], built[1].rows[0]
+    assert type(got) is Row
+    assert _typed(got) == _typed(want)
+    assert got == want and want == got and len(got) == len(want)
+    assert _typed([got[0], got[-1]]) == _typed([want[0], want[-1]])
+    assert _typed(got[1:]) == _typed(want[1:])
+    idx, vals = row_arrays(got, n)
+    assert idx is got.idx and vals is got.vals
+    assert row_arrays(got, n + 1)[0] is got.idx
+    assert not idx.flags.writeable and not vals.flags.writeable
+    assert idx.flags.owndata and vals.flags.owndata
+    assert idx.dtype == np.int64 and vals.dtype == np.float64
+    assert _run(got, n) == _run(row, n)
 
 
 def test_row_at_a_smaller_n_is_checked_again():
@@ -197,16 +221,14 @@ def test_checked_rows_are_not_checked_again_by_list_views():
     inst = make_lp_instance(25, np.ones(25), rows)
     tight = np.zeros(25, dtype=bool)
     tight[[1, 2]] = True
-    with mock.patch.object(instances, "_checked_arrays",
-                           wraps=instances._checked_arrays) as arrays, \
-            mock.patch.object(instances, "_checked_entries",
-                              wraps=instances._checked_entries) as entries:
+    with mock.patch.object(instances, "_checked_entries",
+                           wraps=instances._checked_entries) as entries:
         for row, want in zip(inst.rows, rows):
             assert _typed(validate_row(row, 25)) == _typed(want)
         assert sparsity_ratio(inst.rows[0], tight, 25) == \
             pytest.approx(4.5 / 0.5)
         assert sparsity_ratio(inst.rows[1], tight, 25) == np.inf
-    assert arrays.call_count == 0 and entries.call_count == 0
+    assert entries.call_count == 0
 
 
 def test_lp_instance_validation_and_roundtrip():
@@ -292,6 +314,20 @@ def test_solver_params_validation():
         SolverParams(tol_bisect=1e-6)  # the event search's is growth.TOL
     with pytest.raises(MalformedDocument):
         SolverParams(max_phase=0)
+    assert type(SolverParams(max_phase=np.int64(3)).max_phase) is int
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tol_feas", 1.0), ("tol_feas", 2.0), ("tol_feas", np.inf),
+    ("tol_feas", np.nan), ("tol_feas", 0.0), ("tol_psd", 1.0),
+    ("tol_psd", np.inf), ("tol_psd", np.nan), ("max_phase", np.nan),
+    ("max_phase", 1.5), ("max_phase", True), ("max_phase", 0),
+])
+def test_solver_params_reject_values_that_break_the_solver(name, value):
+    # A slack of 1 or more publishes an uncovered point as covered; a nan
+    # slack or phase cap spins until a step or round guard stops it.
+    with pytest.raises(MalformedDocument, match=name):
+        SolverParams(**{name: value})
 
 
 @pytest.mark.parametrize("alpha", [np.inf, 0.0, -1.0, np.nan])
@@ -302,10 +338,64 @@ def test_solver_params_reject_unusable_initial_alpha(alpha):
         SolverParams(initial_alpha=alpha)
 
 
-def test_constraint_source_requires_exactly_one_mode():
-    ConstraintSource(rows=[[(0, 1.0)]])
-    ConstraintSource(oracle=lambda x: None)
-    with pytest.raises(MalformedDocument):
-        ConstraintSource()
-    with pytest.raises(MalformedDocument):
-        ConstraintSource(rows=[], oracle=lambda x: None)
+def test_constraint_source_is_gone():
+    # Row lists go to run_rows and an oracle to run_source as a callable.
+    assert not hasattr(pdla, "ConstraintSource")
+    assert not hasattr(instances, "ConstraintSource")
+
+
+@pytest.mark.parametrize("module", [pdla, covering_lp_box],
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] \
+        == []
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+_LP = '"n": 1, "c": [1.0], "rows": [[[0, 1.0]]]'
+_SDP = '"n": 1, "d": 1, "c": [1.0], "A": [[1.0]], "B": [[1.0]]'
+_ROWS = [[(0, 1.0)]]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: parse_lp_instance("[]"), MalformedDocument, "top level"),
+    (lambda: parse_lp_instance('{"n": 1, "c": [1.0]}'), MalformedDocument,
+     "missing field 'rows'"),
+    (lambda: parse_lp_instance("{%s, \"boxed\": 1}" % _LP),
+     MalformedDocument, "boxed"),
+    (lambda: parse_lp_instance('{"n": 1, "c": [1.0], "rows": {}}'),
+     MalformedDocument, "rows must be a list"),
+    (lambda: parse_sdp_instance("{"), MalformedDocument, "invalid JSON"),
+    (lambda: parse_sdp_instance("[]"), MalformedDocument, "top level"),
+    (lambda: parse_sdp_instance('{"n": 1, "d": 1, "c": [1.0], "A": [[1]]}'),
+     MalformedDocument, "missing field 'B'"),
+    (lambda: parse_sdp_instance('{%s, "boxed": "yes"}' % _SDP),
+     MalformedDocument, "boxed"),
+    (lambda: make_sdp_instance(2, 1, [1.0, 1.0], [[1.0]], [[1.0]]),
+     LengthMismatch, "action matrices"),
+    (lambda: make_sdp_instance(1, 2, [1.0], [[1.0, 0.0, 1.0]], [np.eye(2)]),
+     LengthMismatch, "has 3 entries"),
+    (lambda: make_sdp_instance(1, 1, [1.0], [[np.inf]], [[1.0]]),
+     MalformedDocument, "finite"),
+    (lambda: make_sdp_instance(1, 1, [1.0], [[1.0]], []), MalformedDocument,
+     "nonempty"),
+    (lambda: normalize_box_bounds(1, [1.0], _ROWS, [1.0, 1.0]),
+     LengthMismatch, "wrong length"),
+    (lambda: normalize_box_bounds(1, [1.0], _ROWS, [0.0]), MalformedDocument,
+     "positive"),
+    (lambda: validate_advice([np.nan], 0.5, 1, boxed=False),
+     MalformedDocument, "finite"),
+    (lambda: parse_advice("{", 1, boxed=False), MalformedDocument,
+     "invalid JSON"),
+    (lambda: parse_advice('{"x": [0.5]}', 1, boxed=False), MalformedDocument,
+     "lambda"),
+], ids=["lp-top-level", "lp-missing-field", "lp-boxed", "lp-rows",
+        "sdp-json", "sdp-top-level", "sdp-missing-field", "sdp-boxed",
+        "sdp-a-count", "sdp-matrix-size", "sdp-non-finite", "sdp-empty-b",
+        "box-length", "box-bound", "advice-non-finite", "advice-json",
+        "advice-keys"])
+def test_input_errors_raise_their_types(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -18,8 +18,8 @@ from numpy.random import default_rng
 
 from pdla import covering_lp
 from pdla.errors import MalformedDocument, PdlaError
-from pdla.instances import (ConstraintSource, Row, SolverParams,
-                            make_lp_instance, validate_advice)
+from pdla.instances import (Row, SolverParams, make_lp_instance,
+                            validate_advice)
 
 
 def _rows(rng, n, m):
@@ -133,13 +133,8 @@ def test_run_rows_matches_the_per_row_loop(run):
         assert reports == want_reports and _state(st) == _state(want)
         st = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
                                        boxed=boxed)
-        assert covering_lp.run_source(st, ConstraintSource(rows=rows)) == \
-            want_reports
-        st = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
-                                       boxed=boxed)
         one_shot = [zip([j for j, _ in r], [v for _, v in r]) for r in rows]
-        assert covering_lp.run_source(
-            st, ConstraintSource(rows=one_shot)) == want_reports
+        assert covering_lp.run_rows(st, one_shot) == want_reports
 
 
 def test_run_rows_books_satisfied_rows_without_process_row(monkeypatch):
