@@ -18,7 +18,8 @@ from .covering_lp import current_solution, run_lp, run_source
 from .covering_lp_box import new_lp_box_solver
 # Not called here; kept because the traced benchmark rebinds this name.
 from .covering_lp_box import process_row_box  # noqa: F401
-from .errors import (Infeasible, MalformedDocument, UncoverableElement)
+from .errors import (Infeasible, LengthMismatch, MalformedDocument,
+                     UncoverableElement)
 from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
                         SparseRow, make_lp_instance)
 
@@ -236,7 +237,8 @@ def gst_oracle(tree: RootedTree, group: list[int], x_edges,
     Caps each tree edge at its value, connects the group to a super sink
     with capacity above any possible cut, and runs max flow from the root.
     A flow value below 1 - tol (the solver's default `tol_feas`) yields the
-    min cut restricted to tree edges as a unit covering row.
+    min cut restricted to tree edges as a unit covering row. Raises
+    LengthMismatch unless x holds one value per tree edge.
     """
     if len(group) == 0:
         raise MalformedDocument("group is empty")
@@ -244,6 +246,8 @@ def gst_oracle(tree: RootedTree, group: list[int], x_edges,
         if not 0 <= v < tree.num_nodes:
             raise MalformedDocument(f"group vertex {v} out of range")
     x = np.asarray(x_edges, dtype=float)
+    if x.shape != (len(tree.edges),):
+        raise LengthMismatch(f"x is {x.shape}, expected {(len(tree.edges),)}")
     if tree.root in group:
         return None
     net = FlowNetwork(num_nodes=tree.num_nodes + 1)

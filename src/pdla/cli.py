@@ -18,10 +18,9 @@ from .baselines import offline_solve
 from .covering_lp import current_solution, dual_certificate, run_lp
 from .covering_sdp import dual_certificate as sdp_dual_certificate
 from .covering_sdp import run_sdp
-from .errors import (EmptyRow, ExponentOverflow, Infeasible,
-                     MalformedDocument, NoFeasibleSolution, NoProgress,
-                     NotConverged, PdlaError, PhaseRestartLimit,
-                     UncoverableElement, UnscalableRow)
+from .errors import (ExponentOverflow, Infeasible, MalformedDocument,
+                     NoFeasibleSolution, NoProgress, NotConverged, PdlaError,
+                     PhaseRestartLimit, UncoverableElement, UnscalableRow)
 from .experiments import ExperimentConfig, ingest_edge_list, run_experiment
 from .instances import (SolverParams, parse_advice, parse_lp_instance,
                         parse_sdp_instance, validate_advice)
@@ -219,10 +218,7 @@ def main(argv=None) -> int:
     except _NUMERIC as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MalformedDocument, EmptyRow, PdlaError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PdlaError, OSError, json.JSONDecodeError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -15,19 +15,20 @@ discount the dual objective.
 
 The covering SDP solver reduces every violated round to a covering row, so
 the primal-dual growth lives here once: phase start (`start_phase`), the
-round (`grow_round`: its count, phase 1, the tight-set snap, budget check
-and growth step), the solver-state checks (`SolverState`), the dual
-certificate (`dual_certificate`), `current_solution`, `kappa_seen` and
-`beta_seen`. A solver keeps only its step report and its separation step
-(a `Separation`): the first budget guess, whether the round's constraint
-is met, the violated covering row, and whether the suggestion meets the
-constraint, asked only at the round's first growth step. Every growth step
-folds its dual into the column load `Phase.load` (A^T y, or A_j . Y for
-the SDP) and the dual objective `Phase.dual_obj` (right side times dual),
-so only the SDP keeps a dual accumulator of its own, the matrix dual
-(`Separation.accumulate`). The growth step (`_grow_step`) calls
-`find_stop`, `coefficient_vector` and `advance` through this module's
-globals.
+round (`grow_round`: its count, phase 1, budget check and growth steps,
+booked on the caller's step report), the growth step (`_grow_step`, which
+snaps to the tight set what it brings to the cap), the solver-state checks
+(`SolverState`), the dual certificate (`dual_certificate`),
+`current_solution`, `kappa_seen` and `beta_seen`. A solver keeps only its
+step report and its separation step (a `Separation`): the first budget
+guess, whether the round's constraint is met, the violated covering row,
+and whether the suggestion meets the constraint, asked only at the round's
+first growth step. Every growth step folds its dual into the column load
+`Phase.load` (A^T y, or A_j . Y for the SDP) and the dual objective
+`Phase.dual_obj` (right side times dual), so only the SDP keeps a dual
+accumulator of its own, the matrix dual (`Separation.accumulate`). The
+growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
+`advance` through this module's globals.
 
 `process_row` feeds one row and is the only growth path. Row lists (`run_lp`
 and the experiment runs) go through `run_rows`, which books the rows that
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
                      NoProgress, NotConverged, PdlaError, PhaseRestartLimit)
-from .growth import TOL, StopEvent, advance, coefficient_vector, find_stop
+from .growth import TOL, advance, coefficient_vector, find_stop
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
                         cost_vector, row_arrays)
 # Not called here; kept because the traced benchmark rebinds this name.
@@ -73,13 +74,13 @@ class Phase:
 
 @dataclass
 class StepReport:
-    round_no: int
-    stop_reason: str            # "already_satisfied" | "satisfied_by_2"
-    iterations: int
-    phases_entered: int
-    row_value: float
-    y_round: float
-    tight_added: list[int]
+    round_no: int = 0
+    stop_reason: str = "already_satisfied"   # | "satisfied_by_2"
+    iterations: int = 0
+    phases_entered: int = 0
+    row_value: float = 0.0
+    y_round: float = 0.0
+    tight_added: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -124,16 +125,6 @@ class SolverState:
 
     def new_phase(self, **shared) -> Phase:
         return Phase(**shared)
-
-
-@dataclass
-class RoundGrowth:
-    """What the shared loop did in one round; both step reports build on it."""
-    iterations: int = 0
-    phases_entered: int = 0
-    y_round: float = 0.0
-    tight_added: list[int] = field(default_factory=list)
-    last_event: str | None = None
 
 
 class Separation:
@@ -221,37 +212,28 @@ def start_phase(state: SolverState, alpha: float) -> None:
                                   load=np.zeros(state.n), dual_obj=0.0)
 
 
-def grow_round(state: SolverState,
-               sep: Separation) -> tuple[int, RoundGrowth]:
+def grow_round(state: SolverState, sep: Separation, report) -> str | None:
     """Count a new round and grow the active phase until `sep` finds it
-    satisfied; return the round number and what the loop did.
+    satisfied; return the kind of the round's last growth event, or None.
 
-    Before the first phase it opens phase 1 at params.initial_alpha, or at
-    sep.estimate() when unset. Its first growth step asks whether the
-    suggestion meets the constraint (sep.advice_holds), which arms
-    suggestion-proportional sharing; a round that holds never asks.
+    Books round_no and phases_entered on `report`, a fresh step report; its
+    growth steps book iterations, y_round and tight_added. Before the first
+    phase it opens phase 1 at params.initial_alpha, or at sep.estimate()
+    when unset. Its first growth step asks whether the suggestion meets the
+    constraint (sep.advice_holds), which arms suggestion-proportional
+    sharing; a round that holds never asks.
     """
     state.round_no += 1
-    rnd = state.round_no
+    report.round_no = state.round_no
     if state.phase is None:
         alpha = state.params.initial_alpha
         start_phase(state, float(sep.estimate() if alpha is None else alpha))
-    g = RoundGrowth()
-    branch_feasible = None
+    branch_feasible = last = None
     while True:
-        if g.iterations > MAX_ITER_ROUND:
-            raise NotConverged(
-                f"round {rnd} still violated after {MAX_ITER_ROUND} steps")
+        if report.iterations > MAX_ITER_ROUND:
+            raise NotConverged(f"round {report.round_no} still violated "
+                               f"after {MAX_ITER_ROUND} steps")
         ph = state.phase
-        if state.boxed:
-            idx = sep.support
-            hit = (ph.x[idx] >= 1.0 - SNAP) & ~ph.tight[idx]
-            if hit.any():
-                cols = idx[hit]
-                ph.obj += float(state.c[cols] @ (1.0 - ph.x[cols]))
-                ph.x[cols] = 1.0
-                ph.tight[cols] = True
-                g.tight_added.extend(int(j) for j in cols)
         if sep.holds(ph.x):
             break
         if ph.obj < ph.alpha * (1.0 - OBJ_ENTRY_TOL):
@@ -259,11 +241,8 @@ def grow_round(state: SolverState,
                 state.violations_seen += 1
                 branch_feasible = state.advice is not None and \
                     sep.advice_holds(state.advice)
-            ev = _grow_step(state, rnd, ph, sep, branch_feasible)
-            g.iterations += 1
-            g.y_round += ev.delta
-            g.last_event = ev.kind
-            if ev.kind != "objective":
+            last = _grow_step(state, report, ph, sep, branch_feasible)
+            if last != "objective":
                 continue
         # The budget is used up, at entry or by the step's objective event:
         # double the guess and reprocess this round, even when the step met
@@ -271,21 +250,25 @@ def grow_round(state: SolverState,
         # the budget in ties, so trusted snaps never trigger a spurious
         # restart.
         start_phase(state, ph.alpha * 2.0)
-        g.phases_entered += 1
-        g.y_round = 0.0
+        report.phases_entered += 1
+        report.y_round = 0.0
     ph = state.phase
-    if g.y_round > 0.0:
-        ph.y[rnd] = g.y_round
+    if report.y_round > 0.0:
+        ph.y[report.round_no] = report.y_round
     np.maximum(state.x_best, ph.x, out=state.x_best)
-    return rnd, g
+    return last
 
 
-def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
-               branch_feasible: bool) -> StopEvent:
+def _grow_step(state: SolverState, report, ph: Phase, sep: Separation,
+               branch_feasible: bool) -> str:
     """One growth iteration along the row `sep.cut()` gives, up to the
-    first stop event; moves the point and the duals, records the trace.
-    Only the row's free coordinates move: the tight ones take their share
-    of the right side as capacity and accrue packing duals instead."""
+    first stop event: moves the point and the duals, books the step on
+    `report`, records the trace and returns the event's kind. Only the
+    row's free coordinates move: the tight ones take their share of the
+    right side as capacity and accrue packing duals instead. When boxed,
+    what the step brings within SNAP of the cap joins the tight set at 1,
+    unless the objective's event abandons the phase."""
+    rnd = report.round_no
     w_row, rhs = sep.cut()
     idx = sep.support
     if state.boxed:
@@ -326,6 +309,8 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
     ev = find_stop(xb, D, w, cf, 2.0 * capacity, ph.alpha, ph.obj, adv_f,
                    state.boxed, TOL, k)
     state.iterations += 1
+    report.iterations += 1
+    report.y_round += ev.delta
     x_new = advance(xb, D, w, cf, ev.delta, k)
     if ev.kind == "advice":
         x_new[ev.j] = adv_f[ev.j]
@@ -348,7 +333,14 @@ def _grow_step(state: SolverState, rnd: int, ph: Phase, sep: Separation,
             "event": ev.kind, "j": None if ev.j is None else int(fidx[ev.j]),
             "delta": ev.delta, "obj": ph.obj, **sep.trace_fields(),
         })
-    return ev
+    if state.boxed and ev.kind != "objective":
+        cols = fidx[x_new >= 1.0 - SNAP]
+        if cols.size:
+            ph.obj += float(state.c[cols] @ (1.0 - ph.x[cols]))
+            ph.x[cols] = 1.0
+            ph.tight[cols] = True
+            report.tight_added.extend(int(j) for j in cols)
+    return ev.kind
 
 
 def process_row(state: SolverState, row) -> StepReport:
@@ -367,13 +359,11 @@ def process_row(state: SolverState, row) -> StepReport:
     state.col_max[idx] = np.maximum(state.col_max[idx], vals)
     state.col_min[idx] = np.minimum(state.col_min[idx], vals)
     sep = _RowSeparation(state, idx, vals)
-    rnd, g = grow_round(state, sep)
-    reason = "satisfied_by_2" if g.last_event == "target" \
-        else "already_satisfied"
-    return StepReport(round_no=rnd, stop_reason=reason,
-                      iterations=g.iterations,
-                      phases_entered=g.phases_entered, row_value=sep.value,
-                      y_round=g.y_round, tight_added=g.tight_added)
+    report = StepReport()
+    if grow_round(state, sep, report) == "target":
+        report.stop_reason = "satisfied_by_2"
+    report.row_value = sep.value
+    return report
 
 
 def current_solution(state: SolverState) -> np.ndarray:
@@ -443,9 +433,9 @@ def run_rows(state: SolverState, rows, reports: bool = True):
     booked. A sum that could lie within roundoff of 1 is decided by the
     row's own dot product, the test process_row makes. The first row and
     a failing row take process_row; the rows before it are booked at once.
-    No boxed coordinate awaits a snap between rounds (grow_round snaps the
-    support before each test, start_phase every coordinate). Each row is
-    checked once; process_row takes the checked Row as it is.
+    No boxed coordinate awaits a snap between rounds (_grow_step snaps what
+    it moves, start_phase every coordinate). Each row is checked once;
+    process_row takes the checked Row as it is.
     """
     rows, error = list(rows), None
     for k, row in enumerate(rows):
@@ -485,10 +475,7 @@ def run_rows(state: SolverState, rows, reports: bool = True):
                     state.round_no += 1
                     out.append(StepReport(
                         round_no=state.round_no,
-                        stop_reason="already_satisfied", iterations=0,
-                        phases_entered=0,
-                        row_value=float(row.vals @ ph.x[row.idx]),
-                        y_round=0.0, tight_added=[]))
+                        row_value=float(row.vals @ ph.x[row.idx])))
             else:
                 state.round_no += stop - i
         if stop < m:

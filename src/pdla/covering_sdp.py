@@ -4,12 +4,12 @@ A stream of monotonically growing symmetric targets B_1 <= B_2 <= ... arrives
 online and the solver maintains x >= 0 with sum_j A_j x_j >= B_i in the PSD
 order. Each violated round is reduced to covering rows through the least
 eigenvector v of the residual: the implicit row has weights w_j = v' A_j v
-and right side b = v' B_i v. The solver-state checks, the round,
-phase restarts, the tight-set snap, the budget check, the growth step and
-the dual certificate are the LP solver's (`covering_lp`), and so are the
-column load A_j (x) Y and the dual objective that every growth step folds
-in. This module keeps only its separation step (`_EigenSeparation`: the
-first budget guess, the residual's least eigenpair, the implicit row and
+and right side b = v' B_i v. The solver-state checks, the round and its
+report, phase restarts, the budget check, the growth step with its tight-set
+snap and the dual certificate are the LP solver's (`covering_lp`), and so
+are the column load A_j (x) Y and the dual objective that every growth step
+folds in. This module keeps only its separation step (`_EigenSeparation`:
+the first budget guess, the residual's least eigenpair, the implicit row and
 its column statistics, whether sum_j x'_j A_j covers the target), its step
 report and its own dual accumulator (`SdpPhase`: the matrix dual Y). Every
 stop event returns to a fresh eigendirection. The boxed variant enforces
@@ -49,13 +49,13 @@ class SdpPhase(Phase):
 
 @dataclass
 class SdpStepReport:
-    round_no: int
-    stop_reason: str            # "already_satisfied" | "satisfied"
-    iterations: int
-    phases_entered: int
-    residual_eig: float         # least eigenvalue at exit (>= -tol)
-    y_round: float
-    tight_added: list[int]
+    round_no: int = 0
+    stop_reason: str = "already_satisfied"   # | "satisfied"
+    iterations: int = 0
+    phases_entered: int = 0
+    residual_eig: float = 0.0   # least eigenvalue at exit (>= -tol)
+    y_round: float = 0.0
+    tight_added: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -154,12 +154,7 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     stream decreases, NoFeasibleSolution when a residual direction admits
     no growth, and PhaseRestartLimit on runaway budget guesses.
     """
-    B = np.asarray(B, dtype=float)
-    if B.shape != (state.d, state.d):
-        raise DimensionMismatch(
-            f"target is {B.shape}, expected {(state.d, state.d)}")
-    if not np.isfinite(B).all():
-        raise MalformedDocument("target must be finite")
+    B = _target(state, B)
     # make_sdp_instance's monotone test: the floor is relative to the
     # newer target's norm.
     if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd,
@@ -175,24 +170,32 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
         # A zero target is covered by any x >= 0; the budget guess waits
         # for a round that actually needs mass.
         state.round_no += 1
-        return SdpStepReport(round_no=state.round_no,
-                             stop_reason="already_satisfied", iterations=0,
-                             phases_entered=0, residual_eig=0.0, y_round=0.0,
-                             tight_added=[])
+        return SdpStepReport(round_no=state.round_no, residual_eig=0.0)
     sep = _EigenSeparation(state, B)
-    rnd, g = grow_round(state, sep)
-    reason = "already_satisfied" if g.iterations == 0 and \
-        g.phases_entered == 0 else "satisfied"
-    return SdpStepReport(round_no=rnd, stop_reason=reason,
-                         iterations=g.iterations,
-                         phases_entered=g.phases_entered,
-                         residual_eig=float(sep.lam), y_round=g.y_round,
-                         tight_added=g.tight_added)
+    report = SdpStepReport()
+    grow_round(state, sep, report)
+    if report.iterations or report.phases_entered:
+        report.stop_reason = "satisfied"
+    report.residual_eig = float(sep.lam)
+    return report
+
+
+def _target(state: SdpSolverState, B) -> np.ndarray:
+    """B as a float array, after the checks: DimensionMismatch unless it is
+    d x d, MalformedDocument unless it is finite."""
+    B = np.asarray(B, dtype=float)
+    if B.shape != (state.d, state.d):
+        raise DimensionMismatch(
+            f"target is {B.shape}, expected {(state.d, state.d)}")
+    if not np.isfinite(B).all():
+        raise MalformedDocument("target must be finite")
+    return B
 
 
 def feasibility_gap(state: SdpSolverState, B) -> float:
-    """Least eigenvalue of sum_j A_j xhat_j - B at the published solution."""
-    sep = _EigenSeparation(state, np.asarray(B, dtype=float))
+    """Least eigenvalue of sum_j A_j xhat_j - B at the published solution;
+    the target is checked as process_matrix checks it."""
+    sep = _EigenSeparation(state, _target(state, B))
     sep.holds(state.x_best)
     return float(sep.lam)
 

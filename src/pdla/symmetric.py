@@ -4,8 +4,8 @@ SDP separation needs only the least eigenpair of the residual, so
 `min_eigpair` asks LAPACK's MRRR driver `dsyevr` for that one pair instead of
 a full decomposition. It calls the driver directly, with the arguments
 `scipy.linalg.eigh(subset_by_index=[0, 0], driver="evr")` passes, and so
-gives the same bits without `eigh`'s per-call argument handling; the driver
-and its workspace sizes are cached per dimension. A diagonal matrix is
+gives the same bits without `eigh`'s per-call argument handling; its
+workspace sizes are cached per dimension. A diagonal matrix is
 answered exactly from its diagonal. The eigenvector's largest-magnitude
 entry is made positive so the output is deterministic.
 
@@ -17,7 +17,7 @@ the least eigenvalue's.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork
 
 from .errors import AsymmetricMatrix, DimensionMismatch, NotConverged
 
@@ -26,27 +26,8 @@ from .errors import AsymmetricMatrix, DimensionMismatch, NotConverged
 _CHOL_MARGIN = 16.0
 _EPS = float(np.finfo(float).eps)
 
-# Filled on first use of each dimension: d -> (dsyevr, lwork, liwork) and
-# d -> dpotrf.
-_SYEVR: dict[int, tuple] = {}
-_POTRF: dict[int, object] = {}
-
-
-def _syevr(d: int) -> tuple:
-    if d not in _SYEVR:
-        drv, drv_lwork = get_lapack_funcs(("syevr", "syevr_lwork"),
-                                          (np.empty((d, d)),))
-        work, iwork, info = drv_lwork(n=d, lower=1)
-        if info != 0:
-            raise NotConverged(f"LAPACK workspace query failed: info={info}")
-        _SYEVR[d] = drv, int(work), int(iwork)
-    return _SYEVR[d]
-
-
-def _potrf(d: int):
-    if d not in _POTRF:
-        _POTRF[d], = get_lapack_funcs(("potrf",), (np.empty((d, d)),))
-    return _POTRF[d]
+# dsyevr's (lwork, liwork) per dimension, filled on first use.
+_SYEVR_WORK: dict[int, tuple[int, int]] = {}
 
 
 def _checked(m) -> tuple[np.ndarray, float]:
@@ -72,10 +53,16 @@ def _least_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.zeros(a.shape[0])
         vec[k] = 1.0
         return float(diag[k]), vec
-    drv, lwork, liwork = _syevr(a.shape[0])
-    vals, vecs, _, _, info = drv(0.5 * (a + a.T), compute_v=1, range="I",
-                                 lower=1, il=1, iu=1, lwork=lwork,
-                                 liwork=liwork, overwrite_a=1)
+    d = a.shape[0]
+    if d not in _SYEVR_WORK:
+        work, iwork, info = dsyevr_lwork(n=d, lower=1)
+        if info != 0:
+            raise NotConverged(f"LAPACK workspace query failed: info={info}")
+        _SYEVR_WORK[d] = int(work), int(iwork)
+    lwork, liwork = _SYEVR_WORK[d]
+    vals, vecs, _, _, info = dsyevr(0.5 * (a + a.T), compute_v=1, range="I",
+                                    lower=1, il=1, iu=1, lwork=lwork,
+                                    liwork=liwork, overwrite_a=1)
     if info != 0:
         raise NotConverged(f"LAPACK eigensolver failed: info={info}")
     vec = vecs[:, 0]
@@ -114,7 +101,7 @@ def is_psd(m, tol_psd: float = 1e-7, scale: float | None = None) -> bool:
         s.flat[::d + 1] += shift
         # s is symmetric, so its transpose is the same matrix in the
         # Fortran order dpotrf factors in place.
-        _, info = _potrf(d)(s.T, lower=1, clean=0, overwrite_a=1)
+        _, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             return True
         if info < 0:

@@ -120,6 +120,10 @@ _PATH3 = RootedTree.from_edge_list(3, 0, [(0, 1, 1.0), (1, 2, 1.0)])
                  id="empty-group"),
     pytest.param(lambda: gst_oracle(_PATH3, [1, 3], [1.0, 1.0]),
                  "out of range", id="group-out-of-range"),
+    pytest.param(lambda: gst_oracle(_PATH3, [2], [0.5]),
+                 r"expected \(2,\)", id="short-edge-vector"),
+    pytest.param(lambda: gst_oracle(_PATH3, [2], [0.5, 0.5, 0.5]),
+                 r"expected \(2,\)", id="long-edge-vector"),
 ])
 def test_application_input_errors(build, match):
     with pytest.raises(MalformedDocument, match=match):

@@ -420,6 +420,33 @@ def test_zero_weight_overflow_publishes_a_finite_point():
     assert np.array_equal(current_solution(st), [0.0, 1.0])
 
 
+def test_sharing_falls_back_to_uniform_when_the_suggestion_stalls(
+        monkeypatch):
+    # The suggestion (1, 0) meets the second row, but once coordinate 0 is
+    # at its cap the only free coordinate has no suggestion mass: shared
+    # in proportion to the suggestion, nothing would grow. The step asks
+    # again with uniform sharing, which grows coordinate 1 to cover the
+    # 5e-10 the cap leaves.
+    real, asked = covering_lp.coefficient_vector, []
+
+    def spy(*args):
+        asked.append(args[4])           # advice_feasible
+        return real(*args)
+
+    monkeypatch.setattr(covering_lp, "coefficient_vector", spy)
+    adv = validate_advice([1.0, 0.0], 0.0, 2, boxed=True)
+    st = new_lp_solver(2, [1.0, 1.0], advice=adv, boxed=True,
+                       params=SolverParams(tol_feas=1e-12))
+    process_row(st, [(0, 1.0)])
+    row = [(0, 1.0 - 5e-10), (1, 1.0)]
+    rep = process_row(st, row)
+    assert asked == [True, True, True, False]
+    assert rep.stop_reason == "satisfied_by_2"
+    x = current_solution(st)
+    assert x[1] == pytest.approx(1e-9, rel=1e-6)
+    assert sum(a * x[j] for j, a in row) >= 1.0 - 1e-12
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
 def test_a_non_finite_step_raises_instead_of_publishing(monkeypatch, bad):

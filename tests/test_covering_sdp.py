@@ -319,6 +319,19 @@ def test_non_finite_target_is_bad_input(bad):
     assert st.round_no == 0
 
 
+@pytest.mark.parametrize("target, error", [
+    (np.ones(3), DimensionMismatch),    # would broadcast against the residual
+    (np.ones((2, 2)), DimensionMismatch),
+    (np.full((3, 3), np.nan), MalformedDocument),
+])
+@pytest.mark.parametrize("entry", [feasibility_gap, process_matrix])
+def test_every_entry_checks_the_target_alike(entry, target, error):
+    A = [np.diag([1.0, 2.0, 3.0]), np.eye(3)]
+    st = new_sdp_solver(make_sdp_instance(2, 3, [1.0, 1.0], A, [np.eye(3)]))
+    with pytest.raises(error):
+        entry(st, target)
+
+
 @pytest.mark.parametrize("kind", ["lp", "lp_box", "sdp", "sdp_box"])
 def test_initial_alpha_opens_phase_one_in_every_variant(kind):
     # n = 1, c = 1 and a unit constraint: the estimate would be 1. The

@@ -6,6 +6,7 @@ spread over 1e-8 to 1e8, half of them boxed and 60% with advice at lambda in
 decrease, and must cover everything fed so far; on a boxed state no
 coordinate outside the tight set may lie within SNAP of its cap, the
 invariant `covering_lp.run_rows` relies on when it books rows in blocks.
+The growth step keeps it too, after every step that keeps its phase.
 The scaled dual certificate, objective / scale, is a feasible dual value, so
 it is a lower bound on OPT: after every round it must not exceed the
 published cost, and on an LP stream the best such bound must not exceed the
@@ -145,6 +146,34 @@ def test_random_lp_streams_publish_finite_covering_points():
 def test_random_sdp_streams_publish_finite_covering_points():
     ends = [_sdp_stream(seed) for seed in range(SDP_STREAMS)]
     assert ends.count("ok") > SDP_STREAMS // 2
+
+
+def test_every_boxed_growth_step_snaps_what_it_brings_to_the_cap(
+        monkeypatch):
+    # Not only between rounds: a growth step that keeps its phase (any
+    # event but the objective's) leaves no free coordinate within SNAP of
+    # its cap, so the round's next test already sees the tight set.
+    real = covering_lp._grow_step
+    counts = {"lp": 0, "sdp": 0, "snapped": 0}
+
+    def checked(state, *args):
+        ph = state.phase
+        tight = int(ph.tight.sum())
+        kind = real(state, *args)
+        if state.boxed and kind != "objective":
+            assert _no_pending_snap(state)
+            sdp = isinstance(state, covering_sdp.SdpSolverState)
+            counts["sdp" if sdp else "lp"] += 1
+            counts["snapped"] += int(ph.tight.sum()) > tight
+        return kind
+
+    monkeypatch.setattr(covering_lp, "_grow_step", checked)
+    for seed in range(LP_STREAMS // 2):
+        _lp_stream(seed)
+    for seed in range(SDP_STREAMS // 2):
+        _sdp_stream(seed)
+    assert counts["lp"] >= 200 and counts["sdp"] >= 200
+    assert counts["snapped"] >= 200
 
 
 def _summary(st):

@@ -155,13 +155,13 @@ def test_min_eigpair_is_eighs_evr_result_bit_for_bit(d):
 
 def test_lapack_failure_is_not_converged(monkeypatch):
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    drv, lwork, liwork = symmetric._syevr(2)
+    drv = symmetric.dsyevr
 
     def failing(*args, **kwargs):
         *out, _ = drv(*args, **kwargs)
         return (*out, 1)
 
-    monkeypatch.setitem(symmetric._SYEVR, 2, (failing, lwork, liwork))
+    monkeypatch.setattr(symmetric, "dsyevr", failing)
     with pytest.raises(NotConverged, match="LAPACK"):
         min_eigpair(m)
     # is_psd certifies a positive definite matrix by Cholesky alone, so the
@@ -171,13 +171,13 @@ def test_lapack_failure_is_not_converged(monkeypatch):
 
 
 def test_cholesky_argument_error_is_not_converged(monkeypatch):
-    potrf = symmetric._potrf(2)
+    potrf = symmetric.dpotrf
 
     def failing(*args, **kwargs):
         c, _ = potrf(*args, **kwargs)
         return c, -1
 
-    monkeypatch.setitem(symmetric._POTRF, 2, failing)
+    monkeypatch.setattr(symmetric, "dpotrf", failing)
     with pytest.raises(NotConverged, match="Cholesky"):
         is_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
@@ -234,8 +234,8 @@ def test_input_errors_come_before_any_factorization(bad, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("factorized a rejected matrix")
 
-    monkeypatch.setattr(symmetric, "_potrf", never)
-    monkeypatch.setattr(symmetric, "_syevr", never)
+    monkeypatch.setattr(symmetric, "dpotrf", never)
+    monkeypatch.setattr(symmetric, "dsyevr", never)
     m = np.eye(3)
     m[2, 1] = bad
     with pytest.raises(NotConverged):
