@@ -117,10 +117,19 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
 def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertificate:
     """Near-optimal offline primal and dual for a covering instance.
 
-    Solves min c x, A x >= 1, 0 <= x (<= 1 when boxed) with HiGHS and
-    rescales the primal to exact row feasibility. The returned gap satisfies
-    gap <= eps * objective, sandwiching the true optimum in
-    [dual_objective / (1 + eps), objective].
+    Solves min c x, A x >= 1, 0 <= x (<= 1 when boxed) with HiGHS, without
+    presolve, and rescales the primal to exact row feasibility. The dual is
+    built from HiGHS's row duals y alone, so it is feasible by construction:
+    unboxed, y is divided by max(1, max_j (A'y)_j / c_j); boxed, the box
+    duals are z = max(A'y - c, 0). Then dual_objective = sum(y) - sum(z) is
+    a lower bound on the optimum, and gap = objective - dual_objective.
+
+    That answer is kept when HiGHS reports success and gap <= eps *
+    objective. Otherwise HiGHS runs once more with presolve, and its answer
+    is returned with a certificate formed the same way, whose gap may then
+    exceed eps; either way the true optimum lies in [dual_objective,
+    objective] up to roundoff. Raises Infeasible when the instance has no
+    feasible point, NotConverged on any other HiGHS failure.
     """
     # Imported here: scipy.optimize costs every process that never solves
     # offline (an SDP run, say) tens of MB and a few tenths of a second.
@@ -139,33 +148,52 @@ def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertifi
     A = sp.csr_matrix((np.concatenate(vals), np.concatenate(idx), indptr),
                       shape=(m, n))
     A.sort_indices()
+    A_ub, b_ub = -A, -np.ones(m)
     bounds = (0.0, 1.0) if inst.boxed else (0.0, None)
-    res = linprog(inst.c, A_ub=-A, b_ub=-np.ones(m), bounds=bounds,
-                  method="highs")
+
+    def solve(**options):
+        return linprog(inst.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                       method="highs", options=options)
+
+    # Presolve removes nothing from these LPs and costs more than half of
+    # the solve; it runs only when the answer without it does not certify.
+    res = solve(presolve=False)
+    if res.status == 0:
+        cert = _certificate(inst, A, res)
+        if cert.gap <= eps * cert.objective:
+            return cert
+    res = solve()
     if res.status == 2:
         raise Infeasible("offline covering LP is infeasible")
     if res.status != 0:
         raise NotConverged(f"linprog failed with status {res.status}")
+    return _certificate(inst, A, res)
+
+
+def _certificate(inst: CoveringLpInstance, A, res) -> OfflineCertificate:
+    """The primal of a successful linprog result, rescaled to cover every
+    row, and a dual built from its row duals alone so that it is feasible."""
     # HiGHS can leave bound violations at roundoff scale; clamp into the box
     x = np.maximum(np.asarray(res.x, dtype=float), 0.0)
     if inst.boxed:
         x = np.minimum(x, 1.0)
-    vals = A @ x
-    worst = float(vals.min())
+    worst = float((A @ x).min())
     if worst < 1.0:
         x = x / worst
         if inst.boxed:
             x = np.minimum(x, 1.0)
     y = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=float), 0.0)
+    load = A.T @ y
     if inst.boxed:
-        z = np.maximum(-np.asarray(res.upper.marginals, dtype=float), 0.0)
+        z = np.maximum(load - inst.c, 0.0)
     else:
-        z = np.zeros(n)
+        y = y / max(1.0, float(np.max(load / inst.c)))
+        z = np.zeros(inst.n)
     objective = float(inst.c @ x)
     dual_objective = float(y.sum() - z.sum())
-    gap = objective - dual_objective
     return OfflineCertificate(x=x, y=y, z=z, objective=objective,
-                              dual_objective=dual_objective, gap=gap)
+                              dual_objective=dual_objective,
+                              gap=objective - dual_objective)
 
 
 def exact_lp_optimum(inst: CoveringLpInstance, max_bases: int = 200_000) -> float:
@@ -175,23 +203,28 @@ def exact_lp_optimum(inst: CoveringLpInstance, max_bases: int = 200_000) -> floa
     drawn from the rows and the bounds. Enumerates all such square systems,
     keeps the feasible solutions, and returns the cheapest cost. Guards
     against combinatorial blowup via max_bases.
+
+    Each column is measured in its own units, u_j = s_j x_j with s_j the
+    column's largest coefficient, and each square system's rows are scaled
+    to unit size before its conditioning is tested. So which bases count as
+    singular, and which solutions as feasible, does not depend on the units
+    of a row or a column.
     """
     n, m = inst.n, len(inst.rows)
     if m == 0:
         return 0.0
-    rows_dense = []
-    for row in inst.rows:
-        r = np.zeros(n)
-        for j, a in row:
-            r[j] = a
-        rows_dense.append(r)
-    pool: list[tuple[np.ndarray, float]] = [(r, 1.0) for r in rows_dense]
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        pool.append((e, 0.0))
-        if inst.boxed:
-            pool.append((e, 1.0))
+    A = np.zeros((m, n))
+    for i, row in enumerate(inst.rows):
+        idx, vals = row_arrays(row, n)
+        A[i, idx] = vals
+    s = A.max(axis=0)
+    s[s <= 0.0] = 1.0
+    As = A / s
+    eye = np.eye(n)
+    # (row, right side, the column a bound row pins or -1)
+    pool = [(r, 1.0, -1) for r in As] + [(eye[j], 0.0, j) for j in range(n)]
+    if inst.boxed:
+        pool += [(eye[j], s[j], j) for j in range(n)]
     total = len(pool)
     from math import comb
     if comb(total, n) > max_bases:
@@ -199,18 +232,23 @@ def exact_lp_optimum(inst: CoveringLpInstance, max_bases: int = 200_000) -> floa
             f"{comb(total, n)} candidate bases exceed the {max_bases} guard")
     best = np.inf
     for combo in combinations(range(total), n):
-        M = np.stack([pool[k][0] for k in combo])
-        rhs = np.array([pool[k][1] for k in combo])
-        if abs(np.linalg.det(M)) < 1e-12:
+        M, rhs, pin = (np.array(v) for v in zip(*(pool[k] for k in combo)))
+        # Conditioned worse than this, the solve carries no correct digits.
+        if np.linalg.cond(M / np.abs(M).max(axis=1, keepdims=True)) > 1e12:
             continue
-        x = np.linalg.solve(M, rhs)
-        if np.any(x < -1e-9):
+        u = np.linalg.solve(M, rhs)
+        # A pinned coordinate takes its bound exactly, not the solve's
+        # roundoff, which a large cost would turn into a real cost.
+        on_bound = pin >= 0
+        u[pin[on_bound]] = rhs[on_bound]
+        if np.any(u < -1e-9):
             continue
+        x = np.maximum(u, 0.0) / s
         if inst.boxed and np.any(x > 1.0 + 1e-9):
             continue
-        if any(r @ x < 1.0 - 1e-9 for r in rows_dense):
+        if np.any(As @ u < 1.0 - 1e-9):
             continue
-        best = min(best, float(inst.c @ np.maximum(x, 0.0)))
+        best = min(best, float(inst.c @ x))
     if not np.isfinite(best):
         raise Infeasible("no feasible basic solution")
     return best

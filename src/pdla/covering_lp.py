@@ -75,7 +75,7 @@ class Phase:
 @dataclass
 class StepReport:
     round_no: int = 0
-    stop_reason: str = "already_satisfied"   # | "satisfied_by_2"
+    stop_reason: str = "already_satisfied"   # | "satisfied" | "satisfied_by_2"
     iterations: int = 0
     phases_entered: int = 0
     row_value: float = 0.0
@@ -362,6 +362,8 @@ def process_row(state: SolverState, row) -> StepReport:
     report = StepReport()
     if grow_round(state, sep, report) == "target":
         report.stop_reason = "satisfied_by_2"
+    elif report.iterations or report.phases_entered:
+        report.stop_reason = "satisfied"
     report.row_value = sep.value
     return report
 

@@ -28,7 +28,7 @@ def test_trace_single_coordinate_budget_ladder():
     rep = process_row(st, [(0, 1.0)])
     assert st.alpha_history == [1.0, 2.0]
     assert rep.phases_entered == 1
-    assert rep.stop_reason == "already_satisfied"
+    assert rep.stop_reason == "satisfied"
     assert current_solution(st)[0] == pytest.approx(1.0, rel=1e-6)
     assert st.violations_seen == 1
     assert st.iterations == 1
@@ -71,9 +71,22 @@ def test_trace_fractional_entry_budget_ladder():
     rep = process_row(st, [(0, 0.25)])
     assert st.alpha_history == [4.0, 8.0]
     assert current_solution(st)[0] == pytest.approx(4.0, rel=1e-6)
-    assert rep.stop_reason == "already_satisfied"
+    assert rep.stop_reason == "satisfied"
     assert kappa_seen(st) == pytest.approx(1.0)
     assert beta_seen(st) == pytest.approx(0.25)
+
+
+def test_stop_reason_tells_a_row_that_grew_from_one_that_held():
+    # As on the SDP side: a round that took a step or a restart reads
+    # "satisfied" unless its last event met the doubled target. Here the
+    # one step ends on the suggestion (x0 = 1), which caps x0.
+    adv = validate_advice([1.0, 0.0], 0.0, 2, boxed=True)
+    st = new_lp_solver(2, [1.0, 1.0], advice=adv, boxed=True)
+    rep = process_row(st, [(0, 1.0)])
+    assert (rep.iterations, rep.phases_entered, rep.tight_added) == (1, 0, [0])
+    assert rep.stop_reason == "satisfied"
+    again = process_row(st, [(0, 1.0)])
+    assert again.iterations == 0 and again.stop_reason == "already_satisfied"
 
 
 def test_trace_satisfied_by_two_exit():

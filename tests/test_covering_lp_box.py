@@ -21,7 +21,7 @@ def test_trace_cap_event_and_tight_promotion():
                            params=SolverParams(initial_alpha=4.0))
     rep = process_row_box(st, [(0, 1.0)])
     assert rep.tight_added == [0]
-    assert rep.stop_reason == "already_satisfied"
+    assert rep.stop_reason == "satisfied"
     assert current_solution(st)[0] == 1.0
     assert st.alpha_history == [4.0]
     cert = dual_certificate_box(st)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from pdla import covering_lp, covering_sdp
-from pdla.baselines import offline_solve
+from pdla.baselines import exact_lp_optimum, offline_solve
 from pdla.errors import NoFeasibleSolution
 from pdla.experiments import gen_synthetic
 from pdla.instances import (SolverParams, make_lp_instance, make_sdp_instance,
@@ -141,6 +141,112 @@ def _sdp_stream(seed):
 def test_random_lp_streams_publish_finite_covering_points():
     ends = [_lp_stream(seed) for seed in range(LP_STREAMS)]
     assert ends.count("ok") > LP_STREAMS // 2
+
+
+@pytest.fixture(scope="module")
+def offline_lps():
+    """Seed -> (instance, certificate) of the offline LP `_lp_stream(seed)`
+    solves at its end, over the stream test's seeds."""
+    real, solved = offline_solve, {}
+    with pytest.MonkeyPatch.context() as mp:
+        for seed in range(LP_STREAMS):
+            def spy(inst, eps, seed=seed):
+                solved[seed] = inst, real(inst, eps)
+                return solved[seed][1]
+            mp.setitem(globals(), "offline_solve", spy)
+            _lp_stream(seed)
+    return solved
+
+
+def _matrix(inst):
+    A = np.zeros((len(inst.rows), inst.n))
+    for i, row in enumerate(inst.rows):
+        A[i, row.idx] = row.vals
+    return A
+
+
+def test_offline_certificates_sandwich_the_optimum(offline_lps):
+    # The dual is feasible by construction, so dual_objective is a lower
+    # bound on OPT whether or not the gap certifies eps.
+    certified = 0
+    for seed, (inst, cert) in offline_lps.items():
+        assert (cert.y >= 0.0).all() and (cert.z >= 0.0).all(), seed
+        # A'y - z <= c, each side to within REL of its own size.
+        assert (_matrix(inst).T @ cert.y
+                <= (inst.c + cert.z) * (1.0 + REL)).all(), seed
+        assert cert.dual_objective <= cert.objective * (1.0 + 1e-12), seed
+        certified += cert.gap <= EPS_OFFLINE * cert.objective
+    assert len(offline_lps) >= 250 and certified >= len(offline_lps) - 3
+
+
+def _solve_counting(monkeypatch, inst):
+    """offline_solve on inst; returns the certificate and, per linprog
+    call, its presolve option and status."""
+    import scipy.optimize
+    real, calls = scipy.optimize.linprog, []
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs.get("options", {}).get("presolve", True),
+                      res.status))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return offline_solve(inst, eps=EPS_OFFLINE), calls
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_offline_solve_takes_one_presolve_free_call(monkeypatch, seed, boxed):
+    # On the experiment grid's instances HiGHS without presolve already
+    # certifies, so the presolve fallback never runs.
+    import scipy.optimize
+    base = gen_synthetic(100, seed, 0.5)
+    inst = make_lp_instance(base.n, base.c, base.rows, boxed=boxed)
+    A, m = _matrix(inst), len(inst.rows)
+    ref = scipy.optimize.linprog(inst.c, A_ub=-A, b_ub=-np.ones(m),
+                                 bounds=(0.0, 1.0 if boxed else None),
+                                 method="highs").x
+    cert, calls = _solve_counting(monkeypatch, inst)
+    assert calls == [(False, 0)]
+    assert cert.gap <= EPS_OFFLINE * cert.objective
+    assert np.abs(cert.x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_offline_solve_without_presolve_certifies_seed_250(offline_lps,
+                                                           monkeypatch):
+    # With presolve HiGHS stops 12.7% above this optimum.
+    cert, calls = _solve_counting(monkeypatch, offline_lps[250][0])
+    assert calls == [(False, 0)]
+    assert cert.objective == pytest.approx(1.95843e-4, rel=1e-5)
+    assert cert.gap <= EPS_OFFLINE * cert.objective
+
+
+def test_offline_solve_falls_back_to_presolve_on_failure(offline_lps,
+                                                         monkeypatch):
+    # Without presolve HiGHS calls seed 32's LP unbounded (status 3).
+    cert, calls = _solve_counting(monkeypatch, offline_lps[32][0])
+    assert calls == [(False, 3), (True, 0)]
+    assert cert.gap <= EPS_OFFLINE * cert.objective
+
+
+def test_offline_gap_stays_honest_when_neither_solve_certifies(offline_lps,
+                                                               monkeypatch):
+    # Seed 59 certifies in neither mode: its answer comes back with a gap
+    # far above eps rather than an error, and its dual still bounds OPT.
+    cert, calls = _solve_counting(monkeypatch, offline_lps[59][0])
+    assert calls == [(False, 0), (True, 0)]
+    assert cert.gap > 1e3 * cert.objective
+    assert cert.dual_objective < cert.objective
+
+
+@pytest.mark.parametrize("seed", [35, 48, 70, 94, 108, 270])
+def test_exact_optimum_accepts_badly_scaled_bases(offline_lps, seed):
+    # An absolute determinant test once skipped every optimal basis of
+    # these LPs, whose coefficients spread over 1e-8 to 1e8.
+    inst, cert = offline_lps[seed]
+    assert cert.gap <= EPS_OFFLINE * cert.objective
+    assert exact_lp_optimum(inst) == pytest.approx(cert.objective, rel=1e-6)
 
 
 def test_random_sdp_streams_publish_finite_covering_points():
