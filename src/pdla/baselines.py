@@ -125,11 +125,13 @@ def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertifi
     a lower bound on the optimum, and gap = objective - dual_objective.
 
     That answer is kept when HiGHS reports success and gap <= eps *
-    objective. Otherwise HiGHS runs once more with presolve, and its answer
-    is returned with a certificate formed the same way, whose gap may then
-    exceed eps; either way the true optimum lies in [dual_objective,
-    objective] up to roundoff. Raises Infeasible when the instance has no
-    feasible point, NotConverged on any other HiGHS failure.
+    objective. Otherwise HiGHS runs once more with presolve, its answer gets
+    a certificate formed the same way, and of the solves that succeeded the
+    cheapest primal is returned with the largest dual objective, whose gap
+    may then exceed eps; either way the true optimum lies in
+    [dual_objective, objective] up to roundoff. Raises only when neither
+    solve succeeds: Infeasible when the instance has no feasible point,
+    NotConverged on any other HiGHS failure.
     """
     # Imported here: scipy.optimize costs every process that never solves
     # offline (an SDP run, say) tens of MB and a few tenths of a second.
@@ -158,16 +160,24 @@ def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertifi
     # Presolve removes nothing from these LPs and costs more than half of
     # the solve; it runs only when the answer without it does not certify.
     res = solve(presolve=False)
-    if res.status == 0:
-        cert = _certificate(inst, A, res)
-        if cert.gap <= eps * cert.objective:
-            return cert
+    certs = [_certificate(inst, A, res)] if res.status == 0 else []
+    if certs and certs[0].gap <= eps * certs[0].objective:
+        return certs[0]
     res = solve()
-    if res.status == 2:
-        raise Infeasible("offline covering LP is infeasible")
-    if res.status != 0:
+    if res.status == 0:
+        certs.append(_certificate(inst, A, res))
+    elif not certs:
+        if res.status == 2:
+            raise Infeasible("offline covering LP is infeasible")
         raise NotConverged(f"linprog failed with status {res.status}")
-    return _certificate(inst, A, res)
+    # Every primal covers and every dual is feasible, so the cheapest
+    # primal and the largest dual objective bracket the optimum tightest.
+    primal = min(certs, key=lambda cert: cert.objective)
+    dual = max(certs, key=lambda cert: cert.dual_objective)
+    return OfflineCertificate(x=primal.x, y=dual.y, z=dual.z,
+                              objective=primal.objective,
+                              dual_objective=dual.dual_objective,
+                              gap=primal.objective - dual.dual_objective)
 
 
 def _certificate(inst: CoveringLpInstance, A, res) -> OfflineCertificate:

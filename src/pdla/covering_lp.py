@@ -31,10 +31,10 @@ growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 `advance` through this module's globals.
 
 `process_row` feeds one row and is the only growth path. Row lists (`run_lp`
-and the experiment runs) go through `run_rows`, which books the rows that
-hold on arrival in blocks, found by segmented sums over doubling windows,
-and sends only the others to `process_row`. A separation oracle goes
-through `run_source`.
+and the experiment runs) go through `run_rows`, which decides each row by
+`process_row`'s own test, books the rows that hold on arrival and sends
+only the others to `process_row`. A separation oracle goes through
+`run_source`.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
-                     NoProgress, NotConverged, PdlaError, PhaseRestartLimit)
+                     NoProgress, NotConverged, PhaseRestartLimit)
 from .growth import TOL, advance, coefficient_vector, find_stop
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
                         cost_vector, row_arrays)
@@ -55,7 +55,6 @@ ADVICE_ROW_TOL = 1e-9   # slack when testing a row against the suggestion
 OBJ_ENTRY_TOL = 1e-12   # relative slack for the budget check at iteration entry
 MAX_ROUNDS = 1_000_000  # safety stop for oracle-driven runs
 MAX_ITER_ROUND = 200_000  # safety stop for the growth steps of one round
-ROW_WINDOW = 16         # rows summed at once by run_rows after a growing row
 
 
 @dataclass
@@ -427,83 +426,48 @@ def run_rows(state: SolverState, rows, reports: bool = True):
     process_row on each row; return every row's report (None when reports
     is false).
 
-    A row that holds on arrival changes only the round counter and the
-    column statistics. Segmented sums over a window of the following rows
-    give their values at the active phase point; the window starts at
-    ROW_WINDOW rows and doubles while its rows hold, so the rows summed
-    before the next growing row are at most ROW_WINDOW plus twice the rows
-    booked. A sum that could lie within roundoff of 1 is decided by the
-    row's own dot product, the test process_row makes. The first row and
-    a failing row take process_row; the rows before it are booked at once.
-    No boxed coordinate awaits a snap between rounds (_grow_step snaps what
-    it moves, start_phase every coordinate). Each row is checked once;
-    process_row takes the checked Row as it is.
+    Each row is checked once, in its turn (process_row takes the checked
+    Row as it is), and decided at the active phase point by process_row's
+    own test. A row that holds changes only the round counter and the
+    column statistics, so it is booked without process_row: the booked
+    rows' entries are folded into col_max / col_min by one np.maximum.at /
+    np.minimum.at pair before the next row that takes process_row, and
+    when the run ends or raises. The first row, which opens phase 1, and
+    every row that fails take process_row, the only growth path.
     """
-    rows, error = list(rows), None
-    for k, row in enumerate(rows):
-        try:
-            if not (type(row) is Row and row.n <= state.n):
-                rows[k] = Row(*row_arrays(row, state.n), state.n)
-        except PdlaError as exc:
-            error, rows = exc, rows[:k]   # raised again in the row's turn
-            break
     out = [] if reports else None
-    m = len(rows)
-    if m:
-        lens = np.array([row.idx.size for row in rows])
-        starts = np.concatenate(([0], np.cumsum(lens)))
-        flat_idx = np.concatenate([row.idx for row in rows])
-        flat_vals = np.concatenate([row.vals for row in rows])
-        # A block sum and the row's own dot product, each over k
-        # non-negative products in its own order, differ by less than
-        # (k + 1) eps of their size; a sum above this proves the row holds
-        # whatever tol_feas is.
-        sure = 1.0 + 4.0 * np.finfo(float).eps * lens
-    bar = 1.0 - state.params.tol_feas
-    i = 0
-    while i < m:
-        ph = state.phase
-        stop = i
-        if ph is not None:
-            stop = _first_failing(ph.x, rows, i, flat_idx, flat_vals, starts,
-                                  sure, bar)
-            # A block repeats columns, so its statistics take ufunc.at.
-            cols = flat_idx[starts[i]:starts[stop]]
-            vals = flat_vals[starts[i]:starts[stop]]
-            np.maximum.at(state.col_max, cols, vals)
-            np.minimum.at(state.col_min, cols, vals)
-            if reports:
-                for row in rows[i:stop]:
+    booked = []
+    try:
+        for row in rows:
+            if not (type(row) is Row and row.n <= state.n):
+                row = Row(*row_arrays(row, state.n), state.n)
+            if state.phase is not None:
+                sep = _RowSeparation(state, row.idx, row.vals)
+                if sep.holds(state.phase.x):
                     state.round_no += 1
-                    out.append(StepReport(
-                        round_no=state.round_no,
-                        row_value=float(row.vals @ ph.x[row.idx])))
-            else:
-                state.round_no += stop - i
-        if stop < m:
-            rep = process_row(state, rows[stop])
+                    booked.append(row)
+                    if reports:
+                        out.append(StepReport(round_no=state.round_no,
+                                              row_value=sep.value))
+                    continue
+            _fold_columns(state, booked)
+            rep = process_row(state, row)
             if reports:
                 out.append(rep)
-        i = stop + 1
-    if error is not None:
-        raise error
+    finally:
+        _fold_columns(state, booked)
     return out
 
 
-def _first_failing(x, rows, i, flat_idx, flat_vals, starts, sure, bar) -> int:
-    """Position of the first row from i on that fails at x, or len(rows)."""
-    m, width = len(rows), ROW_WINDOW
-    while i < m:
-        end = min(i + width, m)
-        s, e = starts[i], starts[end]
-        sums = np.add.reduceat(flat_vals[s:e] * x[flat_idx[s:e]],
-                               starts[i:end] - s)
-        for k in np.flatnonzero(sums < sure[i:end]).tolist():
-            row = rows[i + k]
-            if not float(row.vals @ x[row.idx]) >= bar:
-                return i + k
-        i, width = end, 2 * width
-    return m
+def _fold_columns(state: SolverState, booked: list) -> None:
+    """Fold the booked rows into the column statistics and clear the list;
+    booked rows can share columns, so the fold takes ufunc.at."""
+    if booked:
+        cols = np.concatenate([row.idx for row in booked])
+        vals = np.concatenate([row.vals for row in booked])
+        np.maximum.at(state.col_max, cols, vals)
+        np.minimum.at(state.col_min, cols, vals)
+        booked.clear()
 
 
 def kappa_seen(state: SolverState) -> float:

@@ -242,20 +242,24 @@ def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
     return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
 
 
-def parse_lp_instance(text: str) -> CoveringLpInstance:
+def _document(text: str, *fields: str) -> dict:
+    """The JSON object text holds, which must have every field named."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be an object")
-    try:
-        n = doc["n"]
-        c = doc["c"]
-        rows = doc["rows"]
-        boxed = doc.get("boxed", False)
-    except KeyError as exc:
-        raise MalformedDocument(f"missing field {exc}") from exc
+    for name in fields:
+        if name not in doc:
+            raise MalformedDocument(f"missing field {name!r}")
+    return doc
+
+
+def parse_lp_instance(text: str) -> CoveringLpInstance:
+    doc = _document(text, "n", "c", "rows")
+    n, c, rows = doc["n"], doc["c"], doc["rows"]
+    boxed = doc.get("boxed", False)
     if not isinstance(boxed, bool):
         raise MalformedDocument("boxed must be a boolean")
     if not isinstance(rows, list):
@@ -338,16 +342,8 @@ def make_sdp_instance(n, d, c, A, B_stream,
 
 
 def parse_sdp_instance(text: str) -> CoveringSdpInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top level must be an object")
-    try:
-        n, d, c, A, B = doc["n"], doc["d"], doc["c"], doc["A"], doc["B"]
-    except KeyError as exc:
-        raise MalformedDocument(f"missing field {exc}") from exc
+    doc = _document(text, "n", "d", "c", "A", "B")
+    n, d, c, A, B = doc["n"], doc["d"], doc["c"], doc["A"], doc["B"]
     boxed = doc.get("boxed", False)
     if not isinstance(boxed, bool):
         raise MalformedDocument("boxed must be a boolean")
@@ -386,12 +382,7 @@ def validate_advice(x_prime, lam, n: int, boxed: bool) -> AdviceVector:
 
 
 def parse_advice(text: str, n: int, boxed: bool) -> AdviceVector:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "lambda" not in doc or "x" not in doc:
-        raise MalformedDocument('advice document needs "lambda" and "x"')
+    doc = _document(text, "lambda", "x")
     return validate_advice(doc["x"], doc["lambda"], n, boxed)
 
 

@@ -58,7 +58,7 @@ def test_every_keep_alive_import_is_a_benchmark_binding(monkeypatch):
 
 def test_traced_experiment_runs_count_the_rows_that_grow(monkeypatch):
     # Experiment runs feed their rows through covering_lp.run_rows, which
-    # books the rows that hold on arrival in blocks. Only the first row of
+    # books the rows that hold on arrival. Only the first row of
     # a run and the rows that grow the point or restart the phase reach
     # covering_lp.process_row, where the traced benchmark counts them.
     monkeypatch.syspath_prepend(PERFBENCH)

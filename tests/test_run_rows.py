@@ -1,7 +1,7 @@
 """`covering_lp.run_rows` against the per-row loop it replaces.
 
-run_rows books the rows that hold on arrival in blocks and sends only the
-others through `process_row`. Whatever the instance, it must leave the
+run_rows books the rows that hold on arrival and sends only the others
+through `process_row`. Whatever the instance, it must leave the
 solver state, the trace, the dual certificate and the step reports exactly
 as feeding every row to `process_row` does, and raise the same error at the
 same row. Rows are drawn with repeats and shrunken copies of earlier rows,
@@ -200,3 +200,23 @@ def test_run_rows_decides_rows_near_one_by_their_own_dot():
         feed(st)
         states.append(_state(st))
     assert states[0] == states[1]
+
+
+def test_run_rows_reads_rows_one_at_a_time():
+    # The rows a feed yields before it raises are fed, as by process_row on
+    # each row in turn; the feed's own error comes through unchanged.
+    rows = [[(0, 1.0)], [(0, 0.5), (1, 1.0)]]
+
+    def feed():
+        yield from rows
+        raise RuntimeError("feed broke")
+
+    want = covering_lp.new_lp_solver(2, [1.0, 1.0])
+    for row in rows:
+        covering_lp.process_row(want, row)
+    st = covering_lp.new_lp_solver(2, [1.0, 1.0])
+    with pytest.raises(RuntimeError, match="feed broke"):
+        covering_lp.run_rows(st, feed())
+    assert st.round_no == 2
+    assert st.x_best.tolist() == [1.5, 1.0]
+    assert _state(st) == _state(want)

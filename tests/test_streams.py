@@ -5,7 +5,7 @@ spread over 1e-8 to 1e8, half of them boxed and 60% with advice at lambda in
 {0, 0.3, 1}. After every round the published point must be finite, must not
 decrease, and must cover everything fed so far; on a boxed state no
 coordinate outside the tight set may lie within SNAP of its cap, the
-invariant `covering_lp.run_rows` relies on when it books rows in blocks.
+invariant `covering_lp.run_rows` relies on when it books a row that holds.
 The growth step keeps it too, after every step that keeps its phase.
 The scaled dual certificate, objective / scale, is a feasible dual value, so
 it is a lower bound on OPT: after every round it must not exceed the
@@ -238,6 +238,38 @@ def test_offline_gap_stays_honest_when_neither_solve_certifies(offline_lps,
     assert calls == [(False, 0), (True, 0)]
     assert cert.gap > 1e3 * cert.objective
     assert cert.dual_objective < cert.objective
+
+
+def test_offline_solve_keeps_the_cheaper_of_two_answers(offline_lps,
+                                                       monkeypatch):
+    # Seed 168's presolve-free answer is the optimum but its gap, though
+    # 2.4e-16, is far above eps of it; presolve HiGHS answers 1e5 times
+    # higher. Both certify a bracket, so the cheaper primal is returned
+    # with the larger dual.
+    inst = offline_lps[168][0]
+    cert, calls = _solve_counting(monkeypatch, inst)
+    assert calls == [(False, 0), (True, 0)]
+    assert cert.objective == pytest.approx(exact_lp_optimum(inst), rel=1e-6)
+    assert cert.dual_objective <= cert.objective
+    assert cert.gap == cert.objective - cert.dual_objective
+
+
+def test_offline_solve_keeps_its_answer_when_the_retry_fails(offline_lps,
+                                                            monkeypatch):
+    # A presolve retry that fails leaves the first solve's answer standing.
+    import scipy.optimize
+    inst = offline_lps[168][0]
+    real = scipy.optimize.linprog
+
+    def failing_retry(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if kwargs.get("options", {}).get("presolve", True):
+            res.status = 4
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_retry)
+    cert = offline_solve(inst, eps=EPS_OFFLINE)
+    assert cert.objective == pytest.approx(exact_lp_optimum(inst), rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", [35, 48, 70, 94, 108, 270])
