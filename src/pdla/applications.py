@@ -294,7 +294,7 @@ def parse_tree_doc(doc: dict,
     try:
         num_nodes = _integral(doc["nodes"])
         root = _integral(doc["root"])
-        edges = [(_integral(u), _integral(v), float(cst))
+        edges = [(_integral(u), _integral(v), _real(cst))
                  for u, v, cst in doc["edges"]]
         groups = doc["groups"] if groups is None else groups
         if not isinstance(groups, list) or not all(
@@ -313,3 +313,10 @@ def _integral(raw) -> int:
             (j != raw and not isinstance(raw, (str, bytes))):
         raise ValueError(f"{raw!r} is not an integer")
     return j
+
+
+def _real(raw) -> float:
+    """raw as a float; a bool is not a number here."""
+    if isinstance(raw, (bool, np.bool_)):
+        raise ValueError(f"{raw!r} is not a number")
+    return float(raw)

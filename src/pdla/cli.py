@@ -131,7 +131,10 @@ def _cmd_experiment(args) -> int:
     doc = json.loads(_read(args.config)) if args.config else {}
     if not isinstance(doc, dict):
         raise MalformedDocument("config must be a JSON object")
-    doc["kind"] = _KIND_NAMES[args.kind]
+    kind = _KIND_NAMES[args.kind]
+    if doc.setdefault("kind", kind) != kind:
+        raise MalformedDocument(f"config kind {doc['kind']!r} does not "
+                                f"match the {args.kind} subcommand")
     if args.out is not None:
         doc["out"] = args.out
     if args.full:

@@ -223,6 +223,25 @@ def _checked_entries(row, n: int) -> SparseRow:
     return clean
 
 
+def _holds_bool(raw) -> bool:
+    if isinstance(raw, np.ndarray):
+        return raw.dtype == np.bool_
+    if isinstance(raw, (list, tuple)):
+        return any(map(_holds_bool, raw))
+    return type(raw) in _BOOL_TYPES
+
+
+def _numbers(raw, what: str) -> np.ndarray:
+    """raw, a number or nested lists of them, as a float array; a boolean or
+    non-numeric entry is a MalformedDocument that names what."""
+    if _holds_bool(raw):
+        raise MalformedDocument(f"{what} must be numbers, not booleans")
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedDocument(f"{what} must be numbers: {exc}") from None
+
+
 def _positive_int(value, message: str) -> int:
     """value as an int when it is an integer >= 1 (numpy integers included,
     bool not); otherwise MalformedDocument(message)."""
@@ -264,7 +283,7 @@ def parse_lp_instance(text: str) -> CoveringLpInstance:
         raise MalformedDocument("boxed must be a boolean")
     if not isinstance(rows, list):
         raise MalformedDocument("rows must be a list")
-    return make_lp_instance(n, c, rows, boxed)
+    return make_lp_instance(n, _numbers(c, "c"), rows, boxed)
 
 
 def serialize_lp_instance(inst: CoveringLpInstance) -> str:
@@ -298,8 +317,8 @@ def normalize_box_bounds(n, c, rows, u):
 
 
 def _as_psd_matrix(raw, d: int, what: str) -> np.ndarray:
-    """raw as a d x d matrix, checked finite, symmetric and PSD."""
-    m = np.asarray(raw, dtype=float)
+    """raw as a d x d matrix, checked numeric, finite, symmetric and PSD."""
+    m = _numbers(raw, what)
     if m.size != d * d:
         raise LengthMismatch(f"{what} has {m.size} entries, expected {d * d}")
     m = m.reshape(d, d)
@@ -347,7 +366,9 @@ def parse_sdp_instance(text: str) -> CoveringSdpInstance:
     boxed = doc.get("boxed", False)
     if not isinstance(boxed, bool):
         raise MalformedDocument("boxed must be a boolean")
-    return make_sdp_instance(n, d, c, A, B, boxed)
+    if not (isinstance(A, list) and isinstance(B, list)):
+        raise MalformedDocument("A and B must be lists")
+    return make_sdp_instance(n, d, _numbers(c, "c"), A, B, boxed)
 
 
 def serialize_sdp_instance(inst: CoveringSdpInstance) -> str:
@@ -383,7 +404,11 @@ def validate_advice(x_prime, lam, n: int, boxed: bool) -> AdviceVector:
 
 def parse_advice(text: str, n: int, boxed: bool) -> AdviceVector:
     doc = _document(text, "lambda", "x")
-    return validate_advice(doc["x"], doc["lambda"], n, boxed)
+    lam = _numbers(doc["lambda"], "lambda")
+    if lam.ndim:
+        raise MalformedDocument("lambda must be a number")
+    return validate_advice(_numbers(doc["x"], "advice x"), float(lam), n,
+                           boxed)
 
 
 def serialize_advice(adv: AdviceVector) -> str:

@@ -13,13 +13,25 @@ entry is made positive so the output is deterministic.
 shifted by half its floor, and asks `dsyevr` only when that fails or when
 the factorization's roundoff could reach the shift, so every decision is
 the least eigenvalue's.
+
+`scipy.linalg` loads on the first call that reaches LAPACK: a Cholesky
+attempt in `is_psd` (so `make_sdp_instance` loads it) or a non-diagonal
+eigenpair. Importing this module, and every LP, set-cover and group-Steiner
+run, leaves it unloaded. The drivers `dpotrf`, `dsyevr` and `dsyevr_lwork`
+are module attributes: reading one loads them, and the solvers call through
+them, so a test may replace one.
 """
 from __future__ import annotations
 
+import threading
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork
 
 from .errors import AsymmetricMatrix, DimensionMismatch, NotConverged
+
+_LAPACK_NAMES = ("dpotrf", "dsyevr", "dsyevr_lwork")
+_lapack_loaded = False
+_LAPACK_LOCK = threading.Lock()
 
 # Cholesky of M + s I is trusted to prove lambda_min(M) >= -2 s only while
 # its backward error, about d^2 eps (||M|| + s), stays below s by this factor.
@@ -28,6 +40,26 @@ _EPS = float(np.finfo(float).eps)
 
 # dsyevr's (lwork, liwork) per dimension, filled on first use.
 _SYEVR_WORK: dict[int, tuple[int, int]] = {}
+
+
+def _load_lapack() -> None:
+    """Bind the LAPACK drivers as module globals, once per process. A name
+    already set, such as a test's stand-in, is kept."""
+    global _lapack_loaded
+    with _LAPACK_LOCK:
+        if _lapack_loaded:
+            return
+        from scipy.linalg import lapack
+        for name in _LAPACK_NAMES:
+            globals().setdefault(name, getattr(lapack, name))
+        _lapack_loaded = True
+
+
+def __getattr__(name: str):
+    if name in _LAPACK_NAMES:
+        _load_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _checked(m) -> tuple[np.ndarray, float]:
@@ -55,6 +87,9 @@ def _least_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
         return float(diag[k]), vec
     d = a.shape[0]
     if d not in _SYEVR_WORK:
+        # Only a dimension's first call checks the load: its workspace is
+        # cached after LAPACK has loaded.
+        _load_lapack()
         work, iwork, info = dsyevr_lwork(n=d, lower=1)
         if info != 0:
             raise NotConverged(f"LAPACK workspace query failed: info={info}")
@@ -99,6 +134,8 @@ def is_psd(m, tol_psd: float = 1e-7, scale: float | None = None) -> bool:
     if _CHOL_MARGIN * d * (d + 1) * _EPS * (norm + shift) <= shift:
         s = 0.5 * (a + a.T)
         s.flat[::d + 1] += shift
+        if not _lapack_loaded:
+            _load_lapack()
         # s is symmetric, so its transpose is the same matrix in the
         # Fortran order dpotrf factors in place.
         _, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)

@@ -138,6 +138,24 @@ def test_gst_oracle_picks_most_violated_cut():
     assert gst_oracle(tree, [0], [0.0, 0.0]) is None  # root inside the group
 
 
+_STAR = RootedTree.from_edge_list(4, 0, [(0, 1, 1.0), (1, 2, 1.0),
+                                         (1, 3, 1.0)])
+
+
+@pytest.mark.parametrize("tree, group, x, row", [
+    pytest.param(_PATH3, [2], [0.5, 0.5], [(0, 1.0)], id="path-tie"),
+    pytest.param(_STAR, [2, 3], [0.6, 0.3, 0.3], [(0, 1.0)], id="star-tie"),
+    pytest.param(_STAR, [2, 3], [0.7, 0.3, 0.3], [(1, 1.0), (2, 1.0)],
+                 id="star-leaves"),
+    pytest.param(_PATH3, [1, 2], [0.4, 0.2], [(0, 1.0)], id="path-group"),
+])
+def test_gst_oracle_cut_is_nearest_the_root_in_edge_order(tree, group, x,
+                                                         row):
+    # The contract any other cut oracle must keep: among minimum cuts the
+    # one nearest the root, its edges in ascending index.
+    assert gst_oracle(tree, group, x) == row
+
+
 def test_gst_single_edge_costs_exactly_the_edge():
     # One mandatory edge: the cap event must outrank the budget tie or the
     # solver would restart forever instead of saturating the edge.

@@ -1,8 +1,4 @@
 """Switching wrapper, advice scaling, and offline solver baselines."""
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -171,12 +167,7 @@ print(cert.objective)
 """
 
 
-def test_sdp_run_does_not_import_the_lp_solver():
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", _SDP_WITHOUT_LP_SOLVER],
-                         env=env, capture_output=True, text=True, timeout=120)
+def test_sdp_run_does_not_import_the_lp_solver(fresh_python):
+    out = fresh_python("-c", _SDP_WITHOUT_LP_SOLVER)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) == pytest.approx(1.0)

@@ -227,3 +227,55 @@ def test_gst_non_integral_vertex_is_bad_input(tmp_path, capsys, change):
     assert cli.main(["gst", "--tree", _write(tmp_path, "tree.json", doc)]) \
         == 4
     assert "bad input" in capsys.readouterr().err
+
+
+_SDP_DOC = {"n": 1, "d": 1, "c": [1.0], "A": [[1.0]], "B": [[1.0]]}
+_TREE_DOC = {"nodes": 2, "root": 0, "edges": [[0, 1, 5.0]], "groups": [[1]]}
+
+
+@pytest.mark.parametrize("command, flag, doc, advice", [
+    ("solve-lp", "--instance", {**_lp_doc(), "c": "ab"}, None),
+    ("solve-lp", "--instance", {**_lp_doc(), "c": [True, 2.0]}, None),
+    ("solve-sdp", "--instance", {**_SDP_DOC, "A": ["ab"]}, None),
+    ("solve-sdp", "--instance", {**_SDP_DOC, "c": "ab"}, None),
+    ("solve-sdp", "--instance", {**_SDP_DOC, "A": 5}, None),
+    ("solve-sdp", "--instance", {**_SDP_DOC, "B": 5}, None),
+    ("solve-lp", "--instance", _lp_doc(), {"lambda": 0.5, "x": "ab"}),
+    ("solve-lp", "--instance", _lp_doc(), {"lambda": 0.5, "x": [1.0, True]}),
+    ("solve-lp", "--instance", _lp_doc(), {"lambda": None, "x": [1.0, 0.0]}),
+    ("solve-lp", "--instance", _lp_doc(), {"lambda": True, "x": [1.0, 0.0]}),
+    ("solve-lp", "--instance", _lp_doc(), {"lambda": [0.5], "x": [1.0, 0.0]}),
+    ("gst", "--tree", {**_TREE_DOC, "edges": [[0, 1, True]]}, None),
+], ids=["lp-c-string", "lp-c-bool", "sdp-A-string", "sdp-c-string",
+        "sdp-A-number", "sdp-B-number", "advice-x-string", "advice-x-bool",
+        "advice-lambda-null", "advice-lambda-bool", "advice-lambda-list",
+        "tree-cost-bool"])
+def test_a_field_of_the_wrong_type_is_bad_input(tmp_path, capsys, command,
+                                                flag, doc, advice):
+    # Each once escaped main as a ValueError or TypeError, or read a
+    # boolean as 1.0.
+    argv = [command, flag, _write(tmp_path, "doc.json", doc)]
+    if advice is not None:
+        argv += ["--advice", _write(tmp_path, "adv.json", advice)]
+    assert cli.main(argv) == 4
+    assert "bad input" in capsys.readouterr().err
+
+
+def test_experiment_config_of_another_kind_is_bad_input(tmp_path, capsys):
+    # It once ran the subcommand's grid and ignored the config's kind.
+    cfgp = _write(tmp_path, "cfg.json", {"kind": "LambdaSweep", "n": 10})
+    assert cli.main(["experiment", "corruption", "--config", cfgp]) == 4
+    assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "LambdaSweep", "n": 10, "trials": 1, "lambdas": [0.0]},
+    {"n": 10, "trials": 1, "lambdas": [0.0]},
+], ids=["matching-kind", "no-kind"])
+def test_experiment_config_kind_may_match_or_be_absent(tmp_path, capsys, cfg):
+    cfgp = _write(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "rows.csv")
+    assert cli.main(["experiment", "lambda-sweep", "--config", cfgp,
+                     "--out", out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["kind"] == "LambdaSweep" and summary["rows"] == 1
