@@ -21,7 +21,8 @@ from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import (Infeasible, LengthMismatch, MalformedDocument,
                      UncoverableElement)
 from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
-                        SparseRow, make_lp_instance)
+                        SparseRow, as_integer, as_numbers, cost_vector,
+                        make_lp_instance)
 
 
 # ---------------------------------------------------------------- set cover
@@ -34,15 +35,17 @@ class SetSystem:
     membership: list[list[int]]   # element -> indices of covering sets
 
     def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=float)
-        n = self.costs.size
+        costs = as_numbers(self.costs, "set costs")
+        self.costs = cost_vector(costs, costs.size)
+        self.membership = [[as_integer(j, "set indices must be integers")
+                            for j in group] for group in self.membership]
         for i, group in enumerate(self.membership):
             if len(group) == 0:
                 raise UncoverableElement(f"element {i} belongs to no set")
             if len(set(group)) != len(group):
                 raise MalformedDocument(f"element {i} repeats a set")
             for j in group:
-                if not 0 <= j < n:
+                if not 0 <= j < costs.size:
                     raise MalformedDocument(
                         f"element {i} references set {j} out of range")
 
@@ -199,35 +202,50 @@ class RootedTree:
     @staticmethod
     def from_edge_list(num_nodes: int, root: int,
                        edges: list[tuple[int, int, float]]) -> "RootedTree":
+        num_nodes = as_integer(num_nodes, "nodes must be an integer")
+        root = as_integer(root, "root must be an integer")
         if not 0 <= root < num_nodes:
             raise MalformedDocument(f"root {root} out of range")
-        if len(edges) != num_nodes - 1:
+        try:
+            ends = [(as_integer(u, _VERTEX), as_integer(v, _VERTEX))
+                    for u, v, _ in edges]
+            costs = as_numbers([cost for _, _, cost in edges], "edge costs")
+        except (TypeError, ValueError) as exc:
+            raise MalformedDocument(f"edges must be [u, v, cost] triples: "
+                                    f"{exc}") from None
+        if len(ends) != num_nodes - 1:
             raise MalformedDocument(
-                f"{len(edges)} edges cannot form a spanning tree on "
+                f"{len(ends)} edges cannot form a spanning tree on "
                 f"{num_nodes} nodes")
+        if costs.shape != (len(ends),):
+            raise MalformedDocument("each edge cost must be one number")
+        costs = costs.tolist()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-        for k, (u, v, cost) in enumerate(edges):
+        for k, (u, v) in enumerate(ends):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes) or u == v:
                 raise MalformedDocument(f"edge {k} = ({u}, {v}) is invalid")
-            if cost <= 0 or not np.isfinite(cost):
-                raise MalformedDocument(f"edge {k} has cost {cost}")
+            if not 0.0 < costs[k] < np.inf:
+                raise MalformedDocument(f"edge {k} has cost {costs[k]}")
             adj[u].append((v, k))
             adj[v].append((u, k))
         seen = [False] * num_nodes
         seen[root] = True
         order = deque([root])
-        oriented: list[tuple[int, int, float] | None] = [None] * len(edges)
+        oriented: list[tuple[int, int, float] | None] = [None] * len(ends)
         while order:
             u = order.popleft()
             for (v, k) in adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    oriented[k] = (u, v, edges[k][2])
+                    oriented[k] = (u, v, costs[k])
                     order.append(v)
         if not all(seen):
             # A cycle among n - 1 edges always leaves some node unreached.
             raise MalformedDocument("edge list is not connected")
         return RootedTree(root=root, num_nodes=num_nodes, edges=oriented)
+
+
+_VERTEX = "tree vertices must be integers"
 
 
 def gst_oracle(tree: RootedTree, group: list[int], x_edges,
@@ -243,9 +261,9 @@ def gst_oracle(tree: RootedTree, group: list[int], x_edges,
     if len(group) == 0:
         raise MalformedDocument("group is empty")
     for v in group:
-        if not 0 <= v < tree.num_nodes:
+        if not 0 <= as_integer(v, _VERTEX) < tree.num_nodes:
             raise MalformedDocument(f"group vertex {v} out of range")
-    x = np.asarray(x_edges, dtype=float)
+    x = as_numbers(x_edges, "edge values x")
     if x.shape != (len(tree.edges),):
         raise LengthMismatch(f"x is {x.shape}, expected {(len(tree.edges),)}")
     if tree.root in group:
@@ -290,33 +308,14 @@ def parse_tree_doc(doc: dict,
                    groups=None) -> tuple[RootedTree, list[list[int]]]:
     """JSON layout: {"nodes": N, "root": r, "edges": [[u, v, cost], ...],
     "groups": [[v, ...], ...]}; `groups`, when given, replaces the
-    document's and passes the same check."""
+    document's. The tree's numbers are checked by `RootedTree.from_edge_list`
+    and each group's vertices by `gst_oracle`."""
     try:
-        num_nodes = _integral(doc["nodes"])
-        root = _integral(doc["root"])
-        edges = [(_integral(u), _integral(v), _real(cst))
-                 for u, v, cst in doc["edges"]]
+        nodes, root, edges = doc["nodes"], doc["root"], doc["edges"]
         groups = doc["groups"] if groups is None else groups
-        if not isinstance(groups, list) or not all(
-                isinstance(g, list) for g in groups):
-            raise TypeError("groups must be a list of lists")
-        groups = [[_integral(v) for v in g] for g in groups]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedDocument(f"bad tree document: {exc}") from None
-    return RootedTree.from_edge_list(num_nodes, root, edges), groups
-
-
-def _integral(raw) -> int:
-    """raw as an int by the row columns' rule: integral and not a bool."""
-    j = int(raw)
-    if isinstance(raw, (bool, np.bool_)) or \
-            (j != raw and not isinstance(raw, (str, bytes))):
-        raise ValueError(f"{raw!r} is not an integer")
-    return j
-
-
-def _real(raw) -> float:
-    """raw as a float; a bool is not a number here."""
-    if isinstance(raw, (bool, np.bool_)):
-        raise ValueError(f"{raw!r} is not a number")
-    return float(raw)
+    except (KeyError, TypeError) as exc:
+        raise MalformedDocument(f"bad tree document: {exc!r}") from None
+    if not isinstance(groups, list) or not all(
+            isinstance(g, list) for g in groups):
+        raise MalformedDocument("groups must be a list of lists")
+    return RootedTree.from_edge_list(nodes, root, edges), groups

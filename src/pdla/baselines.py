@@ -17,10 +17,10 @@ import numpy as np
 
 from .covering_lp import (ADVICE_ROW_TOL, current_solution, new_lp_solver,
                           process_row)
-from .errors import (Infeasible, MalformedDocument, NotConverged,
-                     UnscalableRow)
+from .errors import (Infeasible, LengthMismatch, MalformedDocument,
+                     NotConverged, UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
-                        row_arrays)
+                        as_numbers, row_arrays)
 
 
 @dataclass
@@ -61,10 +61,9 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
     Returns (x_published, records).
     """
     params = params if params is not None else SolverParams()
-    c = np.asarray(costs, dtype=float)
-    xp = advice.x_prime
+    online = new_lp_solver(n, costs, advice=None, params=params)
+    c, xp = online.c, advice.x_prime
     cost_advice = float(c @ xp)
-    online = new_lp_solver(n, c, advice=None, params=params)
     advice_ok = True
     crossed = False            # cost of advice dipped below the online run
     base = np.zeros(n)         # frozen online iterate at the crossing round
@@ -98,10 +97,13 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
 
     Each violated row multiplies the suggestion by 1/(row value at x') and
     folds the result in with a coordinatewise max. A row the suggestion
-    misses entirely cannot be fixed by scaling: UnscalableRow.
+    misses entirely cannot be fixed by scaling: UnscalableRow. The
+    suggestion must hold n numbers (`instances.as_numbers`).
     """
-    xp = np.asarray(advice_x, dtype=float)
-    x = np.zeros(n)
+    xp = as_numbers(advice_x, "advice")
+    if xp.shape != (n,):
+        raise LengthMismatch(f"advice has shape {xp.shape}, expected ({n},)")
+    x = np.zeros_like(xp)
     for i, row in enumerate(rows, start=1):
         idx, vals = row_arrays(row, n)
         if vals @ x[idx] >= 1.0 - ADVICE_ROW_TOL:

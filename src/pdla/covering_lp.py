@@ -46,7 +46,7 @@ from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
                      NoProgress, NotConverged, PhaseRestartLimit)
 from .growth import TOL, advance, coefficient_vector, find_stop
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
-                        cost_vector, row_arrays)
+                        as_integer, cost_vector, row_arrays)
 # Not called here; kept because the traced benchmark rebinds this name.
 from .instances import validate_row  # noqa: F401
 
@@ -94,8 +94,9 @@ class DualCertificate:
 class SolverState:
     """What every solver variant tracks; solver states add their own.
 
-    Checks the costs (`instances.cost_vector`) and the suggestion's
-    length; params defaults to `SolverParams()`."""
+    Checks n (`instances.as_integer`), the costs (`instances.cost_vector`)
+    and the suggestion's length, each failure a MalformedDocument or one of
+    its subclasses; params defaults to `SolverParams()`."""
     n: int
     c: np.ndarray
     boxed: bool
@@ -113,6 +114,7 @@ class SolverState:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.n = as_integer(self.n, "n must be an integer")
         self.c = cost_vector(self.c, self.n)
         if self.advice is not None and self.advice.x_prime.shape != (self.n,):
             raise LengthMismatch("advice length does not match n")
@@ -175,13 +177,6 @@ def new_lp_solver(n, costs, advice: AdviceVector | None = None,
                   boxed: bool = False) -> SolverState:
     return SolverState(n=n, c=costs, boxed=boxed, advice=advice,
                        params=params)
-
-
-def solver_for_instance(inst: CoveringLpInstance,
-                        advice: AdviceVector | None = None,
-                        params: SolverParams | None = None) -> SolverState:
-    return new_lp_solver(inst.n, inst.c, advice=advice, params=params,
-                         boxed=inst.boxed)
 
 
 def start_phase(state: SolverState, alpha: float) -> None:
@@ -417,7 +412,8 @@ def run_source(state: SolverState, oracle) -> list[StepReport]:
 def run_lp(inst: CoveringLpInstance, advice: AdviceVector | None = None,
            params: SolverParams | None = None):
     """Convenience: run the full row list of an instance, return (state, reports)."""
-    state = solver_for_instance(inst, advice=advice, params=params)
+    state = new_lp_solver(inst.n, inst.c, advice=advice, params=params,
+                          boxed=inst.boxed)
     return state, run_rows(state, inst.rows)
 
 

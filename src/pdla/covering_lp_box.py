@@ -8,12 +8,10 @@ the certificate objective is sum(y) - sum(z).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .covering_lp import (DualCertificate, SolverState, StepReport,
                           current_solution, dual_certificate, new_lp_solver,
                           process_row, run_source)
-from .instances import AdviceVector, SolverParams, row_arrays
+from .instances import AdviceVector, SolverParams
 
 
 def new_lp_box_solver(n, costs, advice: AdviceVector | None = None,
@@ -32,17 +30,6 @@ def process_row_box(state: SolverState, row) -> StepReport:
     return process_row(state, row)
 
 
-def sparsity_ratio(row, tight: np.ndarray, n: int) -> float:
-    """Row sparsity against one tight set: sum of free entries over the
-    capacity 1 - sum of tight entries. Infinite when the tight mass reaches 1."""
-    idx, vals = row_arrays(row, n)
-    at_cap = tight[idx]
-    capacity = 1.0 - float(vals[at_cap].sum())
-    if capacity <= 0.0:
-        return np.inf
-    return float(vals[~at_cap].sum()) / capacity
-
-
 def sparsity_estimate(state: SolverState) -> float:
     """Largest sparsity ratio over the (row, tight set) pairs actually
     encountered while solving; the guarantee degrades with its logarithm."""
@@ -57,7 +44,6 @@ def dual_certificate_box(state: SolverState) -> DualCertificate:
 
 
 __all__ = [
-    "new_lp_box_solver", "process_row_box", "sparsity_ratio",
-    "sparsity_estimate", "dual_certificate_box", "current_solution",
-    "run_source",
+    "new_lp_box_solver", "process_row_box", "sparsity_estimate",
+    "dual_certificate_box", "current_solution", "run_source",
 ]

@@ -32,7 +32,8 @@ from .errors import (DimensionMismatch, MalformedDocument, NoFeasibleSolution,
                      NonMonotoneB, NotConverged)
 # Not called here; kept because the traced benchmark rebinds these names.
 from .growth import advance, coefficient_vector, find_stop  # noqa: F401
-from .instances import AdviceVector, CoveringSdpInstance, SolverParams
+from .instances import (AdviceVector, CoveringSdpInstance, SolverParams,
+                        as_numbers)
 from .symmetric import is_psd, min_eigpair
 
 # Relative floor on the implicit row: v'A_j v <= SPAN_TOL tr(A_j) counts as
@@ -73,7 +74,7 @@ class SdpSolverState(SolverState):
 
     def __post_init__(self):
         super().__post_init__()
-        self.A = A = np.asarray(self.A, dtype=float)
+        self.A = A = as_numbers(self.A, "A")
         if A.shape != (self.n, self.d, self.d):
             raise DimensionMismatch(
                 f"A is {A.shape}, expected {(self.n, self.d, self.d)}")
@@ -181,9 +182,9 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
 
 
 def _target(state: SdpSolverState, B) -> np.ndarray:
-    """B as a float array, after the checks: DimensionMismatch unless it is
-    d x d, MalformedDocument unless it is finite."""
-    B = np.asarray(B, dtype=float)
+    """B as a float array (`instances.as_numbers`), after the checks:
+    DimensionMismatch unless it is d x d, MalformedDocument unless finite."""
+    B = as_numbers(B, "target")
     if B.shape != (state.d, state.d):
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")

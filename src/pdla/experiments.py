@@ -11,7 +11,6 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -24,8 +23,9 @@ from .covering_lp import (current_solution, dual_certificate, new_lp_solver,
 from .covering_lp import process_row  # noqa: F401
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import MalformedDocument, MalformedLine
-from .instances import (AdviceVector, CoveringLpInstance, Row,
-                        make_lp_instance, validate_advice)
+from .instances import (AdviceVector, CoveringLpInstance, Row, as_integer,
+                        as_number, as_numbers, make_lp_instance,
+                        validate_advice)
 from .metrics import CSV_HEADER, RunMetrics
 
 log = logging.getLogger("pdla")
@@ -52,59 +52,47 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MalformedDocument(f"unknown experiment kind {self.kind!r}")
-        # bool passes for a number in Python, but is no count or rate here;
-        # numpy ints become ints
-        for name in ("n", "trials", "seed", "drift_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise MalformedDocument(f"{name} must be an integer")
-            setattr(self, name, int(value))
-        reals = (self.density, self.cost_scale, self.eps_offline,
-                 *self.lambdas, *self.corruption_rates)
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
-            raise MalformedDocument("density, cost_scale, eps_offline, lambdas"
-                                    " and corruption_rates must be numbers")
+        for name, least in (("n", 2), ("trials", 1), ("seed", 0),
+                            ("drift_steps", 1)):
+            count = f"{name} must be an integer >= {least}"
+            setattr(self, name, as_integer(getattr(self, name), count))
+            if getattr(self, name) < least:
+                raise MalformedDocument(count)
+        for name in ("density", "cost_scale", "eps_offline"):
+            setattr(self, name, as_number(getattr(self, name), name))
+        for name in ("lambdas", "corruption_rates"):
+            values = as_numbers(getattr(self, name), name)
+            if values.ndim != 1:
+                raise MalformedDocument(f"{name} must be a list of numbers")
+            setattr(self, name, tuple(values.tolist()))
         if not isinstance(self.full, bool):
             raise MalformedDocument("full must be true or false")
-        paths = (*self.graph_paths, *([] if self.out is None else [self.out]))
-        if not all(isinstance(p, str) for p in paths):
-            raise MalformedDocument("graph_paths and out must be file names")
-        if self.seed < 0:
-            raise MalformedDocument("seed must be >= 0")
-        if self.trials < 1:
-            raise MalformedDocument("trials must be >= 1")
-        if self.n < 2:
-            raise MalformedDocument("n must be >= 2")
+        paths = self.graph_paths
+        if not (isinstance(paths, (list, tuple))
+                and all(isinstance(p, str) for p in paths)):
+            raise MalformedDocument("graph_paths must be a list of file names")
+        self.graph_paths = tuple(paths)
+        if not (self.out is None or isinstance(self.out, str)):
+            raise MalformedDocument("out must be a file name")
         if not 0 < self.density <= 1:
             raise MalformedDocument("density must lie in (0, 1]")
         if any(not 0 <= v <= 1 for v in self.lambdas) or not self.lambdas:
             raise MalformedDocument("lambdas must be a nonempty subset of [0,1]")
         if any(not 0 <= p <= 1 for p in self.corruption_rates):
             raise MalformedDocument("corruption rates must lie in [0,1]")
-        if self.drift_steps < 1:
-            raise MalformedDocument("drift_steps must be >= 1")
         if self.kind == "GraphSequence" and len(self.graph_paths) < 2:
             raise MalformedDocument("GraphSequence needs at least two files")
 
     @staticmethod
     def from_doc(doc: dict) -> "ExperimentConfig":
+        """The config a JSON object holds; its values are checked by the
+        constructor."""
         if "kind" not in doc:
             raise MalformedDocument("config is missing 'kind'")
-        fields = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(doc) - fields
+        unknown = set(doc) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise MalformedDocument(f"unknown config keys {sorted(unknown)}")
-        doc = dict(doc)
-        try:
-            for key in ("lambdas", "corruption_rates", "graph_paths"):
-                if isinstance(doc.get(key), str):
-                    # tuple() would read a string character by character
-                    raise MalformedDocument(f"{key} must be a list")
-                if key in doc:
-                    doc[key] = tuple(doc[key])
-            return ExperimentConfig(**doc)
-        except TypeError as exc:
-            raise MalformedDocument(f"bad config value: {exc}") from None
+        return ExperimentConfig(**doc)
 
 
 # ------------------------------------------------------------- generators

@@ -45,12 +45,14 @@ class SolverParams:
     def __post_init__(self):
         for name in ("tol_feas", "tol_psd"):
             # A slack of 1 or more counts every constraint as met at x = 0.
-            if not 0.0 < getattr(self, name) < 1.0:
+            if not 0.0 < as_number(getattr(self, name), name) < 1.0:
                 raise MalformedDocument(f"{name} must lie in (0, 1)")
-        self.max_phase = _positive_int(self.max_phase,
-                                       "max_phase must be an integer >= 1")
+        count = "max_phase must be an integer >= 1"
+        self.max_phase = as_integer(self.max_phase, count)
+        if self.max_phase < 1:
+            raise MalformedDocument(count)
         if self.initial_alpha is not None and \
-                not (np.isfinite(self.initial_alpha) and self.initial_alpha > 0):
+                not 0.0 < as_number(self.initial_alpha, "initial_alpha") < np.inf:
             raise MalformedDocument("initial_alpha must be finite and positive")
 
 
@@ -101,11 +103,59 @@ class AdviceVector:
 
 
 # --- validation helpers -------------------------------------------------------
+# Every number the package takes passes as_numbers (or as_number) and every
+# integer as_integer, in the constructor that takes it; the JSON readers only
+# parse. Instance rows keep their own per-entry rule (`row_arrays`).
+
+_BOOL_TYPES = frozenset({bool, np.bool_})
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _holds_numbers(raw) -> bool:
+    """Whether raw is a number, an int or float array, or lists of these;
+    a bool is no number."""
+    if isinstance(raw, np.ndarray):
+        return raw.dtype.kind in "iuf"
+    if isinstance(raw, (list, tuple)):
+        return all(map(_holds_numbers, raw))
+    return isinstance(raw, _NUMBER_TYPES) and type(raw) is not bool
+
+
+def as_numbers(raw, what: str) -> np.ndarray:
+    """raw as a float array: a Python or numpy int or float, an int or float
+    array, or (nested) lists or tuples of these. A bool, a string, None or a
+    ragged list is a MalformedDocument that names what."""
+    if not _holds_numbers(raw):
+        raise MalformedDocument(f"{what} must be numbers, not booleans, "
+                                "strings or null")
+    try:
+        return np.asarray(raw, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedDocument(f"{what} must be numbers: {exc}") from None
+
+
+def as_number(raw, what: str) -> float:
+    """raw, one number by as_numbers' rule, as a float."""
+    value = as_numbers(raw, what)
+    if value.ndim:
+        raise MalformedDocument(f"{what} must be a number, not a list")
+    return float(value)
+
+
+def as_integer(raw, message: str) -> int:
+    """raw as an int when it is a Python or numpy integer, not a bool;
+    otherwise MalformedDocument(message)."""
+    if type(raw) not in _BOOL_TYPES:
+        try:
+            return index(raw)
+        except TypeError:
+            pass
+    raise MalformedDocument(message)
 
 
 def cost_vector(raw, n: int) -> np.ndarray:
-    """The costs as a float array: n of them, finite and positive."""
-    c = np.asarray(raw, dtype=float)
+    """The costs as a float array: n numbers, finite and positive."""
+    c = as_numbers(raw, "costs")
     if c.shape != (n,):
         raise LengthMismatch(f"cost vector has shape {c.shape}, expected ({n},)")
     if not np.all(np.isfinite(c)):
@@ -185,9 +235,6 @@ def validate_row(row: Sequence, n: int) -> SparseRow:
     return list(zip(idx.tolist(), vals.tolist()))
 
 
-_BOOL_TYPES = frozenset({bool, np.bool_})
-
-
 def _checked_entries(row, n: int) -> SparseRow:
     """The per-entry check behind `row_arrays`; raises on the first bad entry.
 
@@ -223,39 +270,11 @@ def _checked_entries(row, n: int) -> SparseRow:
     return clean
 
 
-def _holds_bool(raw) -> bool:
-    if isinstance(raw, np.ndarray):
-        return raw.dtype == np.bool_
-    if isinstance(raw, (list, tuple)):
-        return any(map(_holds_bool, raw))
-    return type(raw) in _BOOL_TYPES
-
-
-def _numbers(raw, what: str) -> np.ndarray:
-    """raw, a number or nested lists of them, as a float array; a boolean or
-    non-numeric entry is a MalformedDocument that names what."""
-    if _holds_bool(raw):
-        raise MalformedDocument(f"{what} must be numbers, not booleans")
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocument(f"{what} must be numbers: {exc}") from None
-
-
-def _positive_int(value, message: str) -> int:
-    """value as an int when it is an integer >= 1 (numpy integers included,
-    bool not); otherwise MalformedDocument(message)."""
-    try:
-        count = None if isinstance(value, bool) else index(value)
-    except TypeError:
-        count = None
-    if count is None or count < 1:
-        raise MalformedDocument(message)
-    return count
-
-
 def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
-    n = _positive_int(n, "n must be a positive integer")
+    size = "n must be a positive integer"
+    n = as_integer(n, size)
+    if n < 1:
+        raise MalformedDocument(size)
     cv = cost_vector(c, n)
     checked = [Row(*row_arrays(r, n), n) for r in rows]
     return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
@@ -283,7 +302,7 @@ def parse_lp_instance(text: str) -> CoveringLpInstance:
         raise MalformedDocument("boxed must be a boolean")
     if not isinstance(rows, list):
         raise MalformedDocument("rows must be a list")
-    return make_lp_instance(n, _numbers(c, "c"), rows, boxed)
+    return make_lp_instance(n, c, rows, boxed)
 
 
 def serialize_lp_instance(inst: CoveringLpInstance) -> str:
@@ -303,13 +322,13 @@ def normalize_box_bounds(n, c, rows, u):
     entries a_ij * u_j. Returns the normalized instance plus u for de-scaling
     solutions. The JSON format only carries normalized instances.
     """
-    u = np.asarray(u, dtype=float)
+    u = as_numbers(u, "upper bounds")
     if u.shape != (n,):
         raise LengthMismatch("u has wrong length")
     if np.any(u <= 0) or not np.all(np.isfinite(u)):
         raise MalformedDocument("upper bounds must be positive and finite")
     scaled_rows = [[(j, v * u[j]) for j, v in row] for row in rows]
-    scaled_c = np.asarray(c, dtype=float) * u
+    scaled_c = as_numbers(c, "costs") * u
     return make_lp_instance(n, scaled_c, scaled_rows, boxed=True), u
 
 
@@ -318,7 +337,7 @@ def normalize_box_bounds(n, c, rows, u):
 
 def _as_psd_matrix(raw, d: int, what: str) -> np.ndarray:
     """raw as a d x d matrix, checked numeric, finite, symmetric and PSD."""
-    m = _numbers(raw, what)
+    m = as_numbers(raw, what)
     if m.size != d * d:
         raise LengthMismatch(f"{what} has {m.size} entries, expected {d * d}")
     m = m.reshape(d, d)
@@ -335,8 +354,10 @@ def _as_psd_matrix(raw, d: int, what: str) -> np.ndarray:
 
 def make_sdp_instance(n, d, c, A, B_stream,
                       boxed=False) -> CoveringSdpInstance:
-    n, d = (_positive_int(v, "n and d must be positive integers")
-            for v in (n, d))
+    size = "n and d must be positive integers"
+    n, d = (as_integer(v, size) for v in (n, d))
+    if min(n, d) < 1:
+        raise MalformedDocument(size)
     cv = cost_vector(c, n)
     if len(A) != n:
         raise LengthMismatch(f"got {len(A)} action matrices, expected {n}")
@@ -368,7 +389,7 @@ def parse_sdp_instance(text: str) -> CoveringSdpInstance:
         raise MalformedDocument("boxed must be a boolean")
     if not (isinstance(A, list) and isinstance(B, list)):
         raise MalformedDocument("A and B must be lists")
-    return make_sdp_instance(n, d, _numbers(c, "c"), A, B, boxed)
+    return make_sdp_instance(n, d, c, A, B, boxed)
 
 
 def serialize_sdp_instance(inst: CoveringSdpInstance) -> str:
@@ -387,14 +408,14 @@ def serialize_sdp_instance(inst: CoveringSdpInstance) -> str:
 
 
 def validate_advice(x_prime, lam, n: int, boxed: bool) -> AdviceVector:
-    x = np.asarray(x_prime, dtype=float)
+    x = as_numbers(x_prime, "advice x")
     if x.shape != (n,):
         raise LengthMismatch(f"advice has shape {x.shape}, expected ({n},)")
     if not np.all(np.isfinite(x)):
         raise MalformedDocument("advice must be finite")
     if np.any(x < 0):
         raise NegativeAdvice("advice entries must be nonnegative")
-    lam = float(lam)
+    lam = as_number(lam, "lambda")
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRange(f"lambda {lam} outside [0, 1]")
     if boxed and np.any(x > 1.0 + 1e-12):
@@ -404,11 +425,7 @@ def validate_advice(x_prime, lam, n: int, boxed: bool) -> AdviceVector:
 
 def parse_advice(text: str, n: int, boxed: bool) -> AdviceVector:
     doc = _document(text, "lambda", "x")
-    lam = _numbers(doc["lambda"], "lambda")
-    if lam.ndim:
-        raise MalformedDocument("lambda must be a number")
-    return validate_advice(_numbers(doc["x"], "advice x"), float(lam), n,
-                           boxed)
+    return validate_advice(doc["x"], doc["lambda"], n, boxed)
 
 
 def serialize_advice(adv: AdviceVector) -> str:

@@ -1,18 +1,13 @@
-"""Run metrics and the counter/ratio budgets the solvers are audited against.
+"""Run metrics and the ratio bounds the solvers are audited against.
 
-The budgets assemble the proof-level constants into checkable ceilings:
-phases come from guess-and-double (the budget doubles per phase and the
-final guess is at most twice the delivered cost), and per phase each
-coordinate can go small-to-large once and then gain a factor 3/2 at most a
-logarithmic number of times. Audits multiply by an explicit slack factor
-instead of hiding one inside O(.).
+The robustness and consistency bounds are the paper's competitive ratios
+with explicit constants: the acceptance suite's criteria 2 and 3 take their
+ceilings from these two functions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-DEFAULT_SLACK = 8.0
 
 
 @dataclass
@@ -40,54 +35,6 @@ class RunMetrics:
 
 CSV_HEADER = ("lambda,trial,step,cost_alg,cost_advice,cost_offline,ratio,"
               "violations,iterations,phases,dual_scale")
-
-
-def phase_budget(cost: float, alpha1: float) -> float:
-    """Ceiling on the number of phases: the guess doubles each restart and
-    the last guess is at most twice the final cost."""
-    if alpha1 <= 0 or cost <= 0:
-        return 2.0
-    return math.log2(max(cost / alpha1, 1.0)) + 2.0
-
-
-def _updates_dense(n: int, cost: float, beta: float) -> float:
-    # A just-large coordinate starts at 1/(2n a_max) and each counted update
-    # multiplies it by >= 3/2; it can never exceed cost/c_j.
-    arg = max(2.0 * n * max(beta, 0.0) * max(cost, 0.0), 2.0)
-    return max(math.log(arg, 1.5), 1.0)
-
-
-def _updates_box(sparsity: float) -> float:
-    # Boxed coordinates live in [0,1]; large means >= 1/(2s).
-    arg = max(2.0 * max(sparsity, 1.0), 2.0)
-    return max(math.log(arg, 1.5), 1.0)
-
-
-def violation_budget(n: int, cost: float, alpha1: float, *,
-                     beta: float | None = None,
-                     sparsity: float | None = None,
-                     slack: float = DEFAULT_SLACK) -> float:
-    """Ceiling on violated constraints retrieved, box (pass sparsity) or
-    not (pass beta). Every retrieval forces a small-to-large promotion or a
-    3/2 gain on some coordinate."""
-    if (beta is None) == (sparsity is None):
-        raise ValueError("pass exactly one of beta or sparsity")
-    per_var = (_updates_box(sparsity) if beta is None
-               else _updates_dense(n, cost, beta))
-    return slack * n * phase_budget(cost, alpha1) * (per_var + 1.0)
-
-
-def iteration_budget(n: int, cost: float, alpha1: float, *,
-                     beta: float | None = None,
-                     sparsity: float | None = None,
-                     slack: float = DEFAULT_SLACK) -> float:
-    """Ceiling on growth iterations: the violation budget plus, per phase,
-    one advice hit per coordinate (and one cap hit when boxed) and one
-    budget-exceeded stop."""
-    extra = 1.0 if sparsity is None else 2.0
-    budget = violation_budget(n, cost, alpha1, beta=beta, sparsity=sparsity,
-                              slack=slack)
-    return budget + slack * phase_budget(cost, alpha1) * (extra * n + 1.0)
 
 
 def robustness_budget(kappa: float, n: int, lam: float) -> float:

@@ -34,10 +34,11 @@ from pdla.experiments import (ExperimentConfig, corrupt_advice, gen_synthetic,
 from pdla.growth import TOL, advance, coefficient_vector, find_stop
 from pdla.instances import (SolverParams, make_lp_instance, make_sdp_instance,
                             validate_advice)
+from pdla.metrics import consistency_budget, robustness_budget
 
 TOL_FEAS = 1e-7
 SLACK = 8.0
-CONSISTENCY_K = 4.0 * (1.0 + (2.0 + 0.1) / (1.0 - 0.1))
+CONSISTENCY_K = consistency_budget(0.1)
 
 # Matches the solvers' exact-snap threshold so the twin reproduces the
 # tight-set bookkeeping bit for bit.
@@ -442,8 +443,7 @@ def test_criterion_2_robustness(lp_population):
     worst = 0.0
     violations = 0
     for r in lp_population["c2"]:
-        bound = 12.0 * math.log(1.0 + 2.0 * max(r["kappa"], 1.0) * r["n"]
-                                / r["lam"]) \
+        bound = robustness_budget(r["kappa"], r["n"], r["lam"]) \
             * r["cost_offline"] / (1.0 - 1e-6)
         frac = r["cost"] / bound
         worst = max(worst, frac)
@@ -494,17 +494,25 @@ def _log2(v):
     return math.log2(v) if v > 0 else float("-inf")
 
 
+def counter_ceiling(rec):
+    """Criterion 4's ceiling on a run's counter, the same for the vector
+    and the matrix solvers: SLACK n (max(log2(2 sparsity), 1) phases + 1)
+    when boxed, else SLACK n phases (log2 n + log2 cost + log2 beta + 3),
+    with phases = max(log2(cost / alpha1), 1)."""
+    phases = max(_log2(rec["cost"] / rec["alpha1"]), 1.0)
+    if rec["boxed"]:
+        return SLACK * rec["n"] * max(_log2(2.0 * rec["sparsity"]), 1.0) \
+            * phases + SLACK * rec["n"]
+    inner = max(math.log2(rec["n"]) + _log2(rec["cost"]) + _log2(rec["beta"])
+                + 3.0, 1.0)
+    return SLACK * rec["n"] * phases * inner
+
+
 def lp_counter_fraction(rec):
     """Counter over its ceiling: retrieved violations for the plain
     variant, growth iterations for the boxed one."""
-    phases = max(_log2(rec["cost"] / rec["alpha1"]), 1.0)
-    if rec["boxed"]:
-        bound = SLACK * rec["n"] * max(_log2(2.0 * rec["sparsity"]), 1.0) \
-            * phases + SLACK * rec["n"]
-        return rec["iterations"] / bound
-    inner = max(math.log2(rec["n"]) + _log2(rec["cost"]) + _log2(rec["beta"])
-                + 3.0, 1.0)
-    return rec["violations"] / (SLACK * rec["n"] * phases * inner)
+    counter = rec["iterations"] if rec["boxed"] else rec["violations"]
+    return counter / counter_ceiling(rec)
 
 
 def test_criterion_4_counters(lp_population, sdp_population):
@@ -519,16 +527,7 @@ def test_criterion_4_counters(lp_population, sdp_population):
     worst_sdp = 0.0
     worst_scale = 0.0
     for rec in sdp_population:
-        phases = max(_log2(rec["cost"] / rec["alpha1"]), 1.0)
-        if rec["boxed"]:
-            bound = SLACK * rec["n"] \
-                * max(_log2(2.0 * rec["sparsity"]), 1.0) * phases \
-                + SLACK * rec["n"]
-        else:
-            inner = max(math.log2(rec["n"]) + _log2(rec["cost"])
-                        + _log2(rec["beta"]) + 3.0, 1.0)
-            bound = SLACK * rec["n"] * phases * inner
-        worst_sdp = max(worst_sdp, rec["iterations"] / bound)
+        worst_sdp = max(worst_sdp, rec["iterations"] / counter_ceiling(rec))
         # advice-free runs are audited at full distrust
         scale_bound = SLACK * math.log(1.0 + 2.0 * max(rec["kappa"], 1.0)
                                        * rec["n"])

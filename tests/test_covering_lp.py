@@ -12,10 +12,10 @@ import pytest
 from pdla import covering_lp
 from pdla.covering_lp import (current_solution, dual_certificate,
                               kappa_seen, beta_seen, new_lp_solver,
-                              process_row, run_lp, run_source,
-                              solver_for_instance)
+                              process_row, run_lp, run_source)
 from pdla.errors import (EmptyRow, ExponentOverflow, LengthMismatch,
-                         MalformedDocument, NonPositiveCost, NoProgress)
+                         MalformedDocument, NonPositiveCost, NoProgress,
+                         PhaseRestartLimit)
 from pdla.instances import SolverParams, make_lp_instance, validate_advice
 
 
@@ -493,3 +493,16 @@ def test_solver_checks_costs_as_instances_do(costs, error):
         with pytest.raises(error) as exc:
             build()
         assert exc.type is error
+
+
+@pytest.mark.xfail(strict=True, raises=PhaseRestartLimit,
+                   reason="ROADMAP item 3: the first row opens phase 1 at "
+                          "alpha = 1e-300, and doubling from there to the "
+                          "second row's cost takes about 1,000 phases, past "
+                          "the cap of 200")
+def test_a_tiny_first_budget_guess_does_not_exhaust_the_phase_cap():
+    st = new_lp_solver(2, [1, 1])
+    process_row(st, [(0, 1e300)])
+    process_row(st, [(0, 1e-10), (1, 1)])
+    x = current_solution(st)
+    assert 1e-10 * x[0] + x[1] >= 1.0 - SolverParams().tol_feas

@@ -6,8 +6,7 @@ import pytest
 
 from pdla.covering_lp import current_solution, dual_certificate
 from pdla.covering_lp_box import (dual_certificate_box, new_lp_box_solver,
-                                  process_row_box, sparsity_estimate,
-                                  sparsity_ratio)
+                                  process_row_box, sparsity_estimate)
 from pdla.errors import NoFeasibleSolution
 from pdla.instances import SolverParams, validate_advice
 
@@ -92,26 +91,6 @@ def test_published_solution_never_exceeds_box():
     assert np.all(x >= 0.0)
     for row in rows:
         assert sum(a * x[j] for j, a in row) >= 1.0 - 1e-7
-
-
-def test_sparsity_ratio_matches_definition():
-    tight = np.array([True, False, False])
-    row = [(0, 0.3), (1, 0.5), (2, 0.4)]
-    assert sparsity_ratio(row, tight, 3) == pytest.approx(0.9 / 0.7)
-    tight_all = np.array([True, True, True])
-    assert sparsity_ratio([(0, 1.0)], tight_all, 3) == np.inf
-    # Masked sums against the entry-by-entry definition, up to summation
-    # order, on rows both sides of the array check's length floor.
-    rng = np.random.default_rng(5)
-    for size in (3, 40):
-        tight = rng.random(50) < 0.3
-        cols = rng.choice(50, size=size, replace=False)
-        row = [(int(j), float(a)) for j, a in
-               zip(cols, rng.uniform(0.0, 1.0 / size, size))]
-        free_sum = sum(a for j, a in row if not tight[j])
-        capacity = 1.0 - sum(a for j, a in row if tight[j])
-        assert sparsity_ratio(row, tight, 50) == \
-            pytest.approx(free_sum / capacity, rel=1e-12)
 
 
 def test_boxed_duals_stay_nonnegative_and_scaled_feasible():

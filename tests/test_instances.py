@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import pdla
 from pdla import covering_lp_box, instances
 from pdla.covering_lp import dual_certificate, new_lp_solver, process_row
-from pdla.covering_lp_box import sparsity_ratio
 from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
                          LambdaOutOfRange, LengthMismatch, MalformedDocument,
                          NegativeAdvice, NegativeEntry, NonMonotoneB,
@@ -215,19 +214,14 @@ def test_row_at_a_smaller_n_is_checked_again():
 
 
 def test_checked_rows_are_not_checked_again_by_list_views():
-    # validate_row and sparsity_ratio read an instance's Row through
-    # row_arrays, so neither check runs on it a second time.
+    # validate_row reads an instance's Row through row_arrays, so the check
+    # does not run on it a second time.
     rows = [[(j, 0.25) for j in range(20)], [(3, 0.5), (1, 1.0)]]
     inst = make_lp_instance(25, np.ones(25), rows)
-    tight = np.zeros(25, dtype=bool)
-    tight[[1, 2]] = True
     with mock.patch.object(instances, "_checked_entries",
                            wraps=instances._checked_entries) as entries:
         for row, want in zip(inst.rows, rows):
             assert _typed(validate_row(row, 25)) == _typed(want)
-        assert sparsity_ratio(inst.rows[0], tight, 25) == \
-            pytest.approx(4.5 / 0.5)
-        assert sparsity_ratio(inst.rows[1], tight, 25) == np.inf
     assert entries.call_count == 0
 
 

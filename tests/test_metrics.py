@@ -1,11 +1,10 @@
-"""Metric rows and counter/ratio budgets."""
+"""Metric rows and ratio budgets."""
 import math
 
 import pytest
 
 from pdla.metrics import (CSV_HEADER, RunMetrics, consistency_budget,
-                          iteration_budget, phase_budget, robustness_budget,
-                          violation_budget)
+                          robustness_budget)
 
 
 def test_run_metrics_row_matches_header():
@@ -15,35 +14,6 @@ def test_run_metrics_row_matches_header():
     row = m.to_row()
     assert len(row) == len(CSV_HEADER.split(","))
     assert row[0] == "0.5" and row[1] == "3" and row[7] == "4"
-
-
-def test_phase_budget():
-    assert phase_budget(8.0, 1.0) == pytest.approx(5.0)  # log2(8) + 2
-    assert phase_budget(0.5, 1.0) == pytest.approx(2.0)  # clamped at 2
-    assert phase_budget(1.0, 0.0) == 2.0
-
-
-def test_violation_budget_arguments():
-    with pytest.raises(ValueError):
-        violation_budget(4, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        violation_budget(4, 10.0, 1.0, beta=1.0, sparsity=2.0)
-    dense = violation_budget(4, 10.0, 1.0, beta=2.0)
-    boxed = violation_budget(4, 10.0, 1.0, sparsity=3.0)
-    assert dense > 0 and boxed > 0
-    # dense grows with cost, boxed depends only on sparsity
-    assert violation_budget(4, 100.0, 1.0, beta=2.0) > dense
-    assert (violation_budget(4, 100.0, 1.0, sparsity=3.0)
-            > boxed)  # via the extra phases only
-
-
-def test_iteration_budget_exceeds_violation_budget():
-    v = violation_budget(5, 20.0, 1.0, beta=1.0)
-    i = iteration_budget(5, 20.0, 1.0, beta=1.0)
-    assert i > v
-    vb = violation_budget(5, 20.0, 1.0, sparsity=4.0)
-    ib = iteration_budget(5, 20.0, 1.0, sparsity=4.0)
-    assert ib - vb > i - v  # boxed adds cap hits on top of advice hits
 
 
 def test_ratio_budgets():
