@@ -37,8 +37,11 @@ class SetSystem:
     def __post_init__(self):
         costs = as_numbers(self.costs, "set costs")
         self.costs = cost_vector(costs, costs.size)
-        self.membership = [[as_integer(j, "set indices must be integers")
-                            for j in group] for group in self.membership]
+        try:
+            self.membership = [[as_integer(j, "set indices must be integers")
+                                for j in group] for group in self.membership]
+        except TypeError:
+            raise MalformedDocument("set membership must be lists") from None
         for i, group in enumerate(self.membership):
             if len(group) == 0:
                 raise UncoverableElement(f"element {i} belongs to no set")

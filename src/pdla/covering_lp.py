@@ -16,7 +16,7 @@ discount the dual objective.
 The covering SDP solver reduces every violated round to a covering row, so
 the primal-dual growth lives here once: phase start (`start_phase`), the
 round (`grow_round`: its count, phase 1, budget check and growth steps,
-booked on the caller's step report), the growth step (`_grow_step`, which
+recorded on the caller's step report), the growth step (`_grow_step`, which
 snaps to the tight set what it brings to the cap), the solver-state checks
 (`SolverState`), the dual certificate (`dual_certificate`),
 `current_solution`, `kappa_seen` and `beta_seen`. A solver keeps only its
@@ -30,11 +30,13 @@ accumulator of its own, the matrix dual (`Separation.accumulate`). The
 growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 `advance` through this module's globals.
 
-`process_row` feeds one row and is the only growth path. Row lists (`run_lp`
-and the experiment runs) go through `run_rows`, which decides each row by
-`process_row`'s own test, books the rows that hold on arrival and sends
-only the others to `process_row`. A separation oracle goes through
-`run_source`.
+`process_row` feeds one row. Once a phase is open, a row that holds at its
+point (`_RowSeparation.holds`) only counts its round; any other enters
+`grow_round`. Rows and SDP cuts queue their entries for the column
+statistics (`SolverState.col_max` / `col_min`), which fold on read, every
+COLUMN_FOLD rows and at the end of an SDP round. Row lists (`run_lp` and the experiment runs) go
+through `run_rows`, a loop over `process_row`; a separation oracle goes
+through `run_source`.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ ADVICE_ROW_TOL = 1e-9   # slack when testing a row against the suggestion
 OBJ_ENTRY_TOL = 1e-12   # relative slack for the budget check at iteration entry
 MAX_ROUNDS = 1_000_000  # safety stop for oracle-driven runs
 MAX_ITER_ROUND = 200_000  # safety stop for the growth steps of one round
+COLUMN_FOLD = 64        # queued rows that make the column statistics fold
 
 
 @dataclass
@@ -108,8 +111,6 @@ class SolverState:
     round_no: int = 0
     violations_seen: int = 0
     iterations: int = 0
-    col_max: np.ndarray = field(init=False)
-    col_min: np.ndarray = field(init=False)
     sparsity_seen: float = 0.0
     trace: list = field(default_factory=list)
 
@@ -121,8 +122,36 @@ class SolverState:
         if self.params is None:
             self.params = SolverParams()
         self.x_best = np.zeros(self.n)
-        self.col_max = np.zeros(self.n)
-        self.col_min = np.full(self.n, np.inf)
+        self._col_max = np.zeros(self.n)
+        self._col_min = np.full(self.n, np.inf)
+        self._pending = []      # (columns, values) pairs not yet folded
+
+    @property
+    def col_max(self) -> np.ndarray:
+        """Largest entry seen in each column, 0 where none was."""
+        self.fold_columns()
+        return self._col_max
+
+    @property
+    def col_min(self) -> np.ndarray:
+        """Least entry seen in each column, inf where none was."""
+        self.fold_columns()
+        return self._col_min
+
+    def add_columns(self, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Queue one row's entries (unique columns) for the statistics."""
+        self._pending.append((cols, vals))
+        if len(self._pending) >= COLUMN_FOLD:
+            self.fold_columns()
+
+    def fold_columns(self) -> None:
+        """Fold the queued entries in, in arrival order: rows can share
+        columns, so it takes ufunc.at, and max and min are exact."""
+        if self._pending:
+            cols, vals = (np.concatenate(a) for a in zip(*self._pending))
+            np.maximum.at(self._col_max, cols, vals)
+            np.minimum.at(self._col_min, cols, vals)
+            self._pending.clear()
 
     def new_phase(self, **shared) -> Phase:
         return Phase(**shared)
@@ -342,17 +371,19 @@ def process_row(state: SolverState, row) -> StepReport:
 
     The row is checked by `instances.row_arrays`; an instance's rows
     (`instances.Row`) were checked when it was built and are not checked
-    again.
+    again. Once a phase is open, a row that holds at its point only counts
+    its round: every round ends with x_best covering that point.
 
     Raises NoFeasibleSolution when a boxed row cannot reach 1 even with every
     supported coordinate at its cap, and PhaseRestartLimit / ExponentOverflow
     on runaway guesses.
     """
     idx, vals = row_arrays(row, state.n)
-    # Validated columns are unique, so plain fancy-index updates suffice.
-    state.col_max[idx] = np.maximum(state.col_max[idx], vals)
-    state.col_min[idx] = np.minimum(state.col_min[idx], vals)
+    state.add_columns(idx, vals)
     sep = _RowSeparation(state, idx, vals)
+    if state.phase is not None and sep.holds(state.phase.x):
+        state.round_no += 1
+        return StepReport(round_no=state.round_no, row_value=sep.value)
     report = StepReport()
     if grow_round(state, sep, report) == "target":
         report.stop_reason = "satisfied_by_2"
@@ -418,52 +449,14 @@ def run_lp(inst: CoveringLpInstance, advice: AdviceVector | None = None,
 
 
 def run_rows(state: SolverState, rows, reports: bool = True):
-    """Feed a row list in order, with the same effect on the state as
-    process_row on each row; return every row's report (None when reports
-    is false).
-
-    Each row is checked once, in its turn (process_row takes the checked
-    Row as it is), and decided at the active phase point by process_row's
-    own test. A row that holds changes only the round counter and the
-    column statistics, so it is booked without process_row: the booked
-    rows' entries are folded into col_max / col_min by one np.maximum.at /
-    np.minimum.at pair before the next row that takes process_row, and
-    when the run ends or raises. The first row, which opens phase 1, and
-    every row that fails take process_row, the only growth path.
-    """
+    """Feed a row list in order through process_row; return every row's
+    report (None when reports is false). Rows fed before an error stay fed."""
     out = [] if reports else None
-    booked = []
-    try:
-        for row in rows:
-            if not (type(row) is Row and row.n <= state.n):
-                row = Row(*row_arrays(row, state.n), state.n)
-            if state.phase is not None:
-                sep = _RowSeparation(state, row.idx, row.vals)
-                if sep.holds(state.phase.x):
-                    state.round_no += 1
-                    booked.append(row)
-                    if reports:
-                        out.append(StepReport(round_no=state.round_no,
-                                              row_value=sep.value))
-                    continue
-            _fold_columns(state, booked)
-            rep = process_row(state, row)
-            if reports:
-                out.append(rep)
-    finally:
-        _fold_columns(state, booked)
+    for row in rows:
+        rep = process_row(state, row)
+        if reports:
+            out.append(rep)
     return out
-
-
-def _fold_columns(state: SolverState, booked: list) -> None:
-    """Fold the booked rows into the column statistics and clear the list;
-    booked rows can share columns, so the fold takes ufunc.at."""
-    if booked:
-        cols = np.concatenate([row.idx for row in booked])
-        vals = np.concatenate([row.vals for row in booked])
-        np.maximum.at(state.col_max, cols, vals)
-        np.minimum.at(state.col_min, cols, vals)
-        booked.clear()
 
 
 def kappa_seen(state: SolverState) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .covering_lp import (DualCertificate, SolverState, StepReport,
                           current_solution, dual_certificate, new_lp_solver,
                           process_row, run_source)
+from .errors import MalformedDocument
 from .instances import AdviceVector, SolverParams
 
 
@@ -23,10 +24,10 @@ def process_row_box(state: SolverState, row) -> StepReport:
     """Feed one row to a boxed solver.
 
     Raises NoFeasibleSolution with the certifying row when even the all-ones
-    point cannot satisfy it.
+    point cannot satisfy it, and MalformedDocument on an unboxed state.
     """
     if not state.boxed:
-        raise ValueError("state was created without the box constraint")
+        raise MalformedDocument("state was created without the box constraint")
     return process_row(state, row)
 
 
@@ -39,7 +40,7 @@ def sparsity_estimate(state: SolverState) -> float:
 def dual_certificate_box(state: SolverState) -> DualCertificate:
     """Certificate for the boxed dual: max sum(y) - sum(z), A^T y - z <= c."""
     if not state.boxed:
-        raise ValueError("state was created without the box constraint")
+        raise MalformedDocument("state was created without the box constraint")
     return dual_certificate(state)
 
 

@@ -129,9 +129,7 @@ class _EigenSeparation(Separation):
             raise NotConverged(
                 "separating direction has nonpositive target mass")
         cols = np.nonzero(w > 0)[0]
-        r = w[cols] / self.b
-        st.col_max[cols] = np.maximum(st.col_max[cols], r)
-        st.col_min[cols] = np.minimum(st.col_min[cols], r)
+        st.add_columns(cols, w[cols] / self.b)
         return w, self.b
 
     def accumulate(self, ph: SdpPhase, delta: float) -> None:
@@ -175,6 +173,8 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     sep = _EigenSeparation(state, B)
     report = SdpStepReport()
     grow_round(state, sep, report)
+    # The round's cut arrays are not an instance's: fold rather than hold.
+    state.fold_columns()
     if report.iterations or report.phases_entered:
         report.stop_reason = "satisfied"
     report.residual_eig = float(sep.lam)

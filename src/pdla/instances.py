@@ -276,7 +276,8 @@ def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
     if n < 1:
         raise MalformedDocument(size)
     cv = cost_vector(c, n)
-    checked = [Row(*row_arrays(r, n), n) for r in rows]
+    checked = [r if type(r) is Row and r.n == n else Row(*row_arrays(r, n), n)
+               for r in rows]
     return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
 
 
@@ -359,6 +360,10 @@ def make_sdp_instance(n, d, c, A, B_stream,
     if min(n, d) < 1:
         raise MalformedDocument(size)
     cv = cost_vector(c, n)
+    try:
+        A, B_stream = list(A), list(B_stream)
+    except TypeError:
+        raise MalformedDocument("A and B must be lists of matrices") from None
     if len(A) != n:
         raise LengthMismatch(f"got {len(A)} action matrices, expected {n}")
     mats = [_as_psd_matrix(raw, d, f"A[{j}]") for j, raw in enumerate(A)]
@@ -387,8 +392,6 @@ def parse_sdp_instance(text: str) -> CoveringSdpInstance:
     boxed = doc.get("boxed", False)
     if not isinstance(boxed, bool):
         raise MalformedDocument("boxed must be a boolean")
-    if not (isinstance(A, list) and isinstance(B, list)):
-        raise MalformedDocument("A and B must be lists")
     return make_sdp_instance(n, d, c, A, B, boxed)
 
 

@@ -1,8 +1,9 @@
 """The package's input boundary: every constructor that takes numbers, and
 the group Steiner oracle, checks them with `instances.as_numbers` /
-`as_number` / `as_integer`. A value it cannot use raises a PdlaError
-subclass naming the field, never a bare ValueError, TypeError or
-IndexError, and is never read as another number (a boolean as 1.0, say)."""
+`as_number` / `as_integer`. A value it cannot use, a list that is none or
+an unboxed state given to a boxed entry point raises a PdlaError subclass
+naming the field, never a bare ValueError, TypeError or IndexError, and a
+value is never read as another number (a boolean as 1.0, say)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pdla.applications import RootedTree, SetSystem, gst_oracle
 from pdla.baselines import advice_scaling
 from pdla.covering_lp import new_lp_solver
+from pdla.covering_lp_box import dual_certificate_box, process_row_box
 from pdla.covering_sdp import new_sdp_solver, process_matrix
 from pdla.errors import PdlaError
 from pdla.experiments import ExperimentConfig
@@ -39,11 +41,19 @@ _SDP = make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]])
     (lambda: SolverParams(tol_feas="ab"), "tol_feas"),
     (lambda: advice_scaling(2, _ROWS, [1.0]), "advice"),
     (lambda: advice_scaling(2, _ROWS, [1.0, 1.0, 1.0]), "advice"),
+    (lambda: make_sdp_instance(1, 1, [1.0], 5, [[1.0]]), "A and B"),
+    (lambda: make_sdp_instance(1, 1, [1.0], [[1.0]], 5), "A and B"),
+    (lambda: SetSystem([1.0], [5]), "membership"),
+    (lambda: process_row_box(new_lp_solver(1, [1.0]), [(0, 1.0)]),
+     "box constraint"),
+    (lambda: dual_certificate_box(new_lp_solver(1, [1.0])), "box constraint"),
 ], ids=["lp-cost-bool", "solver-cost-bool", "sdp-cost-bool", "set-cost-bool",
         "set-member-bool", "tree-cost-bool", "advice-x-bool",
         "advice-lambda-bool", "lp-cost-string", "set-cost-string",
         "scaling-advice-string", "advice-lambda-null", "tree-cost-string",
-        "params-string", "scaling-advice-short", "scaling-advice-long"])
+        "params-string", "scaling-advice-short", "scaling-advice-long",
+        "sdp-A-number", "sdp-B-number", "set-group-number", "box-row-unboxed",
+        "box-certificate-unboxed"])
 def test_a_constructor_refuses_what_is_no_number(call, field):
     with pytest.raises(PdlaError, match=field):
         call()
@@ -62,6 +72,7 @@ _CALLS = {
     "advice-lambda": lambda v: validate_advice([0.5, 0.5], v, 2, False),
     "set-costs": lambda v: SetSystem(v, [[0]]),
     "set-member": lambda v: SetSystem([1.0, 1.0], [[0, v]]),
+    "set-group": lambda v: SetSystem([1.0, 1.0], [v]),
     "tree-nodes": lambda v: RootedTree.from_edge_list(v, 0, [(0, 1, 1.0)]),
     "tree-root": lambda v: RootedTree.from_edge_list(2, v, [(0, 1, 1.0)]),
     "tree-vertex": lambda v: RootedTree.from_edge_list(2, 0, [(0, v, 1.0)]),
@@ -70,6 +81,8 @@ _CALLS = {
     "gst-group": lambda v: gst_oracle(_EDGE, [v], [0.5]),
     "gst-x": lambda v: gst_oracle(_EDGE, [1], v),
     "sdp-target": lambda v: process_matrix(new_sdp_solver(_SDP), v),
+    "sdp-A": lambda v: make_sdp_instance(1, 1, [1.0], v, [[1.0]]),
+    "sdp-B": lambda v: make_sdp_instance(1, 1, [1.0], [[1.0]], v),
     "scaling-advice": lambda v: advice_scaling(2, _ROWS, v),
     **{f"params-{name}": lambda v, name=name: SolverParams(**{name: v})
        for name in ("tol_feas", "tol_psd", "max_phase", "initial_alpha")},

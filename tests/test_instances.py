@@ -213,6 +213,17 @@ def test_row_at_a_smaller_n_is_checked_again():
     assert inst.rows[2] != inst.rows[1] and inst.rows[2] == Row(idx, vals, 2)
 
 
+def test_instance_keeps_rows_checked_at_its_n():
+    # A Row checked at the instance's n is read-only, so the instance shares
+    # it; one checked at a smaller n is stored again at the instance's n.
+    inst = make_lp_instance(4, np.ones(4), [[(0, 1.0)], [(3, 2.0), (1, 0.5)]])
+    small = make_lp_instance(2, np.ones(2), [[(1, 1.0)]]).rows[0]
+    again = make_lp_instance(4, np.ones(4), inst.rows + [small])
+    assert all(a is b for a, b in zip(again.rows, inst.rows))
+    assert again.rows[2] is not small and again.rows[2].n == 4
+    assert again.rows[2] == small
+
+
 def test_checked_rows_are_not_checked_again_by_list_views():
     # validate_row reads an instance's Row through row_arrays, so the check
     # does not run on it a second time.

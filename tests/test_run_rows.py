@@ -1,15 +1,19 @@
-"""`covering_lp.run_rows` against the per-row loop it replaces.
+"""`covering_lp.run_rows` against the per-row loop, and process_row's
+held-row path.
 
-run_rows books the rows that hold on arrival and sends only the others
-through `process_row`. Whatever the instance, it must leave the
-solver state, the trace, the dual certificate and the step reports exactly
-as feeding every row to `process_row` does, and raise the same error at the
-same row. Rows are drawn with repeats and shrunken copies of earlier rows,
-so that many arrive satisfied, and a probe row can sit exactly on the
+process_row only counts the round of a row that holds on arrival, without
+entering `grow_round`, and queues every row's entries for the column
+statistics. Whatever the instance, run_rows must leave the solver state,
+the trace, the dual certificate and the step reports exactly as feeding
+every row to `process_row` does, and raise the same error at the same
+row. Rows are drawn with repeats and shrunken copies of earlier rows, so
+that many arrive satisfied, and a probe row can sit exactly on the
 feasibility bar `1 - tol_feas` or one ulp either side of it. They are fed
 as checked Rows, as lists of pairs and as one-shot iterators of pairs, at
 the default tol_feas and at 1e-16, where the bar is the float below 1.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from numpy.random import default_rng
 
 from pdla import covering_lp
 from pdla.errors import MalformedDocument, PdlaError
-from pdla.instances import (Row, SolverParams, make_lp_instance,
+from pdla.instances import (Row, SolverParams, make_lp_instance, row_arrays,
                             validate_advice)
 
 
@@ -137,23 +141,104 @@ def test_run_rows_matches_the_per_row_loop(run):
         assert covering_lp.run_rows(st, one_shot) == want_reports
 
 
-def test_run_rows_books_satisfied_rows_without_process_row(monkeypatch):
+_MALFORMED = ([(0, -1.0)], [(0, 0.0)], [(0, 1.0), (0, 2.0)],
+              [(0, float("nan"))])
+
+
+@st.composite
+def mixed_runs(draw):
+    """A run of `runs()` fed as a mix of checked Rows and lists of pairs,
+    now and then a malformed row, with the column statistics folding every
+    1, 2 or 3 rows or every COLUMN_FOLD."""
+    n, c, advice, params, boxed, rows = draw(runs())
+    feed = []
+    for row in rows:
+        if draw(st.integers(0, 14)) == 0:
+            feed.append(draw(st.sampled_from(_MALFORMED + ([(n, 1.0)],))))
+        feed.append(Row(*row_arrays(row, n), n) if draw(st.booleans())
+                    else row)
+    fold = draw(st.sampled_from([1, 2, 3, covering_lp.COLUMN_FOLD]))
+    return n, c, advice, params, boxed, feed, fold
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_runs())
+def test_held_rows_take_one_path_and_fold_their_columns(run):
+    n, c, advice, params, boxed, feed, fold = run
+    states, outcomes, grown = [], [], []
+    real = covering_lp.grow_round
+
+    def spy(state, sep, report):
+        # Only the row that opens phase 1 and rows that fail the test at
+        # the phase point grow.
+        assert state.phase is None or not sep.holds(state.phase.x)
+        grown.append(state.round_no + 1)
+        return real(state, sep, report)
+
+    with mock.patch.object(covering_lp, "COLUMN_FOLD", fold):
+        for by_row in (True, False):
+            st_ = covering_lp.new_lp_solver(n, c, advice=advice,
+                                            params=params, boxed=boxed)
+            reports, error = [], None
+            try:
+                if by_row:
+                    with mock.patch.object(covering_lp, "grow_round", spy):
+                        for row in feed:
+                            reports.append(covering_lp.process_row(st_, row))
+                            assert len(st_._pending) < fold
+                else:
+                    reports = covering_lp.run_rows(st_, feed)
+            except PdlaError as exc:
+                error = (type(exc), str(exc))
+            states.append(st_)
+            outcomes.append((reports, error))
+    (per_row, error), (looped, looped_error) = outcomes
+    assert error == looped_error
+    if error is None:
+        assert looped == per_row
+    assert _state(states[0]) == _state(states[1])
+    for gauge in (covering_lp.kappa_seen, covering_lp.beta_seen):
+        assert gauge(states[0]) == gauge(states[1])
+    # The statistics equal an eager max / min over the rows that were fed:
+    # every row up to the one that raised, which counts once its check
+    # passed.
+    col_max, col_min = np.zeros(n), np.full(n, np.inf)
+    for row in feed[:len(per_row) + 1]:
+        try:
+            idx, vals = row_arrays(row, n)
+        except PdlaError:
+            break
+        col_max[idx] = np.maximum(col_max[idx], vals)
+        col_min[idx] = np.minimum(col_min[idx], vals)
+    for st_ in states:
+        assert st_.col_max.tolist() == col_max.tolist()
+        assert st_.col_min.tolist() == col_min.tolist()
+    # A row that holds on arrival only counts its round.
+    for rep in per_row:
+        if rep.round_no not in grown:
+            assert rep == covering_lp.StepReport(round_no=rep.round_no,
+                                                 row_value=rep.row_value)
+            assert rep.row_value >= 1.0 - params.tol_feas
+
+
+def test_held_rows_never_reach_grow_round(monkeypatch):
     # The first row opens phase 1 and ends at x = (1/2, 1/2) in phase 2;
-    # the other two hold there on arrival and are booked in one block.
+    # the other two hold there on arrival, so process_row only counts their
+    # rounds and grow_round sees the first row alone.
     rows = [Row(np.array([0, 1]), np.array([1.0, 1.0]), 2),
             Row(np.array([0]), np.array([2.0]), 2),
             Row(np.array([1]), np.array([3.0]), 2)]
-    fed = []
-    real = covering_lp.process_row
+    grown = []
+    real = covering_lp.grow_round
 
-    def spy(state, row):
-        fed.append(row)
-        return real(state, row)
+    def spy(state, sep, report):
+        grown.append((sep.support.tolist(), sep.vals.tolist()))
+        return real(state, sep, report)
 
-    monkeypatch.setattr(covering_lp, "process_row", spy)
+    monkeypatch.setattr(covering_lp, "grow_round", spy)
     st = covering_lp.new_lp_solver(2, [1.0, 1.0])
     reports = covering_lp.run_rows(st, rows)
-    assert fed == rows[:1]
+    assert grown == [([0, 1], [1.0, 1.0])]
     assert [r.round_no for r in reports] == [1, 2, 3]
     assert st.x_best.tolist() == [0.5, 0.5]
     assert st.col_max.tolist() == [2.0, 3.0]
@@ -178,7 +263,7 @@ def test_run_rows_decides_rows_near_one_by_their_own_dot():
     # With tol_feas = 1e-16 the bar is the float just below 1. A block sum
     # adds the products in another order than the row's own dot product, so
     # it can round to 1 where the dot stays below the bar: such a row fails
-    # process_row's test and must grow, not be booked.
+    # process_row's test and must grow.
     n = 30
     params = SolverParams(tol_feas=1e-16)
     rng = default_rng(0)

@@ -5,7 +5,8 @@ spread over 1e-8 to 1e8, half of them boxed and 60% with advice at lambda in
 {0, 0.3, 1}. After every round the published point must be finite, must not
 decrease, and must cover everything fed so far; on a boxed state no
 coordinate outside the tight set may lie within SNAP of its cap, the
-invariant `covering_lp.run_rows` relies on when it books a row that holds.
+invariant `covering_lp.process_row` relies on when it only counts the round
+of a row that holds.
 The growth step keeps it too, after every step that keeps its phase.
 The scaled dual certificate, objective / scale, is a feasible dual value, so
 it is a lower bound on OPT: after every round it must not exceed the
@@ -27,7 +28,7 @@ from numpy.random import SeedSequence, default_rng
 
 from pdla import covering_lp, covering_sdp
 from pdla.baselines import exact_lp_optimum, offline_solve
-from pdla.errors import NoFeasibleSolution
+from pdla.errors import NoFeasibleSolution, NotConverged
 from pdla.experiments import gen_synthetic
 from pdla.instances import (SolverParams, make_lp_instance, make_sdp_instance,
                             validate_advice)
@@ -282,6 +283,30 @@ def test_offline_solve_finds_the_optimum_of_seed_59(offline_lps):
         pytest.approx(exact_lp_optimum(inst), rel=1e-6)
 
 
+def _stream_lp(seed):
+    """The offline LP `_lp_stream(seed)` solves at its end."""
+    class Caught(Exception):
+        pass
+
+    def caught(inst, eps):
+        raise Caught(inst)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(globals(), "offline_solve", caught)
+        with pytest.raises(Caught) as info:
+            _lp_stream(seed)
+    return info.value.args[0]
+
+
+@pytest.mark.xfail(strict=True, raises=NotConverged,
+                   reason="ROADMAP item 7: HiGHS stops with status 4 on seed "
+                          "703's boxed LP with and without presolve")
+def test_offline_solve_finds_the_optimum_of_seed_703():
+    inst = _stream_lp(703)
+    assert offline_solve(inst, eps=EPS_OFFLINE).objective == \
+        pytest.approx(exact_lp_optimum(inst), rel=1e-6)
+
+
 @pytest.mark.parametrize("seed", [35, 48, 70, 94, 108, 270])
 def test_exact_optimum_accepts_badly_scaled_bases(offline_lps, seed):
     # An absolute determinant test once skipped every optimal basis of
@@ -294,6 +319,25 @@ def test_exact_optimum_accepts_badly_scaled_bases(offline_lps, seed):
 def test_random_sdp_streams_publish_finite_covering_points():
     ends = [_sdp_stream(seed) for seed in range(SDP_STREAMS)]
     assert ends.count("ok") > SDP_STREAMS // 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 7 and 10: a growth step of "
+                          "_sdp_stream(64) ends its round 3.4% over alpha")
+def test_sdp_rounds_end_within_their_budget(monkeypatch):
+    # The budget check runs only while the round is violated, so a growth
+    # step that overshoots alpha and meets the target ends the round over
+    # budget; the step's objective event should have stopped it at alpha.
+    real, over = covering_sdp.grow_round, []
+
+    def checked(state, *args):
+        kind = real(state, *args)
+        over.append(state.phase.obj / state.phase.alpha - 1.0)
+        return kind
+
+    monkeypatch.setattr(covering_sdp, "grow_round", checked)
+    _sdp_stream(64)
+    assert over and max(over) <= REL
 
 
 def test_every_boxed_growth_step_snaps_what_it_brings_to_the_cap(
