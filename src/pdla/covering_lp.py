@@ -34,8 +34,8 @@ growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 point (`_RowSeparation.holds`) only counts its round; any other enters
 `grow_round`. Rows and SDP cuts queue their entries for the column
 statistics (`SolverState.col_max` / `col_min`), which fold on read, every
-COLUMN_FOLD rows and at the end of an SDP round. Row lists (`run_lp` and the experiment runs) go
-through `run_rows`, a loop over `process_row`; a separation oracle goes
+COLUMN_FOLD rows and at the end of an SDP round. An instance's rows go
+through `run_lp`, a loop over `process_row`; a separation oracle goes
 through `run_source`.
 """
 from __future__ import annotations
@@ -81,7 +81,6 @@ class StepReport:
     iterations: int = 0
     phases_entered: int = 0
     row_value: float = 0.0
-    y_round: float = 0.0
     tight_added: list[int] = field(default_factory=list)
 
 
@@ -240,11 +239,12 @@ def grow_round(state: SolverState, sep: Separation, report) -> str | None:
     satisfied; return the kind of the round's last growth event, or None.
 
     Books round_no and phases_entered on `report`, a fresh step report; its
-    growth steps book iterations, y_round and tight_added. Before the first
-    phase it opens phase 1 at params.initial_alpha, or at sep.estimate()
-    when unset. Its first growth step asks whether the suggestion meets the
-    constraint (sep.advice_holds), which arms suggestion-proportional
-    sharing; a round that holds never asks.
+    growth steps book iterations and tight_added there, and their duals on
+    the phase (`Phase.y`). Before the first phase it opens phase 1 at
+    params.initial_alpha, or at sep.estimate() when unset. Its first growth
+    step asks whether the suggestion meets the constraint
+    (sep.advice_holds), which arms suggestion-proportional sharing; a round
+    that holds never asks.
     """
     state.round_no += 1
     report.round_no = state.round_no
@@ -274,11 +274,7 @@ def grow_round(state: SolverState, sep: Separation, report) -> str | None:
         # restart.
         start_phase(state, ph.alpha * 2.0)
         report.phases_entered += 1
-        report.y_round = 0.0
-    ph = state.phase
-    if report.y_round > 0.0:
-        ph.y[report.round_no] = report.y_round
-    np.maximum(state.x_best, ph.x, out=state.x_best)
+    np.maximum(state.x_best, state.phase.x, out=state.x_best)
     return last
 
 
@@ -333,7 +329,8 @@ def _grow_step(state: SolverState, report, ph: Phase, sep: Separation,
                    state.boxed, TOL, k)
     state.iterations += 1
     report.iterations += 1
-    report.y_round += ev.delta
+    if ev.delta > 0.0:
+        ph.y[rnd] = ph.y.get(rnd, 0.0) + ev.delta
     x_new = advance(xb, D, w, cf, ev.delta, k)
     if ev.kind == "advice":
         x_new[ev.j] = adv_f[ev.j]
@@ -442,21 +439,11 @@ def run_source(state: SolverState, oracle) -> list[StepReport]:
 
 def run_lp(inst: CoveringLpInstance, advice: AdviceVector | None = None,
            params: SolverParams | None = None):
-    """Convenience: run the full row list of an instance, return (state, reports)."""
+    """Feed an instance's rows in order through process_row; return
+    (state, reports)."""
     state = new_lp_solver(inst.n, inst.c, advice=advice, params=params,
                           boxed=inst.boxed)
-    return state, run_rows(state, inst.rows)
-
-
-def run_rows(state: SolverState, rows, reports: bool = True):
-    """Feed a row list in order through process_row; return every row's
-    report (None when reports is false). Rows fed before an error stay fed."""
-    out = [] if reports else None
-    for row in rows:
-        rep = process_row(state, row)
-        if reports:
-            out.append(rep)
-    return out
+    return state, [process_row(state, row) for row in inst.rows]
 
 
 def kappa_seen(state: SolverState) -> float:

@@ -55,7 +55,6 @@ class SdpStepReport:
     iterations: int = 0
     phases_entered: int = 0
     residual_eig: float = 0.0   # least eigenvalue at exit (>= -tol)
-    y_round: float = 0.0
     tight_added: list[int] = field(default_factory=list)
 
 

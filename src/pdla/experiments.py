@@ -17,15 +17,13 @@ from numpy.random import SeedSequence, default_rng
 
 from .applications import SetSystem, set_cover_instance
 from .baselines import offline_solve
-from .covering_lp import (current_solution, dual_certificate, new_lp_solver,
-                          run_rows)
+from .covering_lp import current_solution, dual_certificate, run_lp
 # Not called here; kept because the traced benchmark rebinds these names.
 from .covering_lp import process_row  # noqa: F401
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import MalformedDocument, MalformedLine
-from .instances import (AdviceVector, CoveringLpInstance, Row, as_integer,
-                        as_number, as_numbers, make_lp_instance,
-                        validate_advice)
+from .instances import (CoveringLpInstance, Row, as_integer, as_number,
+                        as_numbers, make_lp_instance, validate_advice)
 from .metrics import CSV_HEADER, RunMetrics
 
 log = logging.getLogger("pdla")
@@ -189,14 +187,6 @@ def ingest_edge_list(path: str, cost_seed=0,
 
 # ---------------------------------------------------------------- running
 
-def _run_instance(inst: CoveringLpInstance, advice: AdviceVector | None):
-    """One solver run over the instance's rows, which were checked when the
-    instance was built."""
-    st = new_lp_solver(inst.n, inst.c, advice=advice, boxed=inst.boxed)
-    run_rows(st, inst.rows, reports=False)
-    return st, dual_certificate(st)
-
-
 def _trial_lambda_sweep(cfg: ExperimentConfig, trial: int):
     inst = gen_synthetic(cfg.n, SeedSequence([cfg.seed, trial]),
                          cfg.density, cfg.cost_scale)
@@ -269,14 +259,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunMetrics]:
     for t in range(cfg.trials):
         for lam, step, inst, x, cost_off in _TRIALS[cfg.kind](cfg, t):
             adv = validate_advice(x, lam, inst.n, boxed=inst.boxed)
-            st, cert = _run_instance(inst, adv)
+            st, _ = run_lp(inst, adv)
             cost = float(inst.c @ current_solution(st))
             rows.append(RunMetrics(
                 lam=lam, trial=t, step=step, cost_alg=cost,
                 cost_advice=float(inst.c @ x), cost_offline=cost_off,
                 ratio=cost / cost_off, violations=st.violations_seen,
                 iterations=st.iterations, phases=len(st.alpha_history),
-                dual_scale=cert.scale))
+                dual_scale=dual_certificate(st).scale))
     rows.sort(key=lambda m: (m.trial, m.step, m.lam))
     if cfg.out:
         write_csv(cfg.out, rows)

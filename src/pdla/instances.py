@@ -25,11 +25,9 @@ from .errors import (
     NonPositiveCost,
     NotPsd,
 )
-from .symmetric import is_psd, min_eigpair
+from .symmetric import TOL_SYM, is_psd, min_eigpair
 
 SparseRow = list[tuple[int, float]]
-TOL_SYM = 1e-8   # relative asymmetry an SDP instance's matrices may carry
-TOL_PSD = 1e-7   # relative PSD slack of SDP instance validation
 
 
 @dataclass
@@ -94,8 +92,10 @@ class CoveringSdpInstance:
 class AdviceVector:
     """A suggested solution plus a confidence dial.
 
-    lam = 0 trusts the suggestion fully, lam = 1 ignores it. The suggestion
-    is never required to be feasible.
+    lam = 0 trusts the suggestion fully. lam = 1 shares the growth
+    uniformly, but the suggestion still caps each phase's start point and
+    its advice events still split growth steps (ROADMAP item 17). The
+    suggestion is never required to be feasible.
     """
 
     x_prime: np.ndarray
@@ -240,9 +240,14 @@ def _checked_entries(row, n: int) -> SparseRow:
 
     It takes any iterable of pairs, numeric strings included.
     """
+    try:
+        pairs = iter(row)
+    except TypeError:
+        raise MalformedDocument("a row must be a list of (column, value) "
+                                f"pairs, not {type(row).__name__}") from None
     clean: SparseRow = []
     seen = set()
-    for pair in row:
+    for pair in pairs:
         try:
             raw, v = pair
             j = int(raw)
@@ -276,6 +281,10 @@ def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
     if n < 1:
         raise MalformedDocument(size)
     cv = cost_vector(c, n)
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise MalformedDocument("rows must be a list of rows") from None
     checked = [r if type(r) is Row and r.n == n else Row(*row_arrays(r, n), n)
                for r in rows]
     return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
@@ -348,7 +357,7 @@ def _as_psd_matrix(raw, d: int, what: str) -> np.ndarray:
     if np.max(np.abs(m - m.T)) > TOL_SYM * scale:
         raise AsymmetricMatrix(f"{what} is not symmetric within tolerance")
     m = 0.5 * (m + m.T)
-    if not is_psd(m, TOL_PSD):
+    if not is_psd(m, SolverParams.tol_psd):
         raise NotPsd(f"{what} has eigenvalue {min_eigpair(m)[0]}")
     return m
 
@@ -375,7 +384,8 @@ def make_sdp_instance(n, d, c, A, B_stream,
         b = _as_psd_matrix(raw, d, f"B[{i}]")
         # The monotone test process_matrix makes: the floor is relative to
         # the newer target's norm.
-        if not is_psd(b - prev, TOL_PSD, scale=float(np.linalg.norm(b))):
+        if not is_psd(b - prev, SolverParams.tol_psd,
+                      scale=float(np.linalg.norm(b))):
             raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}] (eigenvalue "
                                f"{min_eigpair(b - prev)[0]})")
         # Frozen, so solvers can keep the target without copying it.

@@ -33,6 +33,8 @@ _LAPACK_NAMES = ("dpotrf", "dsyevr", "dsyevr_lwork")
 _lapack_loaded = False
 _LAPACK_LOCK = threading.Lock()
 
+TOL_SYM = 1e-8   # relative asymmetry a symmetric matrix may carry
+
 # Cholesky of M + s I is trusted to prove lambda_min(M) >= -2 s only while
 # its backward error, about d^2 eps (||M|| + s), stays below s by this factor.
 _CHOL_MARGIN = 16.0
@@ -65,7 +67,7 @@ def __getattr__(name: str):
 def _checked(m) -> tuple[np.ndarray, float]:
     """The matrix as a float array and its Frobenius norm, after the input
     checks, in this order: square and nonempty, finite, symmetric within a
-    relative 1e-8."""
+    relative TOL_SYM."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(
@@ -73,7 +75,7 @@ def _checked(m) -> tuple[np.ndarray, float]:
     if not np.isfinite(a).all():
         raise NotConverged("matrix has non-finite entries")
     norm = float(np.linalg.norm(a))
-    if np.max(np.abs(a - a.T)) > 1e-8 * max(1.0, norm):
+    if np.max(np.abs(a - a.T)) > TOL_SYM * max(1.0, norm):
         raise AsymmetricMatrix("matrix is not symmetric within tolerance")
     return a, norm
 

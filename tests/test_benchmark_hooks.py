@@ -57,14 +57,14 @@ def test_every_keep_alive_import_is_a_benchmark_binding(monkeypatch):
 
 
 def test_traced_experiment_runs_count_every_row(monkeypatch):
-    # Experiment runs feed their rows through covering_lp.run_rows, a loop
+    # Experiment runs feed their rows through covering_lp.run_lp, a loop
     # over covering_lp.process_row, so the traced benchmark counts every
     # row of every run there exactly once, whether it holds or grows.
     monkeypatch.syspath_prepend(PERFBENCH)
     import spans
 
     runs = []
-    real_run = experiments._run_instance
+    real_run = experiments.run_lp
 
     def counted(inst, advice):
         before = len(tracer.spans)
@@ -72,7 +72,7 @@ def test_traced_experiment_runs_count_every_row(monkeypatch):
         runs.append((inst, len(tracer.spans) - before))
         return out
 
-    monkeypatch.setattr(experiments, "_run_instance", counted)
+    monkeypatch.setattr(experiments, "run_lp", counted)
     cfg = experiments.ExperimentConfig(kind="CorruptionSweep", n=20, trials=1)
     with spans.installed(spans.Tracer(),
                          only={"covering_lp.process_row"}) as tracer:

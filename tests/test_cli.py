@@ -67,6 +67,16 @@ def test_empty_row_is_bad_input(tmp_path, capsys):
     assert cli.main(["solve-lp", "--instance", inst]) == 4
 
 
+@pytest.mark.parametrize("command", ["solve-lp", "offline"])
+@pytest.mark.parametrize("row", [5, None], ids=["number", "null"])
+def test_a_row_that_is_no_list_is_bad_input(tmp_path, capsys, command, row):
+    # Each once escaped main as a TypeError, with exit 1.
+    doc = {"n": 2, "c": [1.0, 1.0], "rows": [row]}
+    inst = _write(tmp_path, "inst.json", doc)
+    assert cli.main([command, "--instance", inst]) == 4
+    assert "bad input:" in capsys.readouterr().err
+
+
 def test_unknown_flag_maps_to_bad_input(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve-lp", "--instance", "x", "--nonsense"])

@@ -1,5 +1,8 @@
 """What each kind of run imports: scipy.linalg loads with the first SDP
-matrix test, so LP, set-cover and group-Steiner processes never pay for it."""
+matrix test, so LP, set-cover and group-Steiner processes never pay for it;
+and no module of the package imports a name it never uses."""
+import ast
+import glob
 import os
 
 import pytest
@@ -90,3 +93,43 @@ def test_symmetric_tests_pass_alone_in_a_fresh_process(fresh_python,
     out = fresh_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
                        _SYMMETRIC_TESTS + selection)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+_PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "pdla")
+
+
+def _unused_imports(path: str) -> list[str]:
+    """The names path imports and never reads, as 'file:line name'. An
+    import marked `# noqa: F401` (a re-export, or a name the traced
+    benchmark rebinds) is exempt, and so is a name listed in __all__."""
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{os.path.basename(path)}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(glob.glob(os.path.join(_PACKAGE, "*.py")))
+    assert paths
+    assert [u for path in paths for u in _unused_imports(path)] == []

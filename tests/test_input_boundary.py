@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from pdla.applications import RootedTree, SetSystem, gst_oracle
 from pdla.baselines import advice_scaling
-from pdla.covering_lp import new_lp_solver
+from pdla.covering_lp import new_lp_solver, process_row
 from pdla.covering_lp_box import dual_certificate_box, process_row_box
 from pdla.covering_sdp import new_sdp_solver, process_matrix
 from pdla.errors import PdlaError
 from pdla.experiments import ExperimentConfig
 from pdla.instances import (SolverParams, cost_vector, make_lp_instance,
-                            make_sdp_instance, validate_advice)
+                            make_sdp_instance, row_arrays, validate_advice)
 
 _ROWS = [[(0, 1.0)], [(1, 1.0)]]
 _EDGE = RootedTree.from_edge_list(2, 0, [(0, 1, 1.0)])
@@ -47,13 +47,19 @@ _SDP = make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]])
     (lambda: process_row_box(new_lp_solver(1, [1.0]), [(0, 1.0)]),
      "box constraint"),
     (lambda: dual_certificate_box(new_lp_solver(1, [1.0])), "box constraint"),
+    (lambda: process_row(new_lp_solver(2, [1.0, 1.0]), 5), "pairs, not int"),
+    (lambda: make_lp_instance(2, [1.0, 1.0], [5]), "pairs, not int"),
+    (lambda: make_lp_instance(2, [1.0, 1.0], [None]), "pairs, not NoneType"),
+    (lambda: make_lp_instance(2, [1.0, 1.0], 5), "rows must be a list"),
+    (lambda: row_arrays(None, 2), "pairs, not NoneType"),
 ], ids=["lp-cost-bool", "solver-cost-bool", "sdp-cost-bool", "set-cost-bool",
         "set-member-bool", "tree-cost-bool", "advice-x-bool",
         "advice-lambda-bool", "lp-cost-string", "set-cost-string",
         "scaling-advice-string", "advice-lambda-null", "tree-cost-string",
         "params-string", "scaling-advice-short", "scaling-advice-long",
         "sdp-A-number", "sdp-B-number", "set-group-number", "box-row-unboxed",
-        "box-certificate-unboxed"])
+        "box-certificate-unboxed", "process-row-number", "lp-row-number",
+        "lp-row-null", "lp-rows-number", "row-arrays-null"])
 def test_a_constructor_refuses_what_is_no_number(call, field):
     with pytest.raises(PdlaError, match=field):
         call()

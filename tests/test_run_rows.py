@@ -1,17 +1,18 @@
-"""`covering_lp.run_rows` against the per-row loop, and process_row's
+"""`covering_lp.run_lp` against the per-row loop, and process_row's
 held-row path.
 
 process_row only counts the round of a row that holds on arrival, without
 entering `grow_round`, and queues every row's entries for the column
-statistics. Whatever the instance, run_rows must leave the solver state,
-the trace, the dual certificate and the step reports exactly as feeding
-every row to `process_row` does, and raise the same error at the same
-row. Rows are drawn with repeats and shrunken copies of earlier rows, so
-that many arrive satisfied, and a probe row can sit exactly on the
-feasibility bar `1 - tol_feas` or one ulp either side of it. They are fed
-as checked Rows, as lists of pairs and as one-shot iterators of pairs, at
-the default tol_feas and at 1e-16, where the bar is the float below 1.
+statistics. Whatever the instance, run_lp must leave the solver state, the
+trace, the dual certificate and the step reports exactly as feeding every
+row to `process_row` does, and raise the same error at the same row. Rows
+are drawn with repeats and shrunken copies of earlier rows, so that many
+arrive satisfied, and a probe row can sit exactly on the feasibility bar
+`1 - tol_feas` or one ulp either side of it. They are fed as checked Rows,
+as lists of pairs and as one-shot iterators of pairs, at the default
+tol_feas and at 1e-16, where the bar is the float below 1.
 """
+import re
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from pdla import covering_lp
-from pdla.errors import MalformedDocument, PdlaError
+from pdla.errors import PdlaError
 from pdla.instances import (Row, SolverParams, make_lp_instance, row_arrays,
                             validate_advice)
 
@@ -112,33 +113,24 @@ def runs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(runs())
-def test_run_rows_matches_the_per_row_loop(run):
+def test_run_lp_matches_the_per_row_loop(run):
     n, c, advice, params, boxed, rows = run
     want, want_reports, want_error = _per_row(*run)
     inst = make_lp_instance(n, c, rows, boxed=boxed)
-    # Rows as the instance's Rows, as lists of pairs, and as one-shot
-    # iterators of pairs, which can be read only once.
-    for feed, reports in ((lambda: inst.rows, True),
-                          (lambda: inst.rows, False), (lambda: rows, True),
-                          (lambda: (iter(r) for r in rows), True)):
-        st = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
-                                       boxed=boxed)
-        got, error = None, None
-        try:
-            got = covering_lp.run_rows(st, feed(), reports=reports)
-        except PdlaError as exc:
-            error = (type(exc), str(exc))
+    # Rows as the instance's Rows and as one-shot iterators of pairs, which
+    # can be read only once.
+    for feed in (inst.rows, [iter(r) for r in rows],
+                 [zip([j for j, _ in r], [v for _, v in r]) for r in rows]):
+        st, reports, error = _per_row(n, c, advice, params, boxed, feed)
         assert error == want_error
         assert _state(st) == _state(want)
-        if error is None:
-            assert got == (want_reports if reports else None)
+        assert reports == want_reports
     if want_error is None:
         st, reports = covering_lp.run_lp(inst, advice=advice, params=params)
         assert reports == want_reports and _state(st) == _state(want)
-        st = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
-                                       boxed=boxed)
-        one_shot = [zip([j for j, _ in r], [v for _, v in r]) for r in rows]
-        assert covering_lp.run_rows(st, one_shot) == want_reports
+    else:
+        with pytest.raises(want_error[0], match=re.escape(want_error[1])):
+            covering_lp.run_lp(inst, advice=advice, params=params)
 
 
 _MALFORMED = ([(0, -1.0)], [(0, 0.0)], [(0, 1.0), (0, 2.0)],
@@ -175,23 +167,25 @@ def test_held_rows_take_one_path_and_fold_their_columns(run):
         grown.append(state.round_no + 1)
         return real(state, sep, report)
 
-    with mock.patch.object(covering_lp, "COLUMN_FOLD", fold):
-        for by_row in (True, False):
-            st_ = covering_lp.new_lp_solver(n, c, advice=advice,
-                                            params=params, boxed=boxed)
-            reports, error = [], None
-            try:
-                if by_row:
-                    with mock.patch.object(covering_lp, "grow_round", spy):
-                        for row in feed:
-                            reports.append(covering_lp.process_row(st_, row))
-                            assert len(st_._pending) < fold
-                else:
-                    reports = covering_lp.run_rows(st_, feed)
-            except PdlaError as exc:
-                error = (type(exc), str(exc))
-            states.append(st_)
-            outcomes.append((reports, error))
+    # The spied loop folds every `fold` rows; the plain loop at the default
+    # COLUMN_FOLD.
+    for spied in (True, False):
+        st_ = covering_lp.new_lp_solver(n, c, advice=advice, params=params,
+                                        boxed=boxed)
+        reports, error = [], None
+        try:
+            if spied:
+                with mock.patch.object(covering_lp, "COLUMN_FOLD", fold), \
+                        mock.patch.object(covering_lp, "grow_round", spy):
+                    for row in feed:
+                        reports.append(covering_lp.process_row(st_, row))
+                        assert len(st_._pending) < fold
+            else:
+                reports = [covering_lp.process_row(st_, row) for row in feed]
+        except PdlaError as exc:
+            error = (type(exc), str(exc))
+        states.append(st_)
+        outcomes.append((reports, error))
     (per_row, error), (looped, looped_error) = outcomes
     assert error == looped_error
     if error is None:
@@ -236,8 +230,7 @@ def test_held_rows_never_reach_grow_round(monkeypatch):
         return real(state, sep, report)
 
     monkeypatch.setattr(covering_lp, "grow_round", spy)
-    st = covering_lp.new_lp_solver(2, [1.0, 1.0])
-    reports = covering_lp.run_rows(st, rows)
+    st, reports = covering_lp.run_lp(make_lp_instance(2, [1.0, 1.0], rows))
     assert grown == [([0, 1], [1.0, 1.0])]
     assert [r.round_no for r in reports] == [1, 2, 3]
     assert st.x_best.tolist() == [0.5, 0.5]
@@ -248,22 +241,12 @@ def test_held_rows_never_reach_grow_round(monkeypatch):
         assert rep.row_value == float(row.vals @ st.x_best[row.idx])
 
 
-def test_run_rows_feeds_the_rows_before_a_malformed_one():
-    # As with process_row on each row, the rows before the bad one are fed
-    # and the bad one raises in its turn.
-    st = covering_lp.new_lp_solver(2, [1.0, 1.0])
-    with pytest.raises(MalformedDocument, match="out of range"):
-        covering_lp.run_rows(st, [[(0, 1.0)], [(0, 2.0)], [(2, 1.0)],
-                                  [(1, 1.0)]])
-    assert st.round_no == 2
-    assert st.col_max.tolist() == [2.0, 0.0]
-
-
-def test_run_rows_decides_rows_near_one_by_their_own_dot():
+def test_process_row_decides_rows_near_one_by_their_own_dot():
     # With tol_feas = 1e-16 the bar is the float just below 1. A block sum
     # adds the products in another order than the row's own dot product, so
     # it can round to 1 where the dot stays below the bar: such a row fails
-    # process_row's test and must grow.
+    # process_row's test and must grow, whether it comes as a Row or as a
+    # list of pairs.
     n = 30
     params = SolverParams(tol_feas=1e-16)
     rng = default_rng(0)
@@ -275,33 +258,14 @@ def test_run_rows_decides_rows_near_one_by_their_own_dot():
         if np.add.reduceat(vals * x, [0])[0] >= 1.0 \
                 and not float(vals @ x) >= 1.0 - params.tol_feas:
             rows.append(Row(np.arange(n), vals, n))
+    assert rows
     states = []
-    for feed in (lambda st: [covering_lp.process_row(st, r) for r in rows[:3]],
-                 lambda st: covering_lp.run_rows(st, rows[:3])):
+    for feed in (rows[:3], [list(r) for r in rows[:3]]):
         st = covering_lp.new_lp_solver(n, np.ones(n), params=params)
         covering_lp.process_row(st, Row(np.arange(n), np.ones(n), n))
         st.phase.x[:] = x
         st.phase.obj = float(st.c @ x)
-        feed(st)
+        reports = [covering_lp.process_row(st, r) for r in feed]
+        assert reports[0].iterations > 0
         states.append(_state(st))
     assert states[0] == states[1]
-
-
-def test_run_rows_reads_rows_one_at_a_time():
-    # The rows a feed yields before it raises are fed, as by process_row on
-    # each row in turn; the feed's own error comes through unchanged.
-    rows = [[(0, 1.0)], [(0, 0.5), (1, 1.0)]]
-
-    def feed():
-        yield from rows
-        raise RuntimeError("feed broke")
-
-    want = covering_lp.new_lp_solver(2, [1.0, 1.0])
-    for row in rows:
-        covering_lp.process_row(want, row)
-    st = covering_lp.new_lp_solver(2, [1.0, 1.0])
-    with pytest.raises(RuntimeError, match="feed broke"):
-        covering_lp.run_rows(st, feed())
-    assert st.round_no == 2
-    assert st.x_best.tolist() == [1.5, 1.0]
-    assert _state(st) == _state(want)
