@@ -31,12 +31,13 @@ growth step (`_grow_step`) calls `find_stop`, `coefficient_vector` and
 `advance` through this module's globals.
 
 `process_row` feeds one row. Once a phase is open, a row that holds at its
-point (`_RowSeparation.holds`) only counts its round; any other enters
-`grow_round`. Rows and SDP cuts queue their entries for the column
-statistics (`SolverState.col_max` / `col_min`), which fold on read, every
-COLUMN_FOLD rows and at the end of an SDP round. An instance's rows go
-through `run_lp`, a loop over `process_row`; a separation oracle goes
-through `run_source`.
+point by the one row test (`_row_test`: `vals.dot(x[idx]) >= 1 - tol_feas`)
+only counts its round; any other gets its separation step
+(`_RowSeparation`) and enters `grow_round`. Rows and SDP cuts queue their
+entries for the column statistics (`SolverState.col_max` / `col_min`),
+which fold on read, every COLUMN_FOLD rows and at the end of an SDP round.
+An instance's rows go through `run_lp`, a loop over `process_row`; a
+separation oracle goes through `run_source`.
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ class Phase:
     dual_obj: float             # sum over steps of right side times dual
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     round_no: int = 0
     stop_reason: str = "already_satisfied"   # | "satisfied" | "satisfied_by_2"
@@ -176,6 +177,15 @@ class Separation:
         return {}
 
 
+def _row_test(idx: np.ndarray, vals: np.ndarray, x: np.ndarray,
+              tol: float) -> tuple[float, bool]:
+    """The row's value at x and whether it reaches 1 - tol: every LP row
+    test. `ndarray.dot` runs the same BLAS ddot as `@` on these contiguous
+    float64 arrays, without matmul's dispatch."""
+    value = float(vals.dot(x[idx]))
+    return value, value >= 1.0 - tol
+
+
 class _RowSeparation(Separation):
     """The LP's separation step: a streamed row is its own cut."""
 
@@ -189,12 +199,13 @@ class _RowSeparation(Separation):
         return float(np.min(self.c[self.support] / self.vals))
 
     def advice_holds(self, adv: AdviceVector) -> bool:
-        return float(self.vals @ adv.x_prime[self.support]) >= \
-            1.0 - ADVICE_ROW_TOL
+        return _row_test(self.support, self.vals, adv.x_prime,
+                         ADVICE_ROW_TOL)[1]
 
     def holds(self, x: np.ndarray) -> bool:
-        self.value = float(self.vals @ x[self.support])
-        return self.value >= 1.0 - self.tol_feas
+        self.value, held = _row_test(self.support, self.vals, x,
+                                     self.tol_feas)
+        return held
 
     def cut(self) -> tuple[np.ndarray, float]:
         return self.vals, 1.0
@@ -368,8 +379,10 @@ def process_row(state: SolverState, row) -> StepReport:
 
     The row is checked by `instances.row_arrays`; an instance's rows
     (`instances.Row`) were checked when it was built and are not checked
-    again. Once a phase is open, a row that holds at its point only counts
-    its round: every round ends with x_best covering that point.
+    again. Once a phase is open, a row that holds at its point (`_row_test`
+    at tol_feas) only counts its round: every round ends with x_best
+    covering that point. Only a row that fails it builds its separation
+    step and enters `grow_round`.
 
     Raises NoFeasibleSolution when a boxed row cannot reach 1 even with every
     supported coordinate at its cap, and PhaseRestartLimit / ExponentOverflow
@@ -377,10 +390,13 @@ def process_row(state: SolverState, row) -> StepReport:
     """
     idx, vals = row_arrays(row, state.n)
     state.add_columns(idx, vals)
+    if state.phase is not None:
+        value, held = _row_test(idx, vals, state.phase.x,
+                                state.params.tol_feas)
+        if held:
+            state.round_no += 1
+            return StepReport(state.round_no, row_value=value)
     sep = _RowSeparation(state, idx, vals)
-    if state.phase is not None and sep.holds(state.phase.x):
-        state.round_no += 1
-        return StepReport(round_no=state.round_no, row_value=sep.value)
     report = StepReport()
     if grow_round(state, sep, report) == "target":
         report.stop_reason = "satisfied_by_2"
@@ -418,8 +434,8 @@ def run_source(state: SolverState, oracle) -> list[StepReport]:
     """Drive the solver from a separation oracle: x -> violated row or None.
 
     Calls oracle(published_x) until it returns None. A row that holds at
-    the published point by process_row's own test (value at least
-    1 - tol_feas) raises NoProgress, since growing against it cannot change
+    the published point by process_row's own test (`_row_test` at
+    tol_feas) raises NoProgress, since growing against it cannot change
     the point; more than MAX_ROUNDS rows raise NotConverged.
     """
     reports = []
@@ -429,10 +445,10 @@ def run_source(state: SolverState, oracle) -> list[StepReport]:
         if row is None:
             return reports
         row = Row(*row_arrays(row, state.n), state.n)
-        sep = _RowSeparation(state, row.idx, row.vals)
-        if sep.holds(x):
+        value, held = _row_test(row.idx, row.vals, x, state.params.tol_feas)
+        if held:
             raise NoProgress(
-                f"oracle produced a satisfied row (value {sep.value:.6g})")
+                f"oracle produced a satisfied row (value {value:.6g})")
         reports.append(process_row(state, row))
     raise NotConverged(f"oracle still separating after {MAX_ROUNDS} rounds")
 

@@ -48,7 +48,7 @@ class SdpPhase(Phase):
     Y: np.ndarray               # matrix dual, sum of delta * v v'
 
 
-@dataclass
+@dataclass(slots=True)
 class SdpStepReport:
     round_no: int = 0
     stop_reason: str = "already_satisfied"   # | "satisfied"
@@ -70,6 +70,7 @@ class SdpSolverState(SolverState):
     traces: np.ndarray = field(init=False)            # tr(A_j)
     S_advice: np.ndarray | None = field(init=False)   # sum_j x'_j A_j
     last_B: np.ndarray = field(init=False)            # previous target
+    support: np.ndarray = field(init=False)           # every coordinate
 
     def __post_init__(self):
         super().__post_init__()
@@ -83,6 +84,7 @@ class SdpSolverState(SolverState):
         # The stream starts from zero, as in make_sdp_instance, so the first
         # target passes the same monotone check as every later one.
         self.last_B = np.zeros((self.d, self.d))
+        self.support = np.arange(self.n)
 
     def new_phase(self, **shared) -> SdpPhase:
         return SdpPhase(Y=np.zeros((self.d, self.d)), **shared)
@@ -90,13 +92,14 @@ class SdpSolverState(SolverState):
 
 class _EigenSeparation(Separation):
     """The SDP's separation step against one target B: the residual's least
-    eigenpair (lam, v) and the implicit row w_j = v' A_j v >= b = v' B v."""
+    eigenpair (lam, v) and the implicit row w_j = v' A_j v >= b = v' B v.
+    norm is ||B||_F, which sets the floor the least eigenvalue must reach."""
 
-    def __init__(self, state: SdpSolverState, B: np.ndarray):
+    def __init__(self, state: SdpSolverState, B: np.ndarray, norm: float):
         self.state, self.B = state, B
-        self.support = np.arange(state.n)
+        self.support = state.support
         self.A_flat = state.A.reshape(state.n, state.d * state.d)
-        self.floor = -state.params.tol_psd * max(1.0, float(np.linalg.norm(B)))
+        self.floor = -state.params.tol_psd * max(1.0, norm)
 
     def estimate(self) -> float:
         """The cheapest single coordinate whose trace covers the target's."""
@@ -152,11 +155,11 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     stream decreases, NoFeasibleSolution when a residual direction admits
     no growth, and PhaseRestartLimit on runaway budget guesses.
     """
-    B = _target(state, B)
+    B, norm = _target(state, B)
     # make_sdp_instance's monotone test: the floor is relative to the
-    # newer target's norm.
+    # newer target's norm, as the separation's is.
     if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd,
-                  scale=float(np.linalg.norm(B))):
+                  scale=norm):
         raise NonMonotoneB(
             f"round {state.round_no + 1} target decreased somewhere")
     # A read-only array that owns its data (an instance target) is kept as
@@ -169,7 +172,7 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
         # for a round that actually needs mass.
         state.round_no += 1
         return SdpStepReport(round_no=state.round_no, residual_eig=0.0)
-    sep = _EigenSeparation(state, B)
+    sep = _EigenSeparation(state, B, norm)
     report = SdpStepReport()
     grow_round(state, sep, report)
     # The round's cut arrays are not an instance's: fold rather than hold.
@@ -180,22 +183,27 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     return report
 
 
-def _target(state: SdpSolverState, B) -> np.ndarray:
-    """B as a float array (`instances.as_numbers`), after the checks:
-    DimensionMismatch unless it is d x d, MalformedDocument unless finite."""
+def _target(state: SdpSolverState, B) -> tuple[np.ndarray, float]:
+    """B as a float array (`instances.as_numbers`) and its Frobenius norm,
+    after the checks: DimensionMismatch unless it is d x d,
+    MalformedDocument unless it and its norm are finite."""
     B = as_numbers(B, "target")
     if B.shape != (state.d, state.d):
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")
     if not np.isfinite(B).all():
         raise MalformedDocument("target must be finite")
-    return B
+    norm = float(np.linalg.norm(B))
+    if not np.isfinite(norm):
+        # A floor of inf would count every residual as PSD.
+        raise MalformedDocument("target is too large: its norm overflows")
+    return B, norm
 
 
 def feasibility_gap(state: SdpSolverState, B) -> float:
     """Least eigenvalue of sum_j A_j xhat_j - B at the published solution;
     the target is checked as process_matrix checks it."""
-    sep = _EigenSeparation(state, _target(state, B))
+    sep = _EigenSeparation(state, *_target(state, B))
     sep.holds(state.x_best)
     return float(sep.lam)
 

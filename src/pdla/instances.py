@@ -25,7 +25,7 @@ from .errors import (
     NonPositiveCost,
     NotPsd,
 )
-from .symmetric import TOL_SYM, is_psd, min_eigpair
+from .symmetric import TOL_PSD, TOL_SYM, min_eigpair, psd_at_floor
 
 SparseRow = list[tuple[int, float]]
 
@@ -35,7 +35,7 @@ class SolverParams:
     """Numeric tolerances and safety caps shared by all solvers."""
 
     tol_feas: float = 1e-7     # a row counts as satisfied at value >= 1 - tol_feas
-    tol_psd: float = 1e-7      # relative PSD slack for separation / validation
+    tol_psd: float = TOL_PSD   # relative PSD slack for separation / validation
     max_phase: int = 200       # hard cap on guess-and-double restarts
     initial_alpha: float | None = None  # override the first cost estimate (diagnostics)
     trace: bool = False        # collect per-round step reports on the state
@@ -345,21 +345,30 @@ def normalize_box_bounds(n, c, rows, u):
 # --- SDP ---------------------------------------------------------------------
 
 
-def _as_psd_matrix(raw, d: int, what: str) -> np.ndarray:
-    """raw as a d x d matrix, checked numeric, finite, symmetric and PSD."""
+def _as_psd_matrix(raw, d: int, what: str) -> tuple[np.ndarray, float]:
+    """raw as a new, exactly symmetric d x d matrix, checked numeric, finite,
+    symmetric within TOL_SYM, of finite norm and PSD within TOL_PSD; and
+    its Frobenius norm."""
     m = as_numbers(raw, what)
     if m.size != d * d:
         raise LengthMismatch(f"{what} has {m.size} entries, expected {d * d}")
     m = m.reshape(d, d)
     if not np.all(np.isfinite(m)):
         raise MalformedDocument(f"{what} must be finite")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.max(np.abs(m - m.T)) > TOL_SYM * scale:
+    norm = float(np.linalg.norm(m))
+    if not np.isfinite(norm):
+        # A floor of inf would count every matrix as PSD.
+        raise MalformedDocument(f"{what} is too large: its norm overflows")
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > TOL_SYM * max(1.0, norm):
         raise AsymmetricMatrix(f"{what} is not symmetric within tolerance")
     m = 0.5 * (m + m.T)
-    if not is_psd(m, SolverParams.tol_psd):
+    if asym:
+        # Only a matrix that was not exactly symmetric changes its bits.
+        norm = float(np.linalg.norm(m))
+    if not psd_at_floor(m, norm, TOL_PSD * max(1.0, norm)):
         raise NotPsd(f"{what} has eigenvalue {min_eigpair(m)[0]}")
-    return m
+    return m, norm
 
 
 def make_sdp_instance(n, d, c, A, B_stream,
@@ -375,19 +384,21 @@ def make_sdp_instance(n, d, c, A, B_stream,
         raise MalformedDocument("A and B must be lists of matrices") from None
     if len(A) != n:
         raise LengthMismatch(f"got {len(A)} action matrices, expected {n}")
-    mats = [_as_psd_matrix(raw, d, f"A[{j}]") for j, raw in enumerate(A)]
+    mats = [_as_psd_matrix(raw, d, f"A[{j}]")[0] for j, raw in enumerate(A)]
     if len(B_stream) < 1:
         raise MalformedDocument("B stream must be nonempty")
     targets = []
     prev = np.zeros((d, d))
     for i, raw in enumerate(B_stream):
-        b = _as_psd_matrix(raw, d, f"B[{i}]")
+        b, norm = _as_psd_matrix(raw, d, f"B[{i}]")
         # The monotone test process_matrix makes: the floor is relative to
-        # the newer target's norm.
-        if not is_psd(b - prev, SolverParams.tol_psd,
-                      scale=float(np.linalg.norm(b))):
+        # the newer target's norm. Both targets are exactly symmetric and
+        # of finite norm, so their difference passes is_psd's checks.
+        step = b - prev
+        if not psd_at_floor(step, float(np.linalg.norm(step)),
+                            TOL_PSD * max(1.0, norm)):
             raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}] (eigenvalue "
-                               f"{min_eigpair(b - prev)[0]})")
+                               f"{min_eigpair(step)[0]})")
         # Frozen, so solvers can keep the target without copying it.
         b.setflags(write=False)
         targets.append(b)

@@ -12,10 +12,11 @@ entry is made positive so the output is deterministic.
 `is_psd` decides by a Cholesky factorization (`dpotrf`) of the matrix
 shifted by half its floor, and asks `dsyevr` only when that fails or when
 the factorization's roundoff could reach the shift, so every decision is
-the least eigenvalue's.
+the least eigenvalue's. `psd_at_floor` is that decision for a matrix its
+caller has already checked, with the norm the check took.
 
 `scipy.linalg` loads on the first call that reaches LAPACK: a Cholesky
-attempt in `is_psd` (so `make_sdp_instance` loads it) or a non-diagonal
+attempt in `psd_at_floor` (so `make_sdp_instance` loads it) or a non-diagonal
 eigenpair. Importing this module, and every LP, set-cover and group-Steiner
 run, leaves it unloaded. The drivers `dpotrf`, `dsyevr` and `dsyevr_lwork`
 are module attributes: reading one loads them, and the solvers call through
@@ -34,6 +35,7 @@ _lapack_loaded = False
 _LAPACK_LOCK = threading.Lock()
 
 TOL_SYM = 1e-8   # relative asymmetry a symmetric matrix may carry
+TOL_PSD = 1e-7   # relative PSD slack; `SolverParams.tol_psd` defaults to it
 
 # Cholesky of M + s I is trusted to prove lambda_min(M) >= -2 s only while
 # its backward error, about d^2 eps (||M|| + s), stays below s by this factor.
@@ -120,17 +122,25 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
     return _least_pair(_checked(m)[0])
 
 
-def is_psd(m, tol_psd: float = 1e-7, scale: float | None = None) -> bool:
+def is_psd(m, tol_psd: float = TOL_PSD, scale: float | None = None) -> bool:
     """True when lambda_min >= -tol_psd * max(1, scale), where scale
     defaults to ||M||_F; the monotone tests pass the newer target's norm.
 
-    Raises as min_eigpair does. A successful Cholesky factorization of
-    M + (floor / 2) I answers True; a failed one, or a shift too small
-    against the factorization's roundoff, leaves the answer to the least
-    eigenvalue.
+    Raises as min_eigpair does, then decides by `psd_at_floor`.
     """
     a, norm = _checked(m)
-    floor = tol_psd * max(1.0, norm if scale is None else scale)
+    return psd_at_floor(a, norm,
+                        tol_psd * max(1.0, norm if scale is None else scale))
+
+
+def psd_at_floor(a: np.ndarray, norm: float, floor: float) -> bool:
+    """True when lambda_min(a) >= -floor, for a float matrix that passed
+    `is_psd`'s checks and its Frobenius norm.
+
+    A successful Cholesky factorization of a + (floor / 2) I answers True;
+    a failed one, or a shift too small against the factorization's
+    roundoff, leaves the answer to the least eigenvalue.
+    """
     d = a.shape[0]
     shift = 0.5 * floor
     if _CHOL_MARGIN * d * (d + 1) * _EPS * (norm + shift) <= shift:

@@ -323,8 +323,11 @@ def test_non_finite_target_is_bad_input(bad):
     (np.ones(3), DimensionMismatch),    # would broadcast against the residual
     (np.ones((2, 2)), DimensionMismatch),
     (np.full((3, 3), np.nan), MalformedDocument),
+    # Its norm overflows, so its floor would count any residual as PSD.
+    (np.diag([1e200, -1e200, 1.0]), MalformedDocument),
 ])
 @pytest.mark.parametrize("entry", [feasibility_gap, process_matrix])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_every_entry_checks_the_target_alike(entry, target, error):
     A = [np.diag([1.0, 2.0, 3.0]), np.eye(3)]
     st = new_sdp_solver(make_sdp_instance(2, 3, [1.0, 1.0], A, [np.eye(3)]))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdla
-from pdla import covering_lp_box, instances
+from pdla import covering_lp_box, instances, symmetric
 from pdla.covering_lp import dual_certificate, new_lp_solver, process_row
 from pdla.errors import (AdviceAboveCap, AsymmetricMatrix, EmptyRow,
                          LambdaOutOfRange, LengthMismatch, MalformedDocument,
@@ -308,6 +308,29 @@ def test_sdp_instance_validation_and_roundtrip():
     with pytest.raises(NonMonotoneB):
         make_sdp_instance(1, 2, [1.0], [np.eye(2)],
                           [np.eye(2), np.eye(2) * 0.5])
+
+
+def test_make_sdp_instance_checks_each_matrix_once(monkeypatch):
+    # Each matrix is checked by _as_psd_matrix alone; is_psd's own checks
+    # (symmetric._checked) never run on the way to the Cholesky test.
+    def checked(m):
+        raise AssertionError("a matrix was checked twice")
+
+    monkeypatch.setattr(symmetric, "_checked", checked)
+    A = [np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0 + 1e-12]])]
+    A[1][0, 1] += 1e-13   # asymmetric within TOL_SYM
+    inst = make_sdp_instance(2, 2, [1.0, 1.0], A, [np.eye(2) * 0.5, np.eye(2)])
+    assert np.array_equal(inst.A[1], inst.A[1].T)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("big", [1e200, 1.7e308])
+def test_sdp_matrix_whose_norm_overflows_is_malformed(big):
+    # An infinite norm would make the PSD floor infinite and pass anything.
+    for A, B in (([[big]], [[1.0]]), ([[1.0]], [[big]]),
+                 ([[-big]], [[1.0]])):
+        with pytest.raises(MalformedDocument, match="norm overflows"):
+            make_sdp_instance(1, 1, [1.0], [A], [B])
 
 
 def test_solver_params_validation():

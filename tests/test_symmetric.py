@@ -1,4 +1,6 @@
 """Least eigenpairs and PSD tests checked against numpy.linalg and hand cases."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.linalg import eigh
 
 from pdla import symmetric
 from pdla.errors import AsymmetricMatrix, DimensionMismatch, NotConverged
+from pdla.instances import SolverParams
 from pdla.symmetric import is_psd, min_eigpair
 
 
@@ -83,6 +86,11 @@ def test_is_psd_tolerance():
     assert not is_psd(np.diag([1.0, -1e-3]))
     # Slightly negative within tolerance counts as PSD.
     assert is_psd(np.diag([1.0, -1e-9]), tol_psd=1e-7)
+
+
+def test_the_psd_slack_is_defined_once():
+    assert inspect.signature(is_psd).parameters["tol_psd"].default \
+        == symmetric.TOL_PSD == SolverParams().tol_psd
 
 
 def test_min_eigpair_validates_its_input():
