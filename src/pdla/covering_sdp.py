@@ -9,17 +9,22 @@ report, phase restarts, the budget check, the growth step with its tight-set
 snap and the dual certificate are the LP solver's (`covering_lp`), and so
 are the column load A_j (x) Y and the dual objective that every growth step
 folds in. This module keeps only its separation step (`_EigenSeparation`:
-the first budget guess, the residual's least eigenpair, the implicit row and
-its column statistics, whether sum_j x'_j A_j covers the target), its step
-report and its own dual accumulator (`SdpPhase`: the matrix dual Y). Every
-stop event returns to a fresh eigendirection. The boxed variant enforces
-x <= 1 through the same tight-set mechanism.
+the first budget guess, the residual's test, the implicit row and its
+column statistics, whether sum_j x'_j A_j covers the target), its step
+report and its own dual accumulator (`SdpPhase`: the matrix dual Y). The
+residual's test tries a Cholesky proof that it is PSD within the floor
+first; only a test the proof cannot settle computes the least eigenpair,
+which decides it and gives the cut its direction, so a round that holds on
+arrival normally never calls `min_eigpair`. Every stop event returns to a
+fresh test. The boxed variant enforces x <= 1 through the same tight-set
+mechanism.
 
 The matrix dual Y accumulates delta * v v' per growth step, giving the
 scaled certificate A_j (x) Y <= c_j after dividing by the reported factor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,8 @@ from .errors import (DimensionMismatch, MalformedDocument, NoFeasibleSolution,
 from .growth import advance, coefficient_vector, find_stop  # noqa: F401
 from .instances import (AdviceVector, CoveringSdpInstance, SolverParams,
                         as_numbers)
-from .symmetric import is_psd, min_eigpair
+from .symmetric import (checked_matrix, cholesky_proves, frobenius_norm,
+                        is_psd, min_eigpair)
 
 # Relative floor on the implicit row: v'A_j v <= SPAN_TOL tr(A_j) counts as
 # no weight. Roundoff leaves v'A_j v slightly positive along a null
@@ -54,7 +60,6 @@ class SdpStepReport:
     stop_reason: str = "already_satisfied"   # | "satisfied"
     iterations: int = 0
     phases_entered: int = 0
-    residual_eig: float = 0.0   # least eigenvalue at exit (>= -tol)
     tight_added: list[int] = field(default_factory=list)
 
 
@@ -93,7 +98,9 @@ class SdpSolverState(SolverState):
 class _EigenSeparation(Separation):
     """The SDP's separation step against one target B: the residual's least
     eigenpair (lam, v) and the implicit row w_j = v' A_j v >= b = v' B v.
-    norm is ||B||_F, which sets the floor the least eigenvalue must reach."""
+    norm is ||B||_F, which sets the floor the least eigenvalue must reach.
+    A test that a Cholesky proof settles leaves (lam, v) as they were; cut()
+    follows only a test that failed, which computed them."""
 
     def __init__(self, state: SdpSolverState, B: np.ndarray, norm: float):
         self.state, self.B = state, B
@@ -116,8 +123,12 @@ class _EigenSeparation(Separation):
                       tol_psd=self.state.params.tol_psd)
 
     def holds(self, x: np.ndarray) -> bool:
+        """Whether lambda_min(sum_j x_j A_j - B) reaches the floor: the
+        residual's checks, then a Cholesky proof, then the eigenpair."""
         d = self.state.d
-        resid = (x @ self.A_flat).reshape(d, d) - self.B
+        resid, norm = checked_matrix((x @ self.A_flat).reshape(d, d) - self.B)
+        if cholesky_proves(resid, norm, -self.floor):
+            return True
         self.lam, self.v = min_eigpair(resid)
         return self.lam >= self.floor
 
@@ -171,7 +182,7 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
         # A zero target is covered by any x >= 0; the budget guess waits
         # for a round that actually needs mass.
         state.round_no += 1
-        return SdpStepReport(round_no=state.round_no, residual_eig=0.0)
+        return SdpStepReport(round_no=state.round_no)
     sep = _EigenSeparation(state, B, norm)
     report = SdpStepReport()
     grow_round(state, sep, report)
@@ -179,7 +190,6 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     state.fold_columns()
     if report.iterations or report.phases_entered:
         report.stop_reason = "satisfied"
-    report.residual_eig = float(sep.lam)
     return report
 
 
@@ -191,10 +201,11 @@ def _target(state: SdpSolverState, B) -> tuple[np.ndarray, float]:
     if B.shape != (state.d, state.d):
         raise DimensionMismatch(
             f"target is {B.shape}, expected {(state.d, state.d)}")
-    if not np.isfinite(B).all():
-        raise MalformedDocument("target must be finite")
-    norm = float(np.linalg.norm(B))
-    if not np.isfinite(norm):
+    norm = frobenius_norm(B)
+    if not math.isfinite(norm):
+        # Only a norm that is not finite can hide a non-finite entry.
+        if not np.isfinite(B).all():
+            raise MalformedDocument("target must be finite")
         # A floor of inf would count every residual as PSD.
         raise MalformedDocument("target is too large: its norm overflows")
     return B, norm
@@ -203,9 +214,10 @@ def _target(state: SdpSolverState, B) -> tuple[np.ndarray, float]:
 def feasibility_gap(state: SdpSolverState, B) -> float:
     """Least eigenvalue of sum_j A_j xhat_j - B at the published solution;
     the target is checked as process_matrix checks it."""
-    sep = _EigenSeparation(state, *_target(state, B))
-    sep.holds(state.x_best)
-    return float(sep.lam)
+    B, _ = _target(state, B)
+    n, d = state.n, state.d
+    resid = (state.x_best @ state.A.reshape(n, d * d)).reshape(d, d) - B
+    return float(min_eigpair(resid)[0])
 
 
 def dual_certificate(state: SdpSolverState) -> SdpDualCertificate:

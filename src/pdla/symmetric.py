@@ -13,17 +13,20 @@ entry is made positive so the output is deterministic.
 shifted by half its floor, and asks `dsyevr` only when that fails or when
 the factorization's roundoff could reach the shift, so every decision is
 the least eigenvalue's. `psd_at_floor` is that decision for a matrix its
-caller has already checked, with the norm the check took.
+caller has already checked, with the norm the check took, and
+`cholesky_proves` is its Cholesky half alone: the SDP separation asks it
+first and computes the eigenpair only when it proves nothing.
 
 `scipy.linalg` loads on the first call that reaches LAPACK: a Cholesky
-attempt in `psd_at_floor` (so `make_sdp_instance` loads it) or a non-diagonal
-eigenpair. Importing this module, and every LP, set-cover and group-Steiner
-run, leaves it unloaded. The drivers `dpotrf`, `dsyevr` and `dsyevr_lwork`
+attempt in `cholesky_proves` (so `make_sdp_instance` loads it) or a
+non-diagonal eigenpair. Importing this module, and every LP, set-cover and
+group-Steiner run, leaves it unloaded. The drivers `dpotrf`, `dsyevr` and `dsyevr_lwork`
 are module attributes: reading one loads them, and the solvers call through
 them, so a test may replace one.
 """
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -66,17 +69,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _checked(m) -> tuple[np.ndarray, float]:
+def frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F of a float array, with the bits of `np.linalg.norm`, which
+    takes the same dot over the same memory-order ravel."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
+def checked_matrix(m) -> tuple[np.ndarray, float]:
     """The matrix as a float array and its Frobenius norm, after the input
     checks, in this order: square and nonempty, finite, symmetric within a
-    relative TOL_SYM."""
+    relative TOL_SYM. A finite norm proves every entry finite, so only a
+    matrix whose norm is not finite has its entries scanned."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(
             f"expected a nonempty square matrix, got {a.shape}")
-    if not np.isfinite(a).all():
+    norm = frobenius_norm(a)
+    if not math.isfinite(norm) and not np.isfinite(a).all():
         raise NotConverged("matrix has non-finite entries")
-    norm = float(np.linalg.norm(a))
     if np.max(np.abs(a - a.T)) > TOL_SYM * max(1.0, norm):
         raise AsymmetricMatrix("matrix is not symmetric within tolerance")
     return a, norm
@@ -119,7 +130,7 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
     AsymmetricMatrix beyond a relative 1e-8 asymmetry and NotConverged on
     non-finite entries or a LAPACK failure.
     """
-    return _least_pair(_checked(m)[0])
+    return _least_pair(checked_matrix(m)[0])
 
 
 def is_psd(m, tol_psd: float = TOL_PSD, scale: float | None = None) -> bool:
@@ -128,7 +139,7 @@ def is_psd(m, tol_psd: float = TOL_PSD, scale: float | None = None) -> bool:
 
     Raises as min_eigpair does, then decides by `psd_at_floor`.
     """
-    a, norm = _checked(m)
+    a, norm = checked_matrix(m)
     return psd_at_floor(a, norm,
                         tol_psd * max(1.0, norm if scale is None else scale))
 
@@ -137,22 +148,32 @@ def psd_at_floor(a: np.ndarray, norm: float, floor: float) -> bool:
     """True when lambda_min(a) >= -floor, for a float matrix that passed
     `is_psd`'s checks and its Frobenius norm.
 
-    A successful Cholesky factorization of a + (floor / 2) I answers True;
-    a failed one, or a shift too small against the factorization's
-    roundoff, leaves the answer to the least eigenvalue.
+    A Cholesky proof (`cholesky_proves`) answers True; otherwise the least
+    eigenvalue decides.
+    """
+    return cholesky_proves(a, norm, floor) or _least_pair(a)[0] >= -floor
+
+
+def cholesky_proves(a: np.ndarray, norm: float, floor: float) -> bool:
+    """Whether a Cholesky factorization of a + (floor / 2) I proves
+    lambda_min(a) >= -floor, for a matrix and norm as `psd_at_floor` takes.
+
+    False means no proof: the factorization failed, or the shift is too
+    small against its roundoff to trust a success. A success leaves
+    lambda_min(a) >= -floor / 2 up to that roundoff, far from -floor, so
+    `dsyevr`'s least eigenvalue would have passed the same floor.
     """
     d = a.shape[0]
     shift = 0.5 * floor
-    if _CHOL_MARGIN * d * (d + 1) * _EPS * (norm + shift) <= shift:
-        s = 0.5 * (a + a.T)
-        s.flat[::d + 1] += shift
-        if not _lapack_loaded:
-            _load_lapack()
-        # s is symmetric, so its transpose is the same matrix in the
-        # Fortran order dpotrf factors in place.
-        _, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            return True
-        if info < 0:
-            raise NotConverged(f"LAPACK Cholesky failed: info={info}")
-    return _least_pair(a)[0] >= -floor
+    if _CHOL_MARGIN * d * (d + 1) * _EPS * (norm + shift) > shift:
+        return False
+    s = 0.5 * (a + a.T)
+    s.flat[::d + 1] += shift
+    if not _lapack_loaded:
+        _load_lapack()
+    # s is symmetric, so its transpose is the same matrix in the
+    # Fortran order dpotrf factors in place.
+    _, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
+    if info < 0:
+        raise NotConverged(f"LAPACK Cholesky failed: info={info}")
+    return info == 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdla import covering_lp, covering_sdp
+from pdla import covering_lp, covering_sdp, symmetric
 from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
                                feasibility_gap, kappa_seen, new_sdp_solver,
                                process_matrix, run_sdp)
@@ -18,6 +18,13 @@ from pdla.symmetric import min_eigpair
 
 def I2(s=1.0):
     return np.eye(2) * s
+
+
+def _exit_eig(st, B):
+    """Least eigenvalue of the residual at the active phase's point, through
+    covering_sdp's min_eigpair."""
+    resid = np.tensordot(st.phase.x, st.A, axes=1) - B
+    return covering_sdp.min_eigpair(resid)[0]
 
 
 def test_trace_identity_ladder_with_pinned_zero_start():
@@ -55,7 +62,7 @@ def test_trace_boxed_restart_lands_exactly_feasible():
     assert current_solution(st)[0] == pytest.approx(0.5, rel=1e-9)
     assert rep.phases_entered == 1
     assert rep.iterations == 1
-    assert rep.residual_eig >= -1e-9
+    assert _exit_eig(st, inst.B_stream[0]) >= -1e-9
 
 
 def test_trace_cap_beats_budget_in_boxed_tie():
@@ -420,14 +427,17 @@ def _tensordot_holds(self, x):
 
 
 def test_runs_equal_the_eigh_based_separation_bit_for_bit(monkeypatch):
-    # The direct LAPACK call and the residual's matvec change no bit of a
-    # run against eigh and tensordot: published point, counts, phases and
-    # each round's exit eigenvalue.
+    # The direct LAPACK call, the Cholesky proof before the eigenpair and
+    # the residual's matvec change no bit of a run against eigh on every
+    # test and tensordot: published point, counts, phases and each round's
+    # exit eigenvalue.
     def summary(inst):
-        st, reps = run_sdp(inst)
-        return (st.x_best.tobytes(), st.iterations, st.alpha_history,
-                [(r.iterations, r.phases_entered, r.residual_eig)
-                 for r in reps])
+        st = new_sdp_solver(inst)
+        rounds = []
+        for B in inst.B_stream:
+            r = process_matrix(st, B)
+            rounds.append((r.iterations, r.phases_entered, _exit_eig(st, B)))
+        return st.x_best.tobytes(), st.iterations, st.alpha_history, rounds
 
     cases = _stream_shaped_instances()
     shipped = [summary(inst) for inst in cases]
@@ -436,6 +446,59 @@ def test_runs_equal_the_eigh_based_separation_bit_for_bit(monkeypatch):
                         _tensordot_holds)
     assert [summary(inst) for inst in cases] == shipped
     assert sum(s[1] for s in shipped) > 0
+
+
+def _count_lapack(monkeypatch):
+    """Count every dpotrf and dsyevr call through symmetric's drivers."""
+    counts = {"dpotrf": 0, "dsyevr": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(symmetric, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(symmetric, name, counted)
+    return counts
+
+
+def test_only_a_failing_separation_test_computes_an_eigenpair(monkeypatch):
+    # Each separation test costs one Cholesky proof; a test that fails
+    # adds one dsyevr eigenpair, and a round that holds on arrival makes
+    # no dsyevr call at all, its monotone check included.
+    counts = _count_lapack(monkeypatch)
+    tests = []
+    real_holds = covering_sdp._EigenSeparation.holds
+
+    def holds(self, x):
+        before = dict(counts)
+        held = real_holds(self, x)
+        tests.append((held, counts["dpotrf"] - before["dpotrf"],
+                      counts["dsyevr"] - before["dsyevr"]))
+        return held
+
+    monkeypatch.setattr(covering_sdp._EigenSeparation, "holds", holds)
+    inst = _stream_shaped_instances()[0]
+    st = new_sdp_solver(inst)
+    on_arrival = []
+    for B in inst.B_stream:
+        before = counts["dsyevr"]
+        rep = process_matrix(st, B)
+        if rep.stop_reason == "already_satisfied":
+            on_arrival.append(counts["dsyevr"] - before)
+    assert on_arrival and on_arrival == [0] * len(on_arrival)
+    assert [(p, e) for held, p, e in tests if held] == \
+        [(1, 0)] * sum(held for held, _, _ in tests)
+    failed = [(p, e) for held, p, e in tests if not held]
+    assert failed and failed == [(1, 1)] * len(failed)
+
+
+def test_feasibility_gap_computes_one_eigenpair(monkeypatch):
+    inst = _stream_shaped_instances()[0]
+    st, _ = run_sdp(inst)
+    counts = _count_lapack(monkeypatch)
+    gap = feasibility_gap(st, inst.B_stream[-1])
+    assert counts == {"dpotrf": 0, "dsyevr": 1}
+    assert gap >= st.params.tol_psd * -max(
+        1.0, float(np.linalg.norm(inst.B_stream[-1])))
 
 
 def _scaled_target_run(scale):

@@ -312,11 +312,11 @@ def test_sdp_instance_validation_and_roundtrip():
 
 def test_make_sdp_instance_checks_each_matrix_once(monkeypatch):
     # Each matrix is checked by _as_psd_matrix alone; is_psd's own checks
-    # (symmetric._checked) never run on the way to the Cholesky test.
+    # (symmetric.checked_matrix) never run on the way to the Cholesky test.
     def checked(m):
         raise AssertionError("a matrix was checked twice")
 
-    monkeypatch.setattr(symmetric, "_checked", checked)
+    monkeypatch.setattr(symmetric, "checked_matrix", checked)
     A = [np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0 + 1e-12]])]
     A[1][0, 1] += 1e-13   # asymmetric within TOL_SYM
     inst = make_sdp_instance(2, 2, [1.0, 1.0], A, [np.eye(2) * 0.5, np.eye(2)])

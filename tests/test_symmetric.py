@@ -237,6 +237,33 @@ def test_cholesky_shortcut_decides_as_the_least_eigenvalue(case):
     assert is_psd(m, tol) == _psd_reference(m, tol)
 
 
+@st.composite
+def _planted_least(draw):
+    """M = Q diag(lam) Q' with d from 1 to 30, its spectrum at a scale from
+    1e-6 to 1e6, and its least eigenvalue planted in [-3 f, f] for the
+    floor f = TOL_PSD max(1, ||lam||); returns (M, f)."""
+    d = draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(0.0, 1.0, d) * scale
+    floor = symmetric.TOL_PSD * max(1.0, float(np.linalg.norm(lam)))
+    lam[0] = floor * draw(st.floats(-3.0, 1.0))
+    rng.shuffle(lam)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (q * lam) @ q.T, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_least())
+def test_a_cholesky_proof_is_sound(case):
+    # The SDP separation trusts a proof without computing the eigenpair:
+    # whenever one succeeds, dsyevr's least eigenvalue must reach the floor.
+    m, floor = case
+    a, norm = symmetric.checked_matrix(m)
+    if symmetric.cholesky_proves(a, norm, floor):
+        assert symmetric._least_pair(a)[0] >= -floor
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_input_errors_come_before_any_factorization(bad, monkeypatch):
     def never(*args, **kwargs):
