@@ -11,20 +11,21 @@ are the column load A_j (x) Y and the dual objective that every growth step
 folds in. This module keeps only its separation step (`_EigenSeparation`:
 the first budget guess, the residual's test, the implicit row and its
 column statistics, whether sum_j x'_j A_j covers the target), its step
-report and its own dual accumulator (`SdpPhase`: the matrix dual Y). The
-residual's test tries a Cholesky proof that it is PSD within the floor
-first; only a test the proof cannot settle computes the least eigenpair,
-which decides it and gives the cut its direction, so a round that holds on
-arrival normally never calls `min_eigpair`. Every stop event returns to a
-fresh test. The boxed variant enforces x <= 1 through the same tight-set
-mechanism.
+report and its own dual accumulator (`SdpPhase`: the matrix dual Y). Every
+target passes `instances.as_matrix`, the one check of an SDP matrix input,
+and the state's `residual` is the one product of x with the stack, whose
+one layout `A_flat` the cut's weights read too. The residual's test tries
+a Cholesky proof that it is PSD within the floor first; only a test the
+proof cannot settle computes the least eigenpair, which decides it and
+gives the cut its direction, so a round that holds on arrival normally
+never calls `min_eigpair`. Every stop event returns to a fresh test. The
+boxed variant enforces x <= 1 through the same tight-set mechanism.
 
 The matrix dual Y accumulates delta * v v' per growth step, giving the
 scaled certificate A_j (x) Y <= c_j after dividing by the reported factor.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +34,13 @@ from .covering_lp import (DualCertificate, Phase, Separation, SolverState,
                           grow_round)
 from .covering_lp import dual_certificate as _lp_dual_certificate
 from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
-from .errors import (DimensionMismatch, MalformedDocument, NoFeasibleSolution,
-                     NonMonotoneB, NotConverged)
+from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
+                     NotConverged)
 # Not called here; kept because the traced benchmark rebinds these names.
 from .growth import advance, coefficient_vector, find_stop  # noqa: F401
 from .instances import (AdviceVector, CoveringSdpInstance, SolverParams,
-                        as_numbers)
-from .symmetric import (checked_matrix, cholesky_proves, frobenius_norm,
-                        is_psd, min_eigpair)
+                        as_matrix, as_numbers)
+from .symmetric import checked_matrix, cholesky_proves, is_psd, min_eigpair
 
 # Relative floor on the implicit row: v'A_j v <= SPAN_TOL tr(A_j) counts as
 # no weight. Roundoff leaves v'A_j v slightly positive along a null
@@ -72,8 +72,8 @@ class SdpDualCertificate(DualCertificate):
 class SdpSolverState(SolverState):
     d: int
     A: np.ndarray                                     # stacked (n, d, d)
+    A_flat: np.ndarray = field(init=False)            # A as (n, d * d)
     traces: np.ndarray = field(init=False)            # tr(A_j)
-    S_advice: np.ndarray | None = field(init=False)   # sum_j x'_j A_j
     last_B: np.ndarray = field(init=False)            # previous target
     support: np.ndarray = field(init=False)           # every coordinate
 
@@ -83,9 +83,8 @@ class SdpSolverState(SolverState):
         if A.shape != (self.n, self.d, self.d):
             raise DimensionMismatch(
                 f"A is {A.shape}, expected {(self.n, self.d, self.d)}")
+        self.A_flat = A.reshape(self.n, self.d * self.d)
         self.traces = np.trace(A, axis1=1, axis2=2)
-        self.S_advice = None if self.advice is None else np.tensordot(
-            self.advice.x_prime, A, axes=1)
         # The stream starts from zero, as in make_sdp_instance, so the first
         # target passes the same monotone check as every later one.
         self.last_B = np.zeros((self.d, self.d))
@@ -93,6 +92,10 @@ class SdpSolverState(SolverState):
 
     def new_phase(self, **shared) -> SdpPhase:
         return SdpPhase(Y=np.zeros((self.d, self.d)), **shared)
+
+    def residual(self, x: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """sum_j x_j A_j - B: the one product of x with the stack."""
+        return (x @ self.A_flat).reshape(self.d, self.d) - B
 
 
 class _EigenSeparation(Separation):
@@ -105,7 +108,6 @@ class _EigenSeparation(Separation):
     def __init__(self, state: SdpSolverState, B: np.ndarray, norm: float):
         self.state, self.B = state, B
         self.support = state.support
-        self.A_flat = state.A.reshape(state.n, state.d * state.d)
         self.floor = -state.params.tol_psd * max(1.0, norm)
 
     def estimate(self) -> float:
@@ -118,15 +120,14 @@ class _EigenSeparation(Separation):
         return float(np.min(st.c[ok] * np.trace(self.B) / st.traces[ok]))
 
     def advice_holds(self, adv: AdviceVector) -> bool:
-        """Whether sum_j x'_j A_j (the state's S_advice) covers B."""
-        return is_psd(self.state.S_advice - self.B,
+        """Whether sum_j x'_j A_j covers B."""
+        return is_psd(self.state.residual(adv.x_prime, self.B),
                       tol_psd=self.state.params.tol_psd)
 
     def holds(self, x: np.ndarray) -> bool:
         """Whether lambda_min(sum_j x_j A_j - B) reaches the floor: the
         residual's checks, then a Cholesky proof, then the eigenpair."""
-        d = self.state.d
-        resid, norm = checked_matrix((x @ self.A_flat).reshape(d, d) - self.B)
+        resid, norm = checked_matrix(self.state.residual(x, self.B))
         if cholesky_proves(resid, norm, -self.floor):
             return True
         self.lam, self.v = min_eigpair(resid)
@@ -135,7 +136,7 @@ class _EigenSeparation(Separation):
     def cut(self) -> tuple[np.ndarray, float]:
         st, v = self.state, self.v
         self.vv = np.outer(v, v)
-        w = self.A_flat @ self.vv.ravel()
+        w = st.A_flat @ self.vv.ravel()
         w = np.where(w > SPAN_TOL * st.traces, w, 0.0)
         self.b = float(v @ self.B @ v)
         if self.b <= 0.0:
@@ -162,11 +163,11 @@ def new_sdp_solver(inst: CoveringSdpInstance,
 def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     """Feed one target matrix; returns once the residual is PSD within tol.
 
-    Raises MalformedDocument on a non-finite target, NonMonotoneB when the
-    stream decreases, NoFeasibleSolution when a residual direction admits
-    no growth, and PhaseRestartLimit on runaway budget guesses.
+    The target is checked by `instances.as_matrix`. Raises NonMonotoneB
+    when the stream decreases, NoFeasibleSolution when a residual direction
+    admits no growth, and PhaseRestartLimit on runaway budget guesses.
     """
-    B, norm = _target(state, B)
+    B, norm = as_matrix(B, state.d, "target")
     # make_sdp_instance's monotone test: the floor is relative to the
     # newer target's norm, as the separation's is.
     if not is_psd(B - state.last_B, tol_psd=state.params.tol_psd,
@@ -193,31 +194,11 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
     return report
 
 
-def _target(state: SdpSolverState, B) -> tuple[np.ndarray, float]:
-    """B as a float array (`instances.as_numbers`) and its Frobenius norm,
-    after the checks: DimensionMismatch unless it is d x d,
-    MalformedDocument unless it and its norm are finite."""
-    B = as_numbers(B, "target")
-    if B.shape != (state.d, state.d):
-        raise DimensionMismatch(
-            f"target is {B.shape}, expected {(state.d, state.d)}")
-    norm = frobenius_norm(B)
-    if not math.isfinite(norm):
-        # Only a norm that is not finite can hide a non-finite entry.
-        if not np.isfinite(B).all():
-            raise MalformedDocument("target must be finite")
-        # A floor of inf would count every residual as PSD.
-        raise MalformedDocument("target is too large: its norm overflows")
-    return B, norm
-
-
 def feasibility_gap(state: SdpSolverState, B) -> float:
     """Least eigenvalue of sum_j A_j xhat_j - B at the published solution;
     the target is checked as process_matrix checks it."""
-    B, _ = _target(state, B)
-    n, d = state.n, state.d
-    resid = (state.x_best @ state.A.reshape(n, d * d)).reshape(d, d) - B
-    return float(min_eigpair(resid)[0])
+    B, _ = as_matrix(B, state.d, "target")
+    return float(min_eigpair(state.residual(state.x_best, B))[0])
 
 
 def dual_certificate(state: SdpSolverState) -> SdpDualCertificate:

@@ -6,6 +6,7 @@ serialize is the identity on the parsed values (floats round-trip exactly).
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import (
     AdviceAboveCap,
     AsymmetricMatrix,
+    DimensionMismatch,
     EmptyRow,
     LambdaOutOfRange,
     LengthMismatch,
@@ -25,7 +27,8 @@ from .errors import (
     NonPositiveCost,
     NotPsd,
 )
-from .symmetric import TOL_PSD, TOL_SYM, min_eigpair, psd_at_floor
+from .symmetric import (TOL_PSD, TOL_SYM, frobenius_norm, min_eigpair,
+                        psd_at_floor)
 
 SparseRow = list[tuple[int, float]]
 
@@ -345,27 +348,39 @@ def normalize_box_bounds(n, c, rows, u):
 # --- SDP ---------------------------------------------------------------------
 
 
+def as_matrix(raw, d: int, what: str) -> tuple[np.ndarray, float]:
+    """raw as a d x d float array (`as_numbers`) and its Frobenius norm: the
+    one check of an SDP matrix input, which names what. DimensionMismatch
+    unless it is exactly d x d; MalformedDocument unless its entries are
+    finite, then unless its norm is."""
+    m = as_numbers(raw, what)
+    if m.shape != (d, d):
+        raise DimensionMismatch(f"{what} is {m.shape}, expected {(d, d)}")
+    norm = frobenius_norm(m)
+    if not math.isfinite(norm):
+        # Only a norm that is not finite can hide a non-finite entry.
+        if not np.isfinite(m).all():
+            raise MalformedDocument(f"{what} must be finite")
+        # A floor of inf would count every matrix as PSD.
+        raise MalformedDocument(f"{what} is too large: its norm overflows")
+    return m, norm
+
+
 def _as_psd_matrix(raw, d: int, what: str) -> tuple[np.ndarray, float]:
-    """raw as a new, exactly symmetric d x d matrix, checked numeric, finite,
-    symmetric within TOL_SYM, of finite norm and PSD within TOL_PSD; and
-    its Frobenius norm."""
+    """raw, d * d numbers in any nesting, as a new, exactly symmetric d x d
+    matrix that passed `as_matrix`, symmetric within TOL_SYM and PSD within
+    TOL_PSD; and its Frobenius norm."""
     m = as_numbers(raw, what)
     if m.size != d * d:
         raise LengthMismatch(f"{what} has {m.size} entries, expected {d * d}")
-    m = m.reshape(d, d)
-    if not np.all(np.isfinite(m)):
-        raise MalformedDocument(f"{what} must be finite")
-    norm = float(np.linalg.norm(m))
-    if not np.isfinite(norm):
-        # A floor of inf would count every matrix as PSD.
-        raise MalformedDocument(f"{what} is too large: its norm overflows")
+    m, norm = as_matrix(m.reshape(d, d), d, what)
     asym = float(np.max(np.abs(m - m.T)))
     if asym > TOL_SYM * max(1.0, norm):
         raise AsymmetricMatrix(f"{what} is not symmetric within tolerance")
     m = 0.5 * (m + m.T)
     if asym:
         # Only a matrix that was not exactly symmetric changes its bits.
-        norm = float(np.linalg.norm(m))
+        norm = frobenius_norm(m)
     if not psd_at_floor(m, norm, TOL_PSD * max(1.0, norm)):
         raise NotPsd(f"{what} has eigenvalue {min_eigpair(m)[0]}")
     return m, norm
@@ -395,7 +410,7 @@ def make_sdp_instance(n, d, c, A, B_stream,
         # the newer target's norm. Both targets are exactly symmetric and
         # of finite norm, so their difference passes is_psd's checks.
         step = b - prev
-        if not psd_at_floor(step, float(np.linalg.norm(step)),
+        if not psd_at_floor(step, frobenius_norm(step),
                             TOL_PSD * max(1.0, norm)):
             raise NonMonotoneB(f"B[{i}] is not >= B[{i - 1}] (eigenvalue "
                                f"{min_eigpair(step)[0]})")

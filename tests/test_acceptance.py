@@ -21,8 +21,7 @@ from pdla.applications import (FlowNetwork, RootedTree, gst_oracle, max_flow,
 from pdla.baselines import advice_scaling, offline_solve, simple_switch
 from pdla.covering_lp import (beta_seen, current_solution, dual_certificate,
                               kappa_seen, new_lp_solver, process_row)
-from pdla.covering_lp_box import (dual_certificate_box, new_lp_box_solver,
-                                  process_row_box, sparsity_estimate)
+from pdla.covering_lp_box import new_lp_box_solver, process_row_box
 from pdla.covering_sdp import (dual_certificate as sdp_dual_certificate,
                                feasibility_gap, new_sdp_solver,
                                process_matrix)
@@ -77,11 +76,9 @@ def run_lp(inst, advice):
     if inst.boxed:
         st = new_lp_box_solver(inst.n, inst.c, advice=advice)
         step = process_row_box
-        cert_of = dual_certificate_box
     else:
         st = new_lp_solver(inst.n, inst.c, advice=advice)
         step = process_row
-        cert_of = dual_certificate
     prev = current_solution(st).copy()
     monotone = True
     row_ok = True
@@ -103,8 +100,8 @@ def run_lp(inst, advice):
         "alpha1": st.alpha_history[0] if st.alpha_history else None,
         "violations": st.violations_seen, "iterations": st.iterations,
         "beta": beta_seen(st), "kappa": kappa_seen(st),
-        "sparsity": sparsity_estimate(st) if inst.boxed else None,
-        "scale": cert_of(st).scale,
+        "sparsity": st.sparsity_seen if inst.boxed else None,
+        "scale": dual_certificate(st).scale,
         "feasible": feasible, "monotone": monotone,
     }
 

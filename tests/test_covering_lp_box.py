@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from pdla.covering_lp import current_solution, dual_certificate
-from pdla.covering_lp_box import (dual_certificate_box, new_lp_box_solver,
-                                  process_row_box, sparsity_estimate)
+from pdla.covering_lp_box import new_lp_box_solver, process_row_box
 from pdla.errors import NoFeasibleSolution
 from pdla.instances import SolverParams, validate_advice
 
@@ -23,7 +22,7 @@ def test_trace_cap_event_and_tight_promotion():
     assert rep.stop_reason == "satisfied"
     assert current_solution(st)[0] == 1.0
     assert st.alpha_history == [4.0]
-    cert = dual_certificate_box(st)
+    cert = dual_certificate(st)
     assert cert.y[1] == pytest.approx(math.log(2.0 / 1.01), rel=1e-6)
     assert cert.z[0] == 0.0  # nothing was tight while the dual rose
 
@@ -42,7 +41,7 @@ def test_trace_tight_coordinate_accrues_packing_dual():
     d2 = math.log(50.0 / 17.0)
     assert rep2.tight_added == [1]
     assert np.allclose(current_solution(st), [1.0, 1.0])
-    cert = dual_certificate_box(st)
+    cert = dual_certificate(st)
     assert cert.y[2] == pytest.approx(d2, rel=1e-6)
     assert cert.z[0] == pytest.approx(0.5 * d2, rel=1e-6)
     assert cert.z[1] == 0.0
@@ -51,7 +50,7 @@ def test_trace_tight_coordinate_accrues_packing_dual():
         math.log(2.0 / 1.01) + 0.5 * d2, rel=1e-6)
     # Weak duality against the true optimum (x = (1, 0.5), cost 1.5).
     assert cert.objective / cert.scale <= 1.5 + 1e-6
-    assert sparsity_estimate(st) == pytest.approx(2.0)
+    assert st.sparsity_seen == pytest.approx(2.0)
 
 
 def test_trace_uncoverable_row_is_certified():
@@ -106,7 +105,7 @@ def test_boxed_duals_stay_nonnegative_and_scaled_feasible():
             continue
         rows.append(row)
         process_row_box(st, row)
-    cert = dual_certificate_box(st)
+    cert = dual_certificate(st)
     assert all(v >= -1e-12 for v in cert.y.values())
     assert np.all(cert.z >= -1e-12)
     if cert.scale > 0:
@@ -116,3 +115,28 @@ def test_boxed_duals_stay_nonnegative_and_scaled_feasible():
                 load[j] += a * yv
         assert np.all((load - cert.z) / cert.scale <= c + 1e-8)
         assert cert.objective >= -1e-9
+
+
+def _snapshot(st):
+    """What a round that raises must leave as it was at round entry."""
+    cert = dual_certificate(st)
+    return (current_solution(st).tolist(), list(st.alpha_history),
+            st.round_no, st.violations_seen, st.iterations, st.sparsity_seen,
+            cert.y, cert.z.tolist(), cert.scale, cert.objective)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 20: a round that raises keeps the "
+                          "growth and the duals it made, so the next row "
+                          "holds at a phase point that the published "
+                          "x_0 = 0.924 misses")
+def test_a_round_that_raises_leaves_the_state_as_it_was():
+    # Contract (a) keeps the certificate a bound on the accepted rows.
+    st = new_lp_box_solver(3, [1, 2, 3])
+    process_row_box(st, [(0, 1), (1, 1)])
+    before = _snapshot(st)
+    with pytest.raises(NoFeasibleSolution):
+        process_row_box(st, [(2, 0.5), (1, 0.2)])   # 0.7 at the cap
+    assert _snapshot(st) == before
+    process_row_box(st, [(0, 1)])
+    assert current_solution(st)[0] >= 1.0 - SolverParams().tol_feas

@@ -342,6 +342,27 @@ def test_every_entry_checks_the_target_alike(entry, target, error):
         entry(st, target)
 
 
+@pytest.mark.parametrize("slot", ["A[0]", "B[0]"])
+@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan),
+                                 np.diag([1e200, -1e200, 1.0])],
+                         ids=["nan", "norm-overflows"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_make_sdp_instance_checks_a_bad_matrix_as_the_solver_does(slot, bad):
+    # make_sdp_instance is one more entry of the check above: the same
+    # class and the same message after the matrix's name. Shapes differ on
+    # purpose, since an instance also takes a flat list of d x d entries.
+    A = [np.diag([1.0, 2.0, 3.0]), np.eye(3)]
+    st = new_sdp_solver(make_sdp_instance(2, 3, [1.0, 1.0], A, [np.eye(3)]))
+    with pytest.raises(MalformedDocument) as solver:
+        process_matrix(st, bad)
+    args = ([bad, A[1]], [np.eye(3)]) if slot == "A[0]" else (A, [bad])
+    with pytest.raises(MalformedDocument) as built:
+        make_sdp_instance(2, 3, [1.0, 1.0], *args)
+    assert type(built.value) is type(solver.value)
+    assert str(built.value).removeprefix(slot) == \
+        str(solver.value).removeprefix("target")
+
+
 @pytest.mark.parametrize("kind", ["lp", "lp_box", "sdp", "sdp_box"])
 def test_initial_alpha_opens_phase_one_in_every_variant(kind):
     # n = 1, c = 1 and a unit constraint: the estimate would be 1. The
@@ -529,3 +550,30 @@ def test_scaling_every_target_scales_the_cost_and_keeps_the_counts():
     small = _scaled_target_run(1e-8)
     assert small[0] == pytest.approx(cost, rel=1e-6)
     assert small[1:] == (iterations, phases)
+
+
+def _snapshot(st):
+    """What a round that raises must leave as it was at round entry."""
+    cert = dual_certificate(st)
+    return (current_solution(st).tolist(), list(st.alpha_history),
+            st.round_no, st.violations_seen, st.iterations, cert.y,
+            cert.z.tolist(), cert.scale, cert.objective, cert.Y.tolist(),
+            st.last_B.tolist())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 20: a round that raises keeps its "
+                          "count and its target as last_B, so a later target "
+                          "below the rejected one raises NonMonotoneB")
+def test_a_round_that_raises_leaves_the_state_as_it_was():
+    # Contract (a) keeps the certificate a bound on the accepted targets.
+    inst = make_sdp_instance(1, 2, [1.0], [np.diag([1.0, 0.0])],
+                             [np.diag([1.0, 0.0])])
+    st = new_sdp_solver(inst)
+    process_matrix(st, inst.B_stream[0])
+    before = _snapshot(st)
+    with pytest.raises(NoFeasibleSolution):
+        process_matrix(st, I2())   # no A_j weighs the second axis
+    assert _snapshot(st) == before
+    process_matrix(st, np.diag([2.0, 0.0]))
+    assert feasibility_gap(st, np.diag([2.0, 0.0])) >= -1e-6
