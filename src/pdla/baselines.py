@@ -20,7 +20,7 @@ from .covering_lp import (ADVICE_ROW_TOL, current_solution, new_lp_solver,
 from .errors import (Infeasible, LengthMismatch, MalformedDocument,
                      NotConverged, UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
-                        as_numbers, row_arrays)
+                        as_number, as_numbers, row_arrays)
 
 
 @dataclass
@@ -63,6 +63,8 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
     params = params if params is not None else SolverParams()
     online = new_lp_solver(n, costs, advice=None, params=params)
     c, xp = online.c, advice.x_prime
+    if xp.shape != c.shape:
+        raise LengthMismatch("advice length does not match n")
     cost_advice = float(c @ xp)
     advice_ok = True
     crossed = False            # cost of advice dipped below the online run
@@ -140,6 +142,7 @@ def offline_solve(inst: CoveringLpInstance, eps: float = 1e-6) -> OfflineCertifi
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
+    eps = as_number(eps, "eps")
     if not (0 < eps <= 0.5):
         raise MalformedDocument(f"eps must lie in (0, 0.5], got {eps}")
     n, m = inst.n, len(inst.rows)

@@ -18,9 +18,9 @@ the primal-dual growth lives here once: phase start (`start_phase`), the
 round (`grow_round`: its count, phase 1, budget check and growth steps,
 recorded on the caller's step report), the growth step (`_grow_step`, which
 snaps to the tight set what it brings to the cap), the solver-state checks
-(`SolverState`), the dual certificate (`dual_certificate`),
-`current_solution`, `kappa_seen` and `beta_seen`. A solver keeps only its
-step report and its separation step (a `Separation`): the first budget
+(`SolverState`), the step report (`StepReport`), the dual certificate
+(`dual_certificate`), `current_solution`, `kappa_seen` and `beta_seen`. A
+solver keeps only its separation step (a `Separation`): the first budget
 guess, whether the round's constraint is met, the violated covering row,
 and whether the suggestion meets the constraint, asked only at the round's
 first growth step. Every growth step folds its dual into the column load
@@ -81,6 +81,7 @@ class StepReport:
     stop_reason: str = "already_satisfied"   # | "satisfied" | "satisfied_by_2"
     iterations: int = 0
     phases_entered: int = 0
+    # The LP row's value at the phase point; it stays 0.0 on an SDP round.
     row_value: float = 0.0
     tight_added: list[int] = field(default_factory=list)
 

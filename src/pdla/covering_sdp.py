@@ -10,8 +10,9 @@ snap and the dual certificate are the LP solver's (`covering_lp`), and so
 are the column load A_j (x) Y and the dual objective that every growth step
 folds in. This module keeps only its separation step (`_EigenSeparation`:
 the first budget guess, the residual's test, the implicit row and its
-column statistics, whether sum_j x'_j A_j covers the target), its step
-report and its own dual accumulator (`SdpPhase`: the matrix dual Y). Every
+column statistics, whether sum_j x'_j A_j covers the target) and its own
+dual accumulator (`SdpPhase`: the matrix dual Y); it keeps no step report
+of its own, and `process_matrix` returns the LP's `StepReport`. Every
 target passes `instances.as_matrix`, the one check of an SDP matrix input,
 and the state's `residual` is the one product of x with the stack, whose
 one layout `A_flat` the cut's weights read too. The residual's test tries
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering_lp import (DualCertificate, Phase, Separation, SolverState,
-                          grow_round)
+                          StepReport, grow_round)
 from .covering_lp import dual_certificate as _lp_dual_certificate
 from .covering_lp import beta_seen, current_solution, kappa_seen  # noqa: F401
 from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
@@ -52,15 +53,6 @@ SPAN_TOL = 1e-10
 @dataclass
 class SdpPhase(Phase):
     Y: np.ndarray               # matrix dual, sum of delta * v v'
-
-
-@dataclass(slots=True)
-class SdpStepReport:
-    round_no: int = 0
-    stop_reason: str = "already_satisfied"   # | "satisfied"
-    iterations: int = 0
-    phases_entered: int = 0
-    tight_added: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -160,7 +152,7 @@ def new_sdp_solver(inst: CoveringSdpInstance,
                           boxed=inst.boxed, advice=advice, params=params)
 
 
-def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
+def process_matrix(state: SdpSolverState, B) -> StepReport:
     """Feed one target matrix; returns once the residual is PSD within tol.
 
     The target is checked by `instances.as_matrix`. Raises NonMonotoneB
@@ -183,9 +175,9 @@ def process_matrix(state: SdpSolverState, B) -> SdpStepReport:
         # A zero target is covered by any x >= 0; the budget guess waits
         # for a round that actually needs mass.
         state.round_no += 1
-        return SdpStepReport(round_no=state.round_no)
+        return StepReport(state.round_no)
     sep = _EigenSeparation(state, B, norm)
-    report = SdpStepReport()
+    report = StepReport()
     grow_round(state, sep, report)
     # The round's cut arrays are not an instance's: fold rather than hold.
     state.fold_columns()

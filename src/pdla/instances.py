@@ -335,14 +335,14 @@ def normalize_box_bounds(n, c, rows, u):
     entries a_ij * u_j. Returns the normalized instance plus u for de-scaling
     solutions. The JSON format only carries normalized instances.
     """
+    inst = make_lp_instance(n, c, rows, boxed=True)
     u = as_numbers(u, "upper bounds")
-    if u.shape != (n,):
+    if u.shape != (inst.n,):
         raise LengthMismatch("u has wrong length")
     if np.any(u <= 0) or not np.all(np.isfinite(u)):
         raise MalformedDocument("upper bounds must be positive and finite")
-    scaled_rows = [[(j, v * u[j]) for j, v in row] for row in rows]
-    scaled_c = as_numbers(c, "costs") * u
-    return make_lp_instance(n, scaled_c, scaled_rows, boxed=True), u
+    scaled_rows = [[(j, v * u[j]) for j, v in row] for row in inst.rows]
+    return make_lp_instance(inst.n, inst.c * u, scaled_rows, boxed=True), u
 
 
 # --- SDP ---------------------------------------------------------------------

@@ -20,22 +20,18 @@ first and computes the eigenpair only when it proves nothing.
 `scipy.linalg` loads on the first call that reaches LAPACK: a Cholesky
 attempt in `cholesky_proves` (so `make_sdp_instance` loads it) or a
 non-diagonal eigenpair. Importing this module, and every LP, set-cover and
-group-Steiner run, leaves it unloaded. The drivers `dpotrf`, `dsyevr` and `dsyevr_lwork`
-are module attributes: reading one loads them, and the solvers call through
-them, so a test may replace one.
+group-Steiner run, leaves it unloaded. `_lapack()` imports
+`scipy.linalg.lapack` once, through the import system, and every driver
+call reads its driver from that module, so a test may replace one there.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
 from .errors import AsymmetricMatrix, DimensionMismatch, NotConverged
-
-_LAPACK_NAMES = ("dpotrf", "dsyevr", "dsyevr_lwork")
-_lapack_loaded = False
-_LAPACK_LOCK = threading.Lock()
 
 TOL_SYM = 1e-8   # relative asymmetry a symmetric matrix may carry
 TOL_PSD = 1e-7   # relative PSD slack; `SolverParams.tol_psd` defaults to it
@@ -45,28 +41,21 @@ TOL_PSD = 1e-7   # relative PSD slack; `SolverParams.tol_psd` defaults to it
 _CHOL_MARGIN = 16.0
 _EPS = float(np.finfo(float).eps)
 
-# dsyevr's (lwork, liwork) per dimension, filled on first use.
-_SYEVR_WORK: dict[int, tuple[int, int]] = {}
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK module, imported on the first call."""
+    from scipy.linalg import lapack
+    return lapack
 
 
-def _load_lapack() -> None:
-    """Bind the LAPACK drivers as module globals, once per process. A name
-    already set, such as a test's stand-in, is kept."""
-    global _lapack_loaded
-    with _LAPACK_LOCK:
-        if _lapack_loaded:
-            return
-        from scipy.linalg import lapack
-        for name in _LAPACK_NAMES:
-            globals().setdefault(name, getattr(lapack, name))
-        _lapack_loaded = True
-
-
-def __getattr__(name: str):
-    if name in _LAPACK_NAMES:
-        _load_lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+@functools.cache
+def _syevr_work(d: int) -> tuple[int, int]:
+    """dsyevr's (lwork, liwork) for dimension d."""
+    work, iwork, info = _lapack().dsyevr_lwork(n=d, lower=1)
+    if info != 0:
+        raise NotConverged(f"LAPACK workspace query failed: info={info}")
+    return int(work), int(iwork)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -100,19 +89,10 @@ def _least_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.zeros(a.shape[0])
         vec[k] = 1.0
         return float(diag[k]), vec
-    d = a.shape[0]
-    if d not in _SYEVR_WORK:
-        # Only a dimension's first call checks the load: its workspace is
-        # cached after LAPACK has loaded.
-        _load_lapack()
-        work, iwork, info = dsyevr_lwork(n=d, lower=1)
-        if info != 0:
-            raise NotConverged(f"LAPACK workspace query failed: info={info}")
-        _SYEVR_WORK[d] = int(work), int(iwork)
-    lwork, liwork = _SYEVR_WORK[d]
-    vals, vecs, _, _, info = dsyevr(0.5 * (a + a.T), compute_v=1, range="I",
-                                    lower=1, il=1, iu=1, lwork=lwork,
-                                    liwork=liwork, overwrite_a=1)
+    lwork, liwork = _syevr_work(a.shape[0])
+    vals, vecs, _, _, info = _lapack().dsyevr(
+        0.5 * (a + a.T), compute_v=1, range="I", lower=1, il=1, iu=1,
+        lwork=lwork, liwork=liwork, overwrite_a=1)
     if info != 0:
         raise NotConverged(f"LAPACK eigensolver failed: info={info}")
     vec = vecs[:, 0]
@@ -169,11 +149,9 @@ def cholesky_proves(a: np.ndarray, norm: float, floor: float) -> bool:
         return False
     s = 0.5 * (a + a.T)
     s.flat[::d + 1] += shift
-    if not _lapack_loaded:
-        _load_lapack()
     # s is symmetric, so its transpose is the same matrix in the
     # Fortran order dpotrf factors in place.
-    _, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
+    _, info = _lapack().dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise NotConverged(f"LAPACK Cholesky failed: info={info}")
     return info == 0

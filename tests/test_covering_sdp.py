@@ -472,12 +472,13 @@ def test_runs_equal_the_eigh_based_separation_bit_for_bit(monkeypatch):
 def _count_lapack(monkeypatch):
     """Count every dpotrf and dsyevr call through symmetric's drivers."""
     counts = {"dpotrf": 0, "dsyevr": 0}
+    lapack = symmetric._lapack()
     for name in counts:
-        def counted(*args, _real=getattr(symmetric, name), _name=name,
+        def counted(*args, _real=getattr(lapack, name), _name=name,
                     **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(symmetric, name, counted)
+        monkeypatch.setattr(lapack, name, counted)
     return counts
 
 

@@ -10,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdla.applications import RootedTree, SetSystem, gst_oracle
-from pdla.baselines import advice_scaling
+from pdla.baselines import advice_scaling, offline_solve, simple_switch
 from pdla.covering_lp import new_lp_solver, process_row
 from pdla.covering_lp_box import process_row_box
 from pdla.covering_sdp import new_sdp_solver, process_matrix
 from pdla.errors import PdlaError
 from pdla.experiments import ExperimentConfig
 from pdla.instances import (SolverParams, cost_vector, make_lp_instance,
-                            make_sdp_instance, row_arrays, validate_advice)
+                            make_sdp_instance, normalize_box_bounds,
+                            row_arrays, validate_advice)
 
 _ROWS = [[(0, 1.0)], [(1, 1.0)]]
 _EDGE = RootedTree.from_edge_list(2, 0, [(0, 1, 1.0)])
 _SDP = make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]])
+_LP = make_lp_instance(2, [1.0, 1.0], _ROWS)
 
 
 @pytest.mark.parametrize("call, field", [
@@ -51,6 +53,11 @@ _SDP = make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]])
     (lambda: make_lp_instance(2, [1.0, 1.0], [None]), "pairs, not NoneType"),
     (lambda: make_lp_instance(2, [1.0, 1.0], 5), "rows must be a list"),
     (lambda: row_arrays(None, 2), "pairs, not NoneType"),
+    (lambda: simple_switch(2, [1.0, 1.0], _ROWS,
+                           validate_advice([1.0], 0.5, 1, False)), "advice"),
+    (lambda: simple_switch(2, [1.0, 1.0], _ROWS,
+                           validate_advice([1.0] * 3, 0.5, 3, False)),
+     "advice"),
 ], ids=["lp-cost-bool", "solver-cost-bool", "sdp-cost-bool", "set-cost-bool",
         "set-member-bool", "tree-cost-bool", "advice-x-bool",
         "advice-lambda-bool", "lp-cost-string", "set-cost-string",
@@ -58,7 +65,8 @@ _SDP = make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]])
         "params-string", "scaling-advice-short", "scaling-advice-long",
         "sdp-A-number", "sdp-B-number", "set-group-number", "box-row-unboxed",
         "process-row-number", "lp-row-number", "lp-row-null",
-        "lp-rows-number", "row-arrays-null"])
+        "lp-rows-number", "row-arrays-null", "switch-advice-short",
+        "switch-advice-long"])
 def test_a_constructor_refuses_what_is_no_number(call, field):
     with pytest.raises(PdlaError, match=field):
         call()
@@ -89,6 +97,11 @@ _CALLS = {
     "sdp-A": lambda v: make_sdp_instance(1, 1, [1.0], v, [[1.0]]),
     "sdp-B": lambda v: make_sdp_instance(1, 1, [1.0], [[1.0]], v),
     "scaling-advice": lambda v: advice_scaling(2, _ROWS, v),
+    "box-bounds-costs": lambda v: normalize_box_bounds(2, v, _ROWS,
+                                                       [1.0, 2.0]),
+    "box-bounds-row": lambda v: normalize_box_bounds(2, [1.0, 1.0], [v],
+                                                     [1.0, 2.0]),
+    "offline-eps": lambda v: offline_solve(_LP, v),
     **{f"params-{name}": lambda v, name=name: SolverParams(**{name: v})
        for name in ("tol_feas", "tol_psd", "max_phase", "initial_alpha")},
     **{f"config-{name}":

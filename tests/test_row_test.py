@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from pdla import covering_lp, covering_sdp
+from pdla import covering_lp
 from pdla.errors import NoFeasibleSolution
 from pdla.instances import Row, SolverParams, validate_advice
 
@@ -105,5 +105,4 @@ def test_only_a_row_that_grows_builds_its_separation(monkeypatch):
 
 
 def test_step_reports_have_slots():
-    for report in (covering_lp.StepReport, covering_sdp.SdpStepReport):
-        assert not hasattr(report(), "__dict__")
+    assert not hasattr(covering_lp.StepReport(), "__dict__")

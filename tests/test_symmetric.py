@@ -163,13 +163,13 @@ def test_min_eigpair_is_eighs_evr_result_bit_for_bit(d):
 
 def test_lapack_failure_is_not_converged(monkeypatch):
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    drv = symmetric.dsyevr
+    drv = symmetric._lapack().dsyevr
 
     def failing(*args, **kwargs):
         *out, _ = drv(*args, **kwargs)
         return (*out, 1)
 
-    monkeypatch.setattr(symmetric, "dsyevr", failing)
+    monkeypatch.setattr(symmetric._lapack(), "dsyevr", failing)
     with pytest.raises(NotConverged, match="LAPACK"):
         min_eigpair(m)
     # is_psd certifies a positive definite matrix by Cholesky alone, so the
@@ -179,13 +179,13 @@ def test_lapack_failure_is_not_converged(monkeypatch):
 
 
 def test_cholesky_argument_error_is_not_converged(monkeypatch):
-    potrf = symmetric.dpotrf
+    potrf = symmetric._lapack().dpotrf
 
     def failing(*args, **kwargs):
         c, _ = potrf(*args, **kwargs)
         return c, -1
 
-    monkeypatch.setattr(symmetric, "dpotrf", failing)
+    monkeypatch.setattr(symmetric._lapack(), "dpotrf", failing)
     with pytest.raises(NotConverged, match="Cholesky"):
         is_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
@@ -269,8 +269,8 @@ def test_input_errors_come_before_any_factorization(bad, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("factorized a rejected matrix")
 
-    monkeypatch.setattr(symmetric, "dpotrf", never)
-    monkeypatch.setattr(symmetric, "dsyevr", never)
+    monkeypatch.setattr(symmetric._lapack(), "dpotrf", never)
+    monkeypatch.setattr(symmetric._lapack(), "dsyevr", never)
     m = np.eye(3)
     m[2, 1] = bad
     with pytest.raises(NotConverged):
