@@ -15,8 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .covering_lp import (ADVICE_ROW_TOL, current_solution, new_lp_solver,
-                          process_row)
+from .covering_lp import (ADVICE_ROW_TOL, _row_test, current_solution,
+                          new_lp_solver, process_row)
 from .errors import (Infeasible, LengthMismatch, MalformedDocument,
                      NotConverged, UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
@@ -60,7 +60,6 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
 
     Returns (x_published, records).
     """
-    params = params if params is not None else SolverParams()
     online = new_lp_solver(n, costs, advice=None, params=params)
     c, xp = online.c, advice.x_prime
     if xp.shape != c.shape:
@@ -75,8 +74,8 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
         row = Row(*row_arrays(row, n), n)
         process_row(online, row)
         x_on = current_solution(online)
-        if advice_ok and row.vals @ xp[row.idx] < 1.0 - ADVICE_ROW_TOL:
-            advice_ok = False
+        advice_ok = advice_ok and _row_test(row.idx, row.vals, xp,
+                                            ADVICE_ROW_TOL)[1]
         cost_on = float(c @ x_on)
         switched = False
         if advice_ok:
@@ -108,7 +107,7 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
     x = np.zeros_like(xp)
     for i, row in enumerate(rows, start=1):
         idx, vals = row_arrays(row, n)
-        if vals @ x[idx] >= 1.0 - ADVICE_ROW_TOL:
+        if _row_test(idx, vals, x, ADVICE_ROW_TOL)[1]:
             continue
         aval = vals @ xp[idx]
         if aval <= 0.0:

@@ -16,8 +16,7 @@ from .applications import (parse_tree_doc, set_cover_instance,
                            solve_gst_online)
 from .baselines import offline_solve
 from .covering_lp import current_solution, dual_certificate, run_lp
-from .covering_sdp import dual_certificate as sdp_dual_certificate
-from .covering_sdp import run_sdp
+from .covering_sdp import dual_certificate as sdp_dual_certificate, run_sdp
 from .errors import (ExponentOverflow, Infeasible, MalformedDocument,
                      NoFeasibleSolution, NoProgress, NotConverged, PdlaError,
                      PhaseRestartLimit, UncoverableElement, UnscalableRow)
@@ -81,35 +80,30 @@ def _finish(state, cert=None) -> int:
     return EXIT_OK
 
 
-def _solve_lp(args, inst) -> int:
-    """Stream every row of an LP instance through the solver (boxed when the
-    instance is) and print the result document."""
+def _solve(args, inst, run, certify) -> int:
+    """Run the instance through `run`, boxed when it is or --boxed asks, and
+    print the result document with the certificate `certify` gives."""
+    if args.boxed:
+        inst = replace(inst, boxed=True)
     adv = _load_advice(args, inst.n, inst.boxed)
-    st, _ = run_lp(inst, advice=adv, params=SolverParams(trace=args.trace))
-    return _finish(st, dual_certificate(st))
+    st, _ = run(inst, advice=adv, params=SolverParams(trace=args.trace))
+    return _finish(st, certify(st))
 
 
 def _cmd_solve_lp(args) -> int:
-    inst = parse_lp_instance(_read(args.instance))
-    if args.boxed:
-        inst = replace(inst, boxed=True)
-    return _solve_lp(args, inst)
+    return _solve(args, parse_lp_instance(_read(args.instance)), run_lp,
+                  dual_certificate)
 
 
 def _cmd_solve_sdp(args) -> int:
-    inst = parse_sdp_instance(_read(args.instance))
-    if args.boxed:
-        inst = replace(inst, boxed=True)
-    adv = _load_advice(args, inst.n, inst.boxed)
-    st, _ = run_sdp(inst, advice=adv, params=SolverParams(trace=args.trace))
-    return _finish(st, sdp_dual_certificate(st))
+    return _solve(args, parse_sdp_instance(_read(args.instance)), run_sdp,
+                  sdp_dual_certificate)
 
 
 def _cmd_set_cover(args) -> int:
     system = ingest_edge_list(args.graph, cost_seed=args.cost_seed,
                               cost_scale=args.cost_scale)
-    inst = set_cover_instance(system)
-    return _solve_lp(args, inst)
+    return _solve(args, set_cover_instance(system), run_lp, dual_certificate)
 
 
 def _cmd_gst(args) -> int:
@@ -186,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cost-seed", type=int, default=0)
     sp.add_argument("--cost-scale", type=float, default=10.0)
     _add_advice_flags(sp)
-    sp.set_defaults(func=_cmd_set_cover)
+    sp.set_defaults(func=_cmd_set_cover, boxed=False)
 
     sp = subs.add_parser("gst", help="group Steiner tree on a tree")
     sp.add_argument("--tree", required=True, help="tree JSON file")

@@ -16,7 +16,7 @@ discount the dual objective.
 The covering SDP solver reduces every violated round to a covering row, so
 the primal-dual growth lives here once: phase start (`start_phase`), the
 round (`grow_round`: its count, phase 1, budget check and growth steps,
-recorded on the caller's step report), the growth step (`_grow_step`, which
+returned as its step report), the growth step (`_grow_step`, which
 snaps to the tight set what it brings to the cap), the solver-state checks
 (`SolverState`), the step report (`StepReport`), the dual certificate
 (`dual_certificate`), `current_solution`, `kappa_seen` and `beta_seen`. A
@@ -48,8 +48,9 @@ import numpy as np
 from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
                      NoProgress, NotConverged, PhaseRestartLimit)
 from .growth import TOL, advance, coefficient_vector, find_stop
-from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
-                        as_integer, cost_vector, row_arrays)
+from .instances import (BOXED_FLAG, AdviceVector, CoveringLpInstance, Row,
+                        SolverParams, as_flag, as_integer, cost_vector,
+                        row_arrays)
 # Not called here; kept because the traced benchmark rebinds this name.
 from .instances import validate_row  # noqa: F401
 
@@ -98,9 +99,10 @@ class DualCertificate:
 class SolverState:
     """What every solver variant tracks; solver states add their own.
 
-    Checks n (`instances.as_integer`), the costs (`instances.cost_vector`)
-    and the suggestion's length, each failure a MalformedDocument or one of
-    its subclasses; params defaults to `SolverParams()`."""
+    Checks n (`instances.as_integer`), the costs (`instances.cost_vector`),
+    the suggestion's length and boxed (`instances.as_flag`), each failure a
+    MalformedDocument or one of its subclasses; params defaults to
+    `SolverParams()`."""
     n: int
     c: np.ndarray
     boxed: bool
@@ -120,6 +122,7 @@ class SolverState:
         self.c = cost_vector(self.c, self.n)
         if self.advice is not None and self.advice.x_prime.shape != (self.n,):
             raise LengthMismatch("advice length does not match n")
+        self.boxed = as_flag(self.boxed, BOXED_FLAG)
         if self.params is None:
             self.params = SolverParams()
         self.x_best = np.zeros(self.n)
@@ -246,20 +249,22 @@ def start_phase(state: SolverState, alpha: float) -> None:
                                   load=np.zeros(state.n), dual_obj=0.0)
 
 
-def grow_round(state: SolverState, sep: Separation, report) -> str | None:
+def grow_round(state: SolverState,
+               sep: Separation) -> tuple[StepReport, str | None]:
     """Count a new round and grow the active phase until `sep` finds it
-    satisfied; return the kind of the round's last growth event, or None.
+    satisfied; return the round's step report and the kind of its last
+    growth event, or None.
 
-    Books round_no and phases_entered on `report`, a fresh step report; its
-    growth steps book iterations and tight_added there, and their duals on
-    the phase (`Phase.y`). Before the first phase it opens phase 1 at
-    params.initial_alpha, or at sep.estimate() when unset. Its first growth
-    step asks whether the suggestion meets the constraint
-    (sep.advice_holds), which arms suggestion-proportional sharing; a round
-    that holds never asks.
+    The report books round_no and phases_entered; the growth steps book
+    iterations and tight_added on it, and their duals on the phase
+    (`Phase.y`). It reads "satisfied" when the round grew or restarted.
+    Before the first phase it opens phase 1 at params.initial_alpha, or at
+    sep.estimate() when unset. Its first growth step asks whether the
+    suggestion meets the constraint (sep.advice_holds), which arms
+    suggestion-proportional sharing; a round that holds never asks.
     """
     state.round_no += 1
-    report.round_no = state.round_no
+    report = StepReport(state.round_no)
     if state.phase is None:
         alpha = state.params.initial_alpha
         start_phase(state, float(sep.estimate() if alpha is None else alpha))
@@ -287,7 +292,9 @@ def grow_round(state: SolverState, sep: Separation, report) -> str | None:
         start_phase(state, ph.alpha * 2.0)
         report.phases_entered += 1
     np.maximum(state.x_best, state.phase.x, out=state.x_best)
-    return last
+    if report.iterations or report.phases_entered:
+        report.stop_reason = "satisfied"
+    return report, last
 
 
 def _grow_step(state: SolverState, report, ph: Phase, sep: Separation,
@@ -398,11 +405,9 @@ def process_row(state: SolverState, row) -> StepReport:
             state.round_no += 1
             return StepReport(state.round_no, row_value=value)
     sep = _RowSeparation(state, idx, vals)
-    report = StepReport()
-    if grow_round(state, sep, report) == "target":
+    report, last = grow_round(state, sep)
+    if last == "target":
         report.stop_reason = "satisfied_by_2"
-    elif report.iterations or report.phases_entered:
-        report.stop_reason = "satisfied"
     report.row_value = sep.value
     return report
 

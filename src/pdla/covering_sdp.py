@@ -176,13 +176,9 @@ def process_matrix(state: SdpSolverState, B) -> StepReport:
         # for a round that actually needs mass.
         state.round_no += 1
         return StepReport(state.round_no)
-    sep = _EigenSeparation(state, B, norm)
-    report = StepReport()
-    grow_round(state, sep, report)
+    report, _ = grow_round(state, _EigenSeparation(state, B, norm))
     # The round's cut arrays are not an instance's: fold rather than hold.
     state.fold_columns()
-    if report.iterations or report.phases_entered:
-        report.stop_reason = "satisfied"
     return report
 
 

@@ -22,8 +22,9 @@ from .covering_lp import current_solution, dual_certificate, run_lp
 from .covering_lp import process_row  # noqa: F401
 from .covering_lp_box import process_row_box  # noqa: F401
 from .errors import MalformedDocument, MalformedLine
-from .instances import (CoveringLpInstance, Row, as_integer, as_number,
-                        as_numbers, make_lp_instance, validate_advice)
+from .instances import (CoveringLpInstance, Row, as_count, as_flag,
+                        as_number, as_numbers, make_lp_instance,
+                        validate_advice)
 from .metrics import CSV_HEADER, RunMetrics
 
 log = logging.getLogger("pdla")
@@ -53,9 +54,7 @@ class ExperimentConfig:
         for name, least in (("n", 2), ("trials", 1), ("seed", 0),
                             ("drift_steps", 1)):
             count = f"{name} must be an integer >= {least}"
-            setattr(self, name, as_integer(getattr(self, name), count))
-            if getattr(self, name) < least:
-                raise MalformedDocument(count)
+            setattr(self, name, as_count(getattr(self, name), count, least))
         for name in ("density", "cost_scale", "eps_offline"):
             setattr(self, name, as_number(getattr(self, name), name))
         for name in ("lambdas", "corruption_rates"):
@@ -63,8 +62,7 @@ class ExperimentConfig:
             if values.ndim != 1:
                 raise MalformedDocument(f"{name} must be a list of numbers")
             setattr(self, name, tuple(values.tolist()))
-        if not isinstance(self.full, bool):
-            raise MalformedDocument("full must be true or false")
+        self.full = as_flag(self.full, "full must be true or false")
         paths = self.graph_paths
         if not (isinstance(paths, (list, tuple))
                 and all(isinstance(p, str) for p in paths)):

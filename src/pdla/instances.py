@@ -31,6 +31,7 @@ from .symmetric import (TOL_PSD, TOL_SYM, frobenius_norm, min_eigpair,
                         psd_at_floor)
 
 SparseRow = list[tuple[int, float]]
+BOXED_FLAG = "boxed must be a boolean"
 
 
 @dataclass
@@ -41,17 +42,15 @@ class SolverParams:
     tol_psd: float = TOL_PSD   # relative PSD slack for separation / validation
     max_phase: int = 200       # hard cap on guess-and-double restarts
     initial_alpha: float | None = None  # override the first cost estimate (diagnostics)
-    trace: bool = False        # collect per-round step reports on the state
+    trace: bool = False        # collect one dict per growth step on the state
 
     def __post_init__(self):
         for name in ("tol_feas", "tol_psd"):
             # A slack of 1 or more counts every constraint as met at x = 0.
             if not 0.0 < as_number(getattr(self, name), name) < 1.0:
                 raise MalformedDocument(f"{name} must lie in (0, 1)")
-        count = "max_phase must be an integer >= 1"
-        self.max_phase = as_integer(self.max_phase, count)
-        if self.max_phase < 1:
-            raise MalformedDocument(count)
+        self.max_phase = as_count(self.max_phase,
+                                  "max_phase must be an integer >= 1")
         if self.initial_alpha is not None and \
                 not 0.0 < as_number(self.initial_alpha, "initial_alpha") < np.inf:
             raise MalformedDocument("initial_alpha must be finite and positive")
@@ -98,17 +97,29 @@ class AdviceVector:
     lam = 0 trusts the suggestion fully. lam = 1 shares the growth
     uniformly, but the suggestion still caps each phase's start point and
     its advice events still split growth steps (ROADMAP item 17). The
-    suggestion is never required to be feasible.
+    suggestion is never required to be feasible. Built, x_prime is finite,
+    nonnegative numbers (a float array) and lam one number in [0, 1]; the
+    length and the box cap are `validate_advice`'s to check.
     """
 
     x_prime: np.ndarray
     lam: float
 
+    def __post_init__(self):
+        self.x_prime = x = as_numbers(self.x_prime, "advice x")
+        if not np.all(np.isfinite(x)):
+            raise MalformedDocument("advice must be finite")
+        if np.any(x < 0):
+            raise NegativeAdvice("advice entries must be nonnegative")
+        self.lam = as_number(self.lam, "lambda")
+        if not 0.0 <= self.lam <= 1.0:
+            raise LambdaOutOfRange(f"lambda {self.lam} outside [0, 1]")
+
 
 # --- validation helpers -------------------------------------------------------
-# Every number the package takes passes as_numbers (or as_number) and every
-# integer as_integer, in the constructor that takes it; the JSON readers only
-# parse. Instance rows keep their own per-entry rule (`row_arrays`).
+# Each number passes as_numbers (or as_number), each integer as_integer (a
+# count, as_count) and each flag as_flag, in the constructor that takes it;
+# the JSON readers only parse. Rows keep their own rule (`row_arrays`).
 
 _BOOL_TYPES = frozenset({bool, np.bool_})
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
@@ -154,6 +165,23 @@ def as_integer(raw, message: str) -> int:
         except TypeError:
             pass
     raise MalformedDocument(message)
+
+
+def as_count(raw, message: str, least: int = 1) -> int:
+    """raw as an int (`as_integer`) that is at least `least`; otherwise
+    MalformedDocument(message)."""
+    value = as_integer(raw, message)
+    if value < least:
+        raise MalformedDocument(message)
+    return value
+
+
+def as_flag(raw, message: str) -> bool:
+    """raw as a Python bool when it is a Python or numpy bool; otherwise
+    MalformedDocument(message)."""
+    if type(raw) not in _BOOL_TYPES:
+        raise MalformedDocument(message)
+    return bool(raw)
 
 
 def cost_vector(raw, n: int) -> np.ndarray:
@@ -279,10 +307,8 @@ def _checked_entries(row, n: int) -> SparseRow:
 
 
 def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
-    size = "n must be a positive integer"
-    n = as_integer(n, size)
-    if n < 1:
-        raise MalformedDocument(size)
+    boxed = as_flag(boxed, BOXED_FLAG)
+    n = as_count(n, "n must be a positive integer")
     cv = cost_vector(c, n)
     try:
         rows = iter(rows)
@@ -290,7 +316,7 @@ def make_lp_instance(n, c, rows, boxed=False) -> CoveringLpInstance:
         raise MalformedDocument("rows must be a list of rows") from None
     checked = [r if type(r) is Row and r.n == n else Row(*row_arrays(r, n), n)
                for r in rows]
-    return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=bool(boxed))
+    return CoveringLpInstance(n=n, c=cv, rows=checked, boxed=boxed)
 
 
 def _document(text: str, *fields: str) -> dict:
@@ -309,13 +335,10 @@ def _document(text: str, *fields: str) -> dict:
 
 def parse_lp_instance(text: str) -> CoveringLpInstance:
     doc = _document(text, "n", "c", "rows")
-    n, c, rows = doc["n"], doc["c"], doc["rows"]
-    boxed = doc.get("boxed", False)
-    if not isinstance(boxed, bool):
-        raise MalformedDocument("boxed must be a boolean")
+    rows = doc["rows"]
     if not isinstance(rows, list):
         raise MalformedDocument("rows must be a list")
-    return make_lp_instance(n, c, rows, boxed)
+    return make_lp_instance(doc["n"], doc["c"], rows, doc.get("boxed", False))
 
 
 def serialize_lp_instance(inst: CoveringLpInstance) -> str:
@@ -388,10 +411,8 @@ def _as_psd_matrix(raw, d: int, what: str) -> tuple[np.ndarray, float]:
 
 def make_sdp_instance(n, d, c, A, B_stream,
                       boxed=False) -> CoveringSdpInstance:
-    size = "n and d must be positive integers"
-    n, d = (as_integer(v, size) for v in (n, d))
-    if min(n, d) < 1:
-        raise MalformedDocument(size)
+    boxed = as_flag(boxed, BOXED_FLAG)
+    n, d = (as_count(v, "n and d must be positive integers") for v in (n, d))
     cv = cost_vector(c, n)
     try:
         A, B_stream = list(A), list(B_stream)
@@ -419,16 +440,13 @@ def make_sdp_instance(n, d, c, A, B_stream,
         targets.append(b)
         prev = b
     return CoveringSdpInstance(n=n, d=d, c=cv, A=np.stack(mats),
-                               B_stream=targets, boxed=bool(boxed))
+                               B_stream=targets, boxed=boxed)
 
 
 def parse_sdp_instance(text: str) -> CoveringSdpInstance:
     doc = _document(text, "n", "d", "c", "A", "B")
-    n, d, c, A, B = doc["n"], doc["d"], doc["c"], doc["A"], doc["B"]
-    boxed = doc.get("boxed", False)
-    if not isinstance(boxed, bool):
-        raise MalformedDocument("boxed must be a boolean")
-    return make_sdp_instance(n, d, c, A, B, boxed)
+    return make_sdp_instance(doc["n"], doc["d"], doc["c"], doc["A"], doc["B"],
+                             doc.get("boxed", False))
 
 
 def serialize_sdp_instance(inst: CoveringSdpInstance) -> str:
@@ -450,16 +468,10 @@ def validate_advice(x_prime, lam, n: int, boxed: bool) -> AdviceVector:
     x = as_numbers(x_prime, "advice x")
     if x.shape != (n,):
         raise LengthMismatch(f"advice has shape {x.shape}, expected ({n},)")
-    if not np.all(np.isfinite(x)):
-        raise MalformedDocument("advice must be finite")
-    if np.any(x < 0):
-        raise NegativeAdvice("advice entries must be nonnegative")
-    lam = as_number(lam, "lambda")
-    if not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRange(f"lambda {lam} outside [0, 1]")
+    adv = AdviceVector(x_prime=x, lam=lam)
     if boxed and np.any(x > 1.0 + 1e-12):
         raise AdviceAboveCap("boxed advice entries must be at most 1")
-    return AdviceVector(x_prime=x, lam=lam)
+    return adv
 
 
 def parse_advice(text: str, n: int, boxed: bool) -> AdviceVector:

@@ -60,9 +60,11 @@ def _syevr_work(d: int) -> tuple[int, int]:
 
 def frobenius_norm(a: np.ndarray) -> float:
     """||a||_F of a float array, with the bits of `np.linalg.norm`, which
-    takes the same dot over the same memory-order ravel."""
+    takes the same dot over the same memory-order ravel. `np.vdot` runs the
+    BLAS ddot that `ndarray.dot` runs but raises no floating-point warning,
+    so a sum that overflows is inf quietly: every caller tests the norm."""
     flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    return math.sqrt(np.vdot(flat, flat))
 
 
 def checked_matrix(m) -> tuple[np.ndarray, float]:

@@ -334,7 +334,7 @@ def test_non_finite_target_is_bad_input(bad):
     (np.diag([1e200, -1e200, 1.0]), MalformedDocument),
 ])
 @pytest.mark.parametrize("entry", [feasibility_gap, process_matrix])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_entry_checks_the_target_alike(entry, target, error):
     A = [np.diag([1.0, 2.0, 3.0]), np.eye(3)]
     st = new_sdp_solver(make_sdp_instance(2, 3, [1.0, 1.0], A, [np.eye(3)]))
@@ -346,7 +346,7 @@ def test_every_entry_checks_the_target_alike(entry, target, error):
 @pytest.mark.parametrize("bad", [np.full((3, 3), np.nan),
                                  np.diag([1e200, -1e200, 1.0])],
                          ids=["nan", "norm-overflows"])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_make_sdp_instance_checks_a_bad_matrix_as_the_solver_does(slot, bad):
     # make_sdp_instance is one more entry of the check above: the same
     # class and the same message after the matrix's name. Shapes differ on

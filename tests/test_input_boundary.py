@@ -1,9 +1,10 @@
 """The package's input boundary: every constructor that takes numbers, and
 the group Steiner oracle, checks them with `instances.as_numbers` /
-`as_number` / `as_integer`. A value it cannot use, a list that is none or
-an unboxed state given to a boxed entry point raises a PdlaError subclass
-naming the field, never a bare ValueError, TypeError or IndexError, and a
-value is never read as another number (a boolean as 1.0, say)."""
+`as_number` / `as_integer` / `as_count`, and every flag with `as_flag`. A
+value it cannot use, a list that is none or an unboxed state given to a
+boxed entry point raises a PdlaError subclass naming the field, never a
+bare ValueError, TypeError or IndexError, and a value is never read as
+another number (a boolean as 1.0, say)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,11 @@ from pdla.baselines import advice_scaling, offline_solve, simple_switch
 from pdla.covering_lp import new_lp_solver, process_row
 from pdla.covering_lp_box import process_row_box
 from pdla.covering_sdp import new_sdp_solver, process_matrix
-from pdla.errors import PdlaError
+from pdla.errors import LambdaOutOfRange, MalformedDocument, PdlaError
 from pdla.experiments import ExperimentConfig
-from pdla.instances import (SolverParams, cost_vector, make_lp_instance,
-                            make_sdp_instance, normalize_box_bounds,
-                            row_arrays, validate_advice)
+from pdla.instances import (AdviceVector, SolverParams, cost_vector,
+                            make_lp_instance, make_sdp_instance,
+                            normalize_box_bounds, row_arrays, validate_advice)
 
 _ROWS = [[(0, 1.0)], [(1, 1.0)]]
 _EDGE = RootedTree.from_edge_list(2, 0, [(0, 1, 1.0)])
@@ -83,6 +84,13 @@ _CALLS = {
     "solver-costs": lambda v: new_lp_solver(2, v),
     "advice-x": lambda v: validate_advice(v, 0.5, 2, False),
     "advice-lambda": lambda v: validate_advice([0.5, 0.5], v, 2, False),
+    "advice-vector-x": lambda v: new_lp_solver(
+        2, [1.0, 1.0], advice=AdviceVector(v, 0.5)),
+    "advice-vector-lambda": lambda v: AdviceVector(np.ones(2), v),
+    "lp-boxed": lambda v: make_lp_instance(2, [1.0, 1.0], _ROWS, boxed=v),
+    "sdp-boxed": lambda v: make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]],
+                                             boxed=v),
+    "solver-boxed": lambda v: new_lp_solver(2, [1.0, 1.0], boxed=v),
     "set-costs": lambda v: SetSystem(v, [[0]]),
     "set-member": lambda v: SetSystem([1.0, 1.0], [[0, v]]),
     "set-group": lambda v: SetSystem([1.0, 1.0], [v]),
@@ -130,3 +138,38 @@ def test_every_constructor_returns_or_raises_a_package_error(slot, value):
         _CALLS[slot](value)
     except PdlaError:
         pass
+
+
+def test_an_advice_vector_built_by_hand_is_checked():
+    # The checks validate_advice makes on the values, in its order, with
+    # its classes and messages: a NaN never reaches the solver.
+    with pytest.raises(MalformedDocument, match="advice must be finite"):
+        AdviceVector(np.array([np.nan, 1.0]), 0.5)
+    with pytest.raises(LambdaOutOfRange, match="lambda nan outside"):
+        AdviceVector(np.array([1.0, 1.0]), np.nan)
+    # A list is taken as a float array, as validate_advice takes it.
+    adv = AdviceVector([1.0, 1.0], 0.5)
+    assert adv.x_prime.dtype == float and adv.lam == 0.5
+    st_ = new_lp_solver(2, [1.0, 1.0], advice=adv)
+    assert process_row(st_, [(0, 1.0), (1, 1.0)]).stop_reason == "satisfied"
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: make_lp_instance(2, [1, 1], [[(0, 1.0)]], boxed=v).boxed,
+    lambda v: make_sdp_instance(1, 1, [1.0], [[1.0]], [[1.0]],
+                                boxed=v).boxed,
+    lambda v: new_lp_solver(2, [1, 1], boxed=v).boxed,
+], ids=["lp-instance", "sdp-instance", "solver"])
+def test_boxed_is_one_checked_bool(call):
+    # A string is no flag, even one that reads as true; a numpy bool is
+    # kept as a Python bool.
+    with pytest.raises(MalformedDocument, match="boxed must be a boolean"):
+        call("no")
+    for flag in (np.True_, np.False_):
+        assert call(flag) is bool(flag)
+
+
+def test_the_full_flag_takes_a_numpy_bool():
+    assert ExperimentConfig(kind="LambdaSweep", full=np.True_).full is True
+    with pytest.raises(MalformedDocument, match="full must be true or false"):
+        ExperimentConfig(kind="LambdaSweep", full=1)

@@ -323,7 +323,7 @@ def test_make_sdp_instance_checks_each_matrix_once(monkeypatch):
     assert np.array_equal(inst.A[1], inst.A[1].T)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("big", [1e200, 1.7e308])
 def test_sdp_matrix_whose_norm_overflows_is_malformed(big):
     # An infinite norm would make the PSD floor infinite and pass anything.

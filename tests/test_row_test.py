@@ -60,9 +60,9 @@ def test_a_row_is_held_exactly_when_its_separation_holds(case):
     grown = []
     real = covering_lp.grow_round
 
-    def spy(st_, sep_, report):
-        grown.append(report)
-        return real(st_, sep_, report)
+    def spy(st_, sep_):
+        grown.append(sep_)
+        return real(st_, sep_)
 
     covering_lp.grow_round = spy
     try:

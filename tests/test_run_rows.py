@@ -160,12 +160,12 @@ def test_held_rows_take_one_path_and_fold_their_columns(run):
     states, outcomes, grown = [], [], []
     real = covering_lp.grow_round
 
-    def spy(state, sep, report):
+    def spy(state, sep):
         # Only the row that opens phase 1 and rows that fail the test at
         # the phase point grow.
         assert state.phase is None or not sep.holds(state.phase.x)
         grown.append(state.round_no + 1)
-        return real(state, sep, report)
+        return real(state, sep)
 
     # The spied loop folds every `fold` rows; the plain loop at the default
     # COLUMN_FOLD.
@@ -225,9 +225,9 @@ def test_held_rows_never_reach_grow_round(monkeypatch):
     grown = []
     real = covering_lp.grow_round
 
-    def spy(state, sep, report):
+    def spy(state, sep):
         grown.append((sep.support.tolist(), sep.vals.tolist()))
-        return real(state, sep, report)
+        return real(state, sep)
 
     monkeypatch.setattr(covering_lp, "grow_round", spy)
     st, reports = covering_lp.run_lp(make_lp_instance(2, [1.0, 1.0], rows))
