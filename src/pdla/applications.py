@@ -18,11 +18,10 @@ from .covering_lp import current_solution, run_lp, run_source
 from .covering_lp_box import new_lp_box_solver
 # Not called here; kept because the traced benchmark rebinds this name.
 from .covering_lp_box import process_row_box  # noqa: F401
-from .errors import (Infeasible, LengthMismatch, MalformedDocument,
-                     UncoverableElement)
+from .errors import Infeasible, MalformedDocument, UncoverableElement
 from .instances import (AdviceVector, CoveringLpInstance, SolverParams,
-                        SparseRow, as_integer, as_numbers, cost_vector,
-                        make_lp_instance)
+                        SparseRow, as_integer, as_numbers, as_vector,
+                        cost_vector, make_lp_instance)
 
 
 # ---------------------------------------------------------------- set cover
@@ -212,7 +211,8 @@ class RootedTree:
         try:
             ends = [(as_integer(u, _VERTEX), as_integer(v, _VERTEX))
                     for u, v, _ in edges]
-            costs = as_numbers([cost for _, _, cost in edges], "edge costs")
+            costs = as_vector([cost for _, _, cost in edges], len(ends),
+                              "edge costs").tolist()
         except (TypeError, ValueError) as exc:
             raise MalformedDocument(f"edges must be [u, v, cost] triples: "
                                     f"{exc}") from None
@@ -220,9 +220,6 @@ class RootedTree:
             raise MalformedDocument(
                 f"{len(ends)} edges cannot form a spanning tree on "
                 f"{num_nodes} nodes")
-        if costs.shape != (len(ends),):
-            raise MalformedDocument("each edge cost must be one number")
-        costs = costs.tolist()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         for k, (u, v) in enumerate(ends):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes) or u == v:
@@ -266,9 +263,7 @@ def gst_oracle(tree: RootedTree, group: list[int], x_edges,
     for v in group:
         if not 0 <= as_integer(v, _VERTEX) < tree.num_nodes:
             raise MalformedDocument(f"group vertex {v} out of range")
-    x = as_numbers(x_edges, "edge values x")
-    if x.shape != (len(tree.edges),):
-        raise LengthMismatch(f"x is {x.shape}, expected {(len(tree.edges),)}")
+    x = as_vector(x_edges, len(tree.edges), "edge values x")
     if tree.root in group:
         return None
     net = FlowNetwork(num_nodes=tree.num_nodes + 1)

@@ -17,10 +17,10 @@ import numpy as np
 
 from .covering_lp import (ADVICE_ROW_TOL, _row_test, current_solution,
                           new_lp_solver, process_row)
-from .errors import (Infeasible, LengthMismatch, MalformedDocument,
-                     NotConverged, UnscalableRow)
+from .errors import (Infeasible, MalformedDocument, NotConverged,
+                     UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
-                        as_number, as_numbers, row_arrays)
+                        as_number, as_vector, row_arrays)
 
 
 @dataclass
@@ -61,9 +61,7 @@ def simple_switch(n, costs, rows, advice: AdviceVector,
     Returns (x_published, records).
     """
     online = new_lp_solver(n, costs, advice=None, params=params)
-    c, xp = online.c, advice.x_prime
-    if xp.shape != c.shape:
-        raise LengthMismatch("advice length does not match n")
+    c, xp = online.c, as_vector(advice.x_prime, online.n, "advice x")
     cost_advice = float(c @ xp)
     advice_ok = True
     crossed = False            # cost of advice dipped below the online run
@@ -98,22 +96,27 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
 
     Each violated row multiplies the suggestion by 1/(row value at x') and
     folds the result in with a coordinatewise max. A row the suggestion
-    misses entirely cannot be fixed by scaling: UnscalableRow. The
-    suggestion must hold n numbers (`instances.as_numbers`).
+    misses entirely, or one whose scaled suggestion overflows, cannot be
+    fixed by scaling: UnscalableRow. The suggestion must hold n numbers
+    (`instances.as_vector`).
     """
-    xp = as_numbers(advice_x, "advice")
-    if xp.shape != (n,):
-        raise LengthMismatch(f"advice has shape {xp.shape}, expected ({n},)")
+    xp = as_vector(advice_x, n, "advice")
     x = np.zeros_like(xp)
-    for i, row in enumerate(rows, start=1):
-        idx, vals = row_arrays(row, n)
-        if _row_test(idx, vals, x, ADVICE_ROW_TOL)[1]:
-            continue
-        aval = vals @ xp[idx]
-        if aval <= 0.0:
-            raise UnscalableRow(
-                f"row {i} has no overlap with the suggestion")
-        x = np.maximum(x, xp * max(1.0, 1.0 / aval))
+    # Overflow shows as a non-finite point, which raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(rows, start=1):
+            idx, vals = row_arrays(row, n)
+            if _row_test(idx, vals, x, ADVICE_ROW_TOL)[1]:
+                continue
+            aval = vals @ xp[idx]
+            if aval <= 0.0:
+                raise UnscalableRow(
+                    f"row {i} has no overlap with the suggestion")
+            scaled = xp * max(1.0, 1.0 / aval)
+            if not np.isfinite(scaled).all():
+                raise UnscalableRow(f"row {i} scales the suggestion by "
+                                    f"1 / {aval:.6g}, which overflows")
+            x = np.maximum(x, scaled)
     return x
 
 

@@ -16,7 +16,7 @@ from .applications import (parse_tree_doc, set_cover_instance,
                            solve_gst_online)
 from .baselines import offline_solve
 from .covering_lp import current_solution, dual_certificate, run_lp
-from .covering_sdp import dual_certificate as sdp_dual_certificate, run_sdp
+from .covering_sdp import run_sdp
 from .errors import (ExponentOverflow, Infeasible, MalformedDocument,
                      NoFeasibleSolution, NoProgress, NotConverged, PdlaError,
                      PhaseRestartLimit, UncoverableElement, UnscalableRow)
@@ -80,30 +80,29 @@ def _finish(state, cert=None) -> int:
     return EXIT_OK
 
 
-def _solve(args, inst, run, certify) -> int:
+def _solve(args, inst, run) -> int:
     """Run the instance through `run`, boxed when it is or --boxed asks, and
-    print the result document with the certificate `certify` gives."""
+    print the result document with its certificate's scale and objective
+    (`covering_lp.dual_certificate`, which an SDP's certificate extends)."""
     if args.boxed:
         inst = replace(inst, boxed=True)
     adv = _load_advice(args, inst.n, inst.boxed)
     st, _ = run(inst, advice=adv, params=SolverParams(trace=args.trace))
-    return _finish(st, certify(st))
+    return _finish(st, dual_certificate(st))
 
 
 def _cmd_solve_lp(args) -> int:
-    return _solve(args, parse_lp_instance(_read(args.instance)), run_lp,
-                  dual_certificate)
+    return _solve(args, parse_lp_instance(_read(args.instance)), run_lp)
 
 
 def _cmd_solve_sdp(args) -> int:
-    return _solve(args, parse_sdp_instance(_read(args.instance)), run_sdp,
-                  sdp_dual_certificate)
+    return _solve(args, parse_sdp_instance(_read(args.instance)), run_sdp)
 
 
 def _cmd_set_cover(args) -> int:
     system = ingest_edge_list(args.graph, cost_seed=args.cost_seed,
                               cost_scale=args.cost_scale)
-    return _solve(args, set_cover_instance(system), run_lp, dual_certificate)
+    return _solve(args, set_cover_instance(system), run_lp)
 
 
 def _cmd_gst(args) -> int:

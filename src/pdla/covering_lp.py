@@ -45,12 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ExponentOverflow, LengthMismatch, NoFeasibleSolution,
-                     NoProgress, NotConverged, PhaseRestartLimit)
+from .errors import (ExponentOverflow, NoFeasibleSolution, NoProgress,
+                     NotConverged, PhaseRestartLimit)
 from .growth import TOL, advance, coefficient_vector, find_stop
 from .instances import (BOXED_FLAG, AdviceVector, CoveringLpInstance, Row,
-                        SolverParams, as_flag, as_integer, cost_vector,
-                        row_arrays)
+                        SolverParams, as_count, as_flag, cost_vector,
+                        row_arrays, validate_advice)
 # Not called here; kept because the traced benchmark rebinds this name.
 from .instances import validate_row  # noqa: F401
 
@@ -99,9 +99,9 @@ class DualCertificate:
 class SolverState:
     """What every solver variant tracks; solver states add their own.
 
-    Checks n (`instances.as_integer`), the costs (`instances.cost_vector`),
-    the suggestion's length and boxed (`instances.as_flag`), each failure a
-    MalformedDocument or one of its subclasses; params defaults to
+    Checks n (`instances.as_count`), the costs, boxed and the suggestion
+    (`validate_advice`: when boxed, AdviceAboveCap above 1 + 1e-12) as
+    `make_lp_instance` and `validate_advice` do; params defaults to
     `SolverParams()`."""
     n: int
     c: np.ndarray
@@ -118,11 +118,12 @@ class SolverState:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.n = as_integer(self.n, "n must be an integer")
+        self.n = as_count(self.n, "n must be a positive integer")
         self.c = cost_vector(self.c, self.n)
-        if self.advice is not None and self.advice.x_prime.shape != (self.n,):
-            raise LengthMismatch("advice length does not match n")
         self.boxed = as_flag(self.boxed, BOXED_FLAG)
+        if self.advice is not None:
+            self.advice = validate_advice(self.advice.x_prime,
+                                          self.advice.lam, self.n, self.boxed)
         if self.params is None:
             self.params = SolverParams()
         self.x_best = np.zeros(self.n)

@@ -40,7 +40,7 @@ from .errors import (DimensionMismatch, NoFeasibleSolution, NonMonotoneB,
 # Not called here; kept because the traced benchmark rebinds these names.
 from .growth import advance, coefficient_vector, find_stop  # noqa: F401
 from .instances import (AdviceVector, CoveringSdpInstance, SolverParams,
-                        as_matrix, as_numbers)
+                        as_count, as_matrix, as_numbers)
 from .symmetric import checked_matrix, cholesky_proves, is_psd, min_eigpair
 
 # Relative floor on the implicit row: v'A_j v <= SPAN_TOL tr(A_j) counts as
@@ -71,6 +71,7 @@ class SdpSolverState(SolverState):
 
     def __post_init__(self):
         super().__post_init__()
+        self.d = as_count(self.d, "d must be a positive integer")
         self.A = A = as_numbers(self.A, "A")
         if A.shape != (self.n, self.d, self.d):
             raise DimensionMismatch(
@@ -93,12 +94,13 @@ class SdpSolverState(SolverState):
 class _EigenSeparation(Separation):
     """The SDP's separation step against one target B: the residual's least
     eigenpair (lam, v) and the implicit row w_j = v' A_j v >= b = v' B v.
-    norm is ||B||_F, which sets the floor the least eigenvalue must reach.
-    A test that a Cholesky proof settles leaves (lam, v) as they were; cut()
-    follows only a test that failed, which computed them."""
+    norm is ||B||_F, which sets the floor the least eigenvalue must reach,
+    at x and at the suggestion alike. A test that a Cholesky proof settles
+    leaves (lam, v) as they were; cut() follows only a test that failed,
+    which computed them."""
 
     def __init__(self, state: SdpSolverState, B: np.ndarray, norm: float):
-        self.state, self.B = state, B
+        self.state, self.B, self.norm = state, B, norm
         self.support = state.support
         self.floor = -state.params.tol_psd * max(1.0, norm)
 
@@ -112,9 +114,10 @@ class _EigenSeparation(Separation):
         return float(np.min(st.c[ok] * np.trace(self.B) / st.traces[ok]))
 
     def advice_holds(self, adv: AdviceVector) -> bool:
-        """Whether sum_j x'_j A_j covers B."""
+        """Whether sum_j x'_j A_j covers B, at the floor `holds` uses:
+        tol_psd * max(1, ||B||_F), not the residual's own norm."""
         return is_psd(self.state.residual(adv.x_prime, self.B),
-                      tol_psd=self.state.params.tol_psd)
+                      tol_psd=self.state.params.tol_psd, scale=self.norm)
 
     def holds(self, x: np.ndarray) -> bool:
         """Whether lambda_min(sum_j x_j A_j - B) reaches the floor: the

@@ -184,11 +184,18 @@ def as_flag(raw, message: str) -> bool:
     return bool(raw)
 
 
+def as_vector(raw, n: int, what: str) -> np.ndarray:
+    """raw as n numbers (`as_numbers`) of shape (n,), else LengthMismatch."""
+    x = as_numbers(raw, what)
+    if x.shape != (n,):
+        raise LengthMismatch(f"{what} has wrong length {x.shape}, "
+                             f"expected ({n},)")
+    return x
+
+
 def cost_vector(raw, n: int) -> np.ndarray:
-    """The costs as a float array: n numbers, finite and positive."""
-    c = as_numbers(raw, "costs")
-    if c.shape != (n,):
-        raise LengthMismatch(f"cost vector has shape {c.shape}, expected ({n},)")
+    """The costs as n numbers (`as_vector`), finite and positive."""
+    c = as_vector(raw, n, "costs")
     if not np.all(np.isfinite(c)):
         raise MalformedDocument("costs must be finite")
     if np.any(c <= 0):
@@ -359,13 +366,21 @@ def normalize_box_bounds(n, c, rows, u):
     solutions. The JSON format only carries normalized instances.
     """
     inst = make_lp_instance(n, c, rows, boxed=True)
-    u = as_numbers(u, "upper bounds")
-    if u.shape != (inst.n,):
-        raise LengthMismatch("u has wrong length")
+    u = as_vector(u, inst.n, "upper bounds")
     if np.any(u <= 0) or not np.all(np.isfinite(u)):
         raise MalformedDocument("upper bounds must be positive and finite")
-    scaled_rows = [[(j, v * u[j]) for j, v in row] for row in inst.rows]
-    return make_lp_instance(inst.n, inst.c * u, scaled_rows, boxed=True), u
+    # Scaling breaks the checked costs and rows only by an overflow or by
+    # zeroing a cost or a whole row: cost_vector refuses such costs, and
+    # row_arrays, called on such a row only, raises the row rule's error.
+    with np.errstate(over="ignore"):
+        cu = cost_vector(inst.c * u, inst.n)
+        scaled = []
+        for r in inst.rows:
+            vals = r.vals * u[r.idx]
+            if not (np.isfinite(vals).all() and vals.any()):
+                row_arrays(list(zip(r.idx.tolist(), vals.tolist())), inst.n)
+            scaled.append(Row(r.idx, vals, inst.n))
+    return CoveringLpInstance(n=inst.n, c=cu, rows=scaled, boxed=True), u
 
 
 # --- SDP ---------------------------------------------------------------------
@@ -465,9 +480,7 @@ def serialize_sdp_instance(inst: CoveringSdpInstance) -> str:
 
 
 def validate_advice(x_prime, lam, n: int, boxed: bool) -> AdviceVector:
-    x = as_numbers(x_prime, "advice x")
-    if x.shape != (n,):
-        raise LengthMismatch(f"advice has shape {x.shape}, expected ({n},)")
+    x = as_vector(x_prime, n, "advice x")
     adv = AdviceVector(x_prime=x, lam=lam)
     if boxed and np.any(x > 1.0 + 1e-12):
         raise AdviceAboveCap("boxed advice entries must be at most 1")

@@ -171,3 +171,22 @@ def test_sdp_run_does_not_import_the_lp_solver(fresh_python):
     out = fresh_python("-c", _SDP_WITHOUT_LP_SOLVER)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, rows, advice_x", [
+    (1, [[(0, 1.0)]], [1e-320]),                # 1 / 1e-320 overflows
+    (2, [[(0, 1e-300)]], [1e-10, 0.0]),         # inf, and 0 * inf = nan
+])
+def test_advice_scaling_refuses_a_scale_that_overflows(n, rows, advice_x):
+    # The scaled suggestion would be non-finite: an error naming the row,
+    # not a published inf or nan, and no numpy warning.
+    with pytest.raises(UnscalableRow, match="row 1 .*overflows"):
+        advice_scaling(n, rows, advice_x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_advice_scaling_keeps_a_huge_row_value_finite():
+    # The row value at x' overflows to inf: x' covers the row unscaled.
+    x = advice_scaling(1, [[(0, 1e200)]], [1e200])
+    assert x.tolist() == [1e200]

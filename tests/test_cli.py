@@ -4,8 +4,10 @@ import json
 import pytest
 
 import pdla.cli as cli
+from pdla import covering_sdp
 from pdla.errors import (MalformedDocument, NoFeasibleSolution, NotConverged,
                          PhaseRestartLimit)
+from pdla.instances import parse_sdp_instance, validate_advice
 
 
 def _lp_doc(boxed=False):
@@ -116,6 +118,24 @@ def test_solve_sdp_diagonal(tmp_path, capsys):
     assert set(out) == SOLVER_KEYS
     assert set(out["dual"]) == {"scale", "objective"}
     assert out["x"][0] >= 0.5 - 1e-6 and out["x"][1] >= 0.5 - 1e-6
+
+
+def test_solve_sdp_prints_the_sdp_certificate(tmp_path, capsys):
+    # The CLI reads one certificate path for LP and SDP states; its dual
+    # is the SDP certificate's scale and objective, bit for bit.
+    doc = {"n": 2, "d": 2, "c": [1.0, 3.0], "boxed": True,
+           "A": [[[1.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 1.0]]],
+           "B": [[[0.3, 0.0], [0.0, 0.2]], [[0.6, 0.1], [0.1, 0.7]]]}
+    inst = _write(tmp_path, "sdp.json", doc)
+    adv = _write(tmp_path, "adv.json", {"lambda": 0.2, "x": [0.5, 0.25]})
+    assert cli.main(["solve-sdp", "--instance", inst, "--advice", adv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    st, _ = covering_sdp.run_sdp(
+        parse_sdp_instance(json.dumps(doc)),
+        advice=validate_advice([0.5, 0.25], 0.2, 2, True))
+    cert = covering_sdp.dual_certificate(st)
+    assert cert.scale > 0.0
+    assert out["dual"] == {"scale": cert.scale, "objective": cert.objective}
 
 
 @pytest.mark.parametrize("command, doc, unboxed", [

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from pdla import covering_lp, covering_sdp, symmetric
-from pdla.covering_sdp import (beta_seen, current_solution, dual_certificate,
-                               feasibility_gap, kappa_seen, new_sdp_solver,
-                               process_matrix, run_sdp)
-from pdla.errors import (DimensionMismatch, ExponentOverflow, LengthMismatch,
-                         MalformedDocument, NoFeasibleSolution, NonMonotoneB,
-                         NonPositiveCost)
+from pdla.covering_sdp import (SdpSolverState, beta_seen, current_solution,
+                               dual_certificate, feasibility_gap, kappa_seen,
+                               new_sdp_solver, process_matrix, run_sdp)
+from pdla.errors import (AdviceAboveCap, DimensionMismatch, ExponentOverflow,
+                         LengthMismatch, MalformedDocument,
+                         NoFeasibleSolution, NonMonotoneB, NonPositiveCost)
 from pdla.instances import (AdviceVector, CoveringSdpInstance, SolverParams,
                             make_sdp_instance, validate_advice)
 from pdla.symmetric import min_eigpair
@@ -578,3 +578,39 @@ def test_a_round_that_raises_leaves_the_state_as_it_was():
     assert _snapshot(st) == before
     process_matrix(st, np.diag([2.0, 0.0]))
     assert feasibility_gap(st, np.diag([2.0, 0.0])) >= -1e-6
+
+
+def test_the_suggestion_test_uses_the_floor_of_the_target(monkeypatch):
+    # x' = (1e6, 1 - 1e-5) misses B = I by 1e-5 along e_2. The floor is
+    # tol_psd * max(1, ||B||_F) for x and for x' alike; one relative to
+    # the residual's own norm (about 1e6) would count x' as covering B and
+    # arm suggestion-proportional sharing on a suggestion that misses it.
+    inst = make_sdp_instance(2, 2, [1.0, 1.0], [np.diag([1.0, 0.0]),
+                                                np.diag([0.0, 1.0])], [I2()])
+    adv = AdviceVector([1e6, 1.0 - 1e-5], 0.5)
+    st = new_sdp_solver(inst, advice=adv)
+    B = inst.B_stream[0]
+    sep = covering_sdp._EigenSeparation(st, B, float(np.linalg.norm(B)))
+    assert not sep.holds(adv.x_prime)
+    assert not sep.advice_holds(adv)
+    armed = []
+    real = covering_lp.coefficient_vector
+    monkeypatch.setattr(covering_lp, "coefficient_vector",
+                        lambda *a: armed.append(a[4]) or real(*a))
+    assert process_matrix(st, B).stop_reason == "satisfied"
+    assert armed and not any(armed)
+
+
+def test_a_boxed_sdp_solver_refuses_advice_above_the_cap():
+    inst = make_sdp_instance(2, 1, [1.0, 1.0], [[1.0], [1.0]], [[1.0]],
+                             boxed=True)
+    with pytest.raises(AdviceAboveCap):
+        new_sdp_solver(inst, advice=AdviceVector([5.0, 0.0], 0.1))
+    new_sdp_solver(inst, advice=AdviceVector([1.0, 0.0], 0.1))
+
+
+@pytest.mark.parametrize("d", [True, 0, 1.0])
+def test_an_sdp_solver_state_checks_d_as_a_count(d):
+    with pytest.raises(MalformedDocument, match="d must be a positive"):
+        SdpSolverState(n=1, d=d, c=[1.0], A=np.ones((1, 1, 1)), boxed=False,
+                       advice=None)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from pdla.applications import RootedTree, SetSystem, gst_oracle
 from pdla.baselines import advice_scaling, offline_solve, simple_switch
 from pdla.covering_lp import new_lp_solver, process_row
-from pdla.covering_lp_box import process_row_box
+from pdla.covering_lp_box import new_lp_box_solver, process_row_box
 from pdla.covering_sdp import new_sdp_solver, process_matrix
-from pdla.errors import LambdaOutOfRange, MalformedDocument, PdlaError
+from pdla.errors import (AdviceAboveCap, LambdaOutOfRange, MalformedDocument,
+                         PdlaError)
 from pdla.experiments import ExperimentConfig
 from pdla.instances import (AdviceVector, SolverParams, cost_vector,
                             make_lp_instance, make_sdp_instance,
@@ -173,3 +174,75 @@ def test_the_full_flag_takes_a_numpy_bool():
     assert ExperimentConfig(kind="LambdaSweep", full=np.True_).full is True
     with pytest.raises(MalformedDocument, match="full must be true or false"):
         ExperimentConfig(kind="LambdaSweep", full=1)
+
+
+def test_a_solver_of_no_columns_is_refused_as_an_instance_is():
+    for build in (lambda: make_lp_instance(0, [], []),
+                  lambda: new_lp_solver(0, [])):
+        with pytest.raises(MalformedDocument, match="n must be a positive"):
+            build()
+
+
+def test_a_boxed_lp_solver_refuses_advice_above_the_cap():
+    with pytest.raises(AdviceAboveCap):
+        new_lp_box_solver(2, [1.0, 1.0], advice=AdviceVector([5.0, 0.0], 0.1))
+    # Unboxed the same suggestion is fine, and the cap allows 1 + 1e-12.
+    new_lp_solver(2, [1.0, 1.0], advice=AdviceVector([5.0, 0.0], 0.1))
+    new_lp_box_solver(2, [1.0, 1.0],
+                      advice=AdviceVector([1.0 + 1e-12, 0.0], 0.1))
+
+
+def _refusal(call):
+    """The class of the PdlaError call raises, or None when it returns."""
+    try:
+        call()
+    except PdlaError as exc:
+        return type(exc)
+    return None
+
+
+def _spoiled(good, scalars):
+    """good with one entry replaced by one of scalars, or of another shape,
+    or no list of numbers at all."""
+    return st.one_of(st.sampled_from(scalars).map(lambda v: [v, *good[1:]]),
+                     st.sampled_from([good[:-1], good + good[:1], [good],
+                                      1.0, None]))
+
+
+_BAD = {
+    "n": lambda f: st.sampled_from([0, -1, True, 2.0, "2", None,
+                                    np.int64(0), 1, 5]),
+    "costs": lambda f: _spoiled(f["costs"], [0.0, -1.0, np.nan, np.inf,
+                                             True, "1"]),
+    "boxed": lambda f: st.sampled_from(["no", 1, None, 0.0]),
+    "x": lambda f: _spoiled(f["x"], [1.5, 1.0 + 1e-11, 1.0 + 1e-12, -0.1,
+                                     np.nan, np.inf, True, "0.5"]),
+    "lam": lambda f: st.sampled_from([-0.1, 1.5, np.nan, True, None, "0.5",
+                                      [0.5]]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 4), boxed=st.booleans(), data=st.data())
+def test_a_solver_state_refuses_what_the_instance_rules_refuse(n, boxed,
+                                                               data):
+    # A valid draw of every field, then at most one field made bad: the
+    # state accepts exactly when make_lp_instance and validate_advice both
+    # do, and raises the class of the one that refuses.
+    f = {"n": n, "boxed": boxed,
+         "costs": data.draw(st.lists(st.floats(0.1, 10.0), min_size=n,
+                                     max_size=n)),
+         "x": data.draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                 max_size=n)),
+         "lam": data.draw(st.floats(0.0, 1.0))}
+    bad = data.draw(st.sampled_from([None, *_BAD]))
+    if bad is not None:
+        f[bad] = data.draw(_BAD[bad](f))
+    instance = _refusal(lambda: make_lp_instance(f["n"], f["costs"], [],
+                                                 f["boxed"]))
+    advice = _refusal(lambda: validate_advice(f["x"], f["lam"], f["n"],
+                                              f["boxed"]))
+    state = _refusal(lambda: new_lp_solver(
+        f["n"], f["costs"], advice=AdviceVector(f["x"], f["lam"]),
+        boxed=f["boxed"]))
+    assert state == (instance or advice)

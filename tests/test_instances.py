@@ -273,6 +273,33 @@ def test_box_normalization_helper():
     assert inst.boxed
 
 
+@pytest.mark.filterwarnings("error")
+def test_box_normalization_scales_each_checked_row_once():
+    # The rows are the products a_ij * u_j that scaling the pairs one by
+    # one and checking the result again gives, bit for bit.
+    rng = np.random.default_rng(7)
+    n = 6
+    c = rng.uniform(0.5, 2.0, n)
+    rows = [[(int(j), float(rng.uniform(0.1, 3.0)))
+             for j in rng.choice(n, 3, replace=False)] for _ in range(20)]
+    u = rng.uniform(1e-3, 1e3, n)
+    inst, _ = normalize_box_bounds(n, c, rows, u)
+    again = make_lp_instance(n, c * u, [[(j, v * u[j]) for j, v in row]
+                                        for row in rows], boxed=True)
+    assert np.array_equal(inst.c, again.c)
+    assert all(type(r) is Row and np.array_equal(r.idx, s.idx)
+               and np.array_equal(r.vals, s.vals)
+               for r, s in zip(inst.rows, again.rows, strict=True))
+    # What scaling breaks is refused with the instance rules' errors, and
+    # no numpy warning.
+    with pytest.raises(MalformedDocument, match="row entries must be"):
+        normalize_box_bounds(1, [1.0], [[(0, 1e300)]], [1e10])
+    with pytest.raises(MalformedDocument, match="costs must be finite"):
+        normalize_box_bounds(1, [1e300], [[(0, 1.0)]], [1e10])
+    with pytest.raises(EmptyRow):
+        normalize_box_bounds(1, [1.0], [[(0, 1e-300)]], [1e-300])
+
+
 def test_advice_validation():
     adv = validate_advice([0.5, 0.0], 0.25, 2, boxed=False)
     assert isinstance(adv, AdviceVector)
