@@ -96,9 +96,12 @@ class FlowNetwork:
 def max_flow(net: FlowNetwork, s: int, t: int):
     """Blocking-flow max flow (Dinic); returns (value, cut_arc_indices).
 
-    The cut is the set of original arcs leaving the residual-reachable side
-    of s; its indices refer to net.arcs order. Capacities are floats, so
-    residuals below a scale-aware epsilon count as saturated.
+    The cut is the set of original arcs leaving the source side, the
+    vertices of the last level graph: Dinic stops on a level search that no
+    longer reaches t, and that search runs to exhaustion, so its levels
+    mark exactly the residual reachability from s. Cut indices refer to
+    net.arcs order. Capacities are floats, so residuals below a scale-aware
+    epsilon count as saturated.
     """
     if s == t:
         raise MalformedDocument("source equals sink")
@@ -127,13 +130,10 @@ def max_flow(net: FlowNetwork, s: int, t: int):
                 if caps[e] > eps and level[v] < 0:
                     level[v] = level[u] + 1
                     dq.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     value = 0.0
-    while True:
-        level = bfs_levels()
-        if level is None:
-            break
+    while (level := bfs_levels())[t] >= 0:
         # Blocking flow: walk admissible arcs from s, keeping the arcs
         # walked; at t push the path's least capacity and restart from s,
         # at a dead end retreat one arc and skip it.
@@ -160,9 +160,7 @@ def max_flow(net: FlowNetwork, s: int, t: int):
             else:
                 break
 
-    # Source side of the cut under residual reachability.
-    reach = _reachable(n, s, lambda u: (heads[e] for e in adj[u]
-                                        if caps[e] > eps))
+    # The last level graph is the cut's source side: level[u] >= 0.
     # Drop boundary arcs whose head has no directed path to t at all
     # (zero-capacity dead ends); those arcs separate nothing, and keeping
     # them would hand the covering solver constraints over unrelated
@@ -171,24 +169,25 @@ def max_flow(net: FlowNetwork, s: int, t: int):
     rev: list[list[int]] = [[] for _ in range(n)]
     for (u, v, _) in net.arcs:
         rev[v].append(u)
-    coreach = _reachable(n, t, rev.__getitem__)
+    coreach = _levels(n, t, rev.__getitem__)
     cut = [k for k, (u, v, _) in enumerate(net.arcs)
-           if reach[u] and not reach[v] and coreach[v]]
+           if level[u] >= 0 > level[v] and coreach[v] >= 0]
     return value, cut
 
 
-def _reachable(n: int, start: int, successors) -> list[bool]:
-    """Breadth-first reachability from start; successors(u) yields the
-    vertices one step from u."""
-    seen = [False] * n
-    seen[start] = True
+def _levels(n: int, start: int, successors) -> list[int]:
+    """Breadth-first distance from start, -1 where unreached; successors(u)
+    yields the vertices one step from u."""
+    level = [-1] * n
+    level[start] = 0
     dq = deque([start])
     while dq:
-        for v in successors(dq.popleft()):
-            if not seen[v]:
-                seen[v] = True
+        u = dq.popleft()
+        for v in successors(u):
+            if level[v] < 0:
+                level[v] = level[u] + 1
                 dq.append(v)
-    return seen
+    return level
 
 
 # ------------------------------------------------------- group Steiner tree
@@ -220,28 +219,21 @@ class RootedTree:
             raise MalformedDocument(
                 f"{len(ends)} edges cannot form a spanning tree on "
                 f"{num_nodes} nodes")
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        adj: list[list[int]] = [[] for _ in range(num_nodes)]
         for k, (u, v) in enumerate(ends):
             if not (0 <= u < num_nodes and 0 <= v < num_nodes) or u == v:
                 raise MalformedDocument(f"edge {k} = ({u}, {v}) is invalid")
             if not 0.0 < costs[k] < np.inf:
                 raise MalformedDocument(f"edge {k} has cost {costs[k]}")
-            adj[u].append((v, k))
-            adj[v].append((u, k))
-        seen = [False] * num_nodes
-        seen[root] = True
-        order = deque([root])
-        oriented: list[tuple[int, int, float] | None] = [None] * len(ends)
-        while order:
-            u = order.popleft()
-            for (v, k) in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    oriented[k] = (u, v, costs[k])
-                    order.append(v)
-        if not all(seen):
+            adj[u].append(v)
+            adj[v].append(u)
+        level = _levels(num_nodes, root, adj.__getitem__)
+        if min(level) < 0:
             # A cycle among n - 1 edges always leaves some node unreached.
             raise MalformedDocument("edge list is not connected")
+        # On a tree each edge joins adjacent levels; the parent is nearer.
+        oriented = [(u, v, cost) if level[u] < level[v] else (v, u, cost)
+                    for (u, v), cost in zip(ends, costs)]
         return RootedTree(root=root, num_nodes=num_nodes, edges=oriented)
 
 

@@ -20,7 +20,7 @@ from .covering_lp import (ADVICE_ROW_TOL, _row_test, current_solution,
 from .errors import (Infeasible, MalformedDocument, NotConverged,
                      UnscalableRow)
 from .instances import (AdviceVector, CoveringLpInstance, Row, SolverParams,
-                        as_number, as_vector, row_arrays)
+                        as_count, as_number, as_vector, row_arrays)
 
 
 @dataclass
@@ -97,9 +97,10 @@ def advice_scaling(n, rows, advice_x) -> np.ndarray:
     Each violated row multiplies the suggestion by 1/(row value at x') and
     folds the result in with a coordinatewise max. A row the suggestion
     misses entirely, or one whose scaled suggestion overflows, cannot be
-    fixed by scaling: UnscalableRow. The suggestion must hold n numbers
-    (`instances.as_vector`).
+    fixed by scaling: UnscalableRow. n is a count (`instances.as_count`) and
+    the suggestion must hold n numbers (`instances.as_vector`).
     """
+    n = as_count(n, "n must be a positive integer")
     xp = as_vector(advice_x, n, "advice")
     x = np.zeros_like(xp)
     # Overflow shows as a non-finite point, which raises below.

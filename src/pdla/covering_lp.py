@@ -472,14 +472,11 @@ def run_lp(inst: CoveringLpInstance, advice: AdviceVector | None = None,
 def kappa_seen(state: SolverState) -> float:
     """Largest within-column spread max_j a^max_j / a^min_j over revealed rows."""
     seen = state.col_max > 0
-    if not seen.any():
-        return 1.0
-    return float(np.max(state.col_max[seen] / state.col_min[seen]))
+    return float(np.max(state.col_max[seen] / state.col_min[seen],
+                        initial=1.0))
 
 
 def beta_seen(state: SolverState) -> float:
     """Largest entry-to-cost ratio max_j a^max_j / c_j over revealed rows."""
     seen = state.col_max > 0
-    if not seen.any():
-        return 0.0
-    return float(np.max(state.col_max[seen] / state.c[seen]))
+    return float(np.max(state.col_max[seen] / state.c[seen], initial=0.0))

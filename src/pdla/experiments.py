@@ -29,8 +29,6 @@ from .metrics import CSV_HEADER, RunMetrics
 
 log = logging.getLogger("pdla")
 
-KINDS = ("LambdaSweep", "CorruptionSweep", "BatchDrift", "GraphSequence")
-
 
 @dataclass
 class ExperimentConfig:
@@ -49,7 +47,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _TRIALS:
             raise MalformedDocument(f"unknown experiment kind {self.kind!r}")
         for name, least in (("n", 2), ("trials", 1), ("seed", 0),
                             ("drift_steps", 1)):

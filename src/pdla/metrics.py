@@ -7,12 +7,12 @@ ceilings from these two functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
 class RunMetrics:
-    """One experiment row; field order matches the CSV columns."""
+    """One experiment row; its fields in order are the CSV columns."""
     lam: float
     trial: int
     step: int
@@ -26,15 +26,12 @@ class RunMetrics:
     dual_scale: float
 
     def to_row(self) -> list[str]:
-        return [f"{self.lam:.10g}", str(self.trial), str(self.step),
-                f"{self.cost_alg:.10g}", f"{self.cost_advice:.10g}",
-                f"{self.cost_offline:.10g}", f"{self.ratio:.10g}",
-                str(self.violations), str(self.iterations),
-                str(self.phases), f"{self.dual_scale:.10g}"]
+        return [f"{v:.10g}" if isinstance(v, float) else str(v)
+                for v in vars(self).values()]
 
 
-CSV_HEADER = ("lambda,trial,step,cost_alg,cost_advice,cost_offline,ratio,"
-              "violations,iterations,phases,dual_scale")
+CSV_HEADER = ",".join("lambda" if f.name == "lam" else f.name
+                      for f in fields(RunMetrics))
 
 
 def robustness_budget(kappa: float, n: int, lam: float) -> float:

@@ -1,6 +1,10 @@
 """Set cover, max flow / min cut, and group Steiner adapters."""
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from pdla import applications
@@ -86,6 +90,51 @@ def test_max_flow_on_a_deep_path():
     value, cut = max_flow(net, 0, n - 1)
     assert value == 0.25
     assert cut == [1700]
+
+
+def _reaches(n, arcs, start):
+    """Vertices reachable from start over the (u, v) pairs in arcs."""
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for (a, b) in arcs:
+            if a == u and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
+@st.composite
+def _flow_networks(draw):
+    # Vertices 0 (source) and 1 (sink) are live, as are the next few;
+    # the last ones only receive arcs, so arcs into dead ends occur.
+    live = draw(st.integers(2, 4))
+    n = live + draw(st.integers(0, 2))
+    arcs = draw(st.lists(st.tuples(st.integers(0, live - 1),
+                                   st.integers(0, n - 1),
+                                   st.integers(0, 3)), max_size=12))
+    return n, arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flow_networks())
+def test_max_flow_is_a_minimum_cut_that_separates(network):
+    n, arcs = network
+    net = FlowNetwork(num_nodes=n)
+    for (u, v, cap) in arcs:
+        net.add_arc(u, v, float(cap))
+    value, cut = max_flow(net, 0, 1)
+    others = range(2, n)
+    brute = min(sum(cap for (u, v, cap) in arcs if u in side and v not in side)
+                for size in range(n - 1)
+                for rest in combinations(others, size)
+                for side in [{0, *rest}])
+    assert value == brute
+    assert sum(arcs[k][2] for k in cut) == value
+    kept = [(u, v) for k, (u, v, _) in enumerate(arcs) if k not in cut]
+    assert 1 not in _reaches(n, kept, 0)
+    into_t = _reaches(n, [(v, u) for (u, v, _) in arcs], 1)
+    assert all(arcs[k][1] in into_t for k in cut)
 
 
 def test_gst_oracle_on_a_deep_path_tree():
@@ -228,6 +277,41 @@ def test_gst_oriented_away_from_root():
     tree2 = RootedTree.from_edge_list(3, 0, [(1, 0, 1.0), (2, 1, 1.0)])
     assert tree2.edges[0] == (0, 1, 1.0)
     assert tree2.edges[1] == (1, 2, 1.0)
+
+
+@st.composite
+def _edge_lists(draw):
+    # A random tree on relabelled vertices, each edge in a random direction
+    # and the list in a random order, with a random root.
+    n = draw(st.integers(1, 10))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for i in range(1, n):
+        u, v = label[draw(st.integers(0, i - 1))], label[i]
+        cost = draw(st.floats(0.1, 10.0))
+        edges.append((v, u, cost) if draw(st.booleans()) else (u, v, cost))
+    return n, draw(st.integers(0, n - 1)), draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_tree_edges_point_away_from_the_root_in_input_order(tree_input):
+    n, root, edges = tree_input
+    tree = RootedTree.from_edge_list(n, root, edges)
+    # Reference: parent pointers from a search from the root.
+    parent, order = {root: None}, [root]
+    for u in order:
+        for (a, b, _) in edges:
+            for (p, c) in ((a, b), (b, a)):
+                if p == u and c not in parent:
+                    parent[c] = u
+                    order.append(c)
+    assert tree.edges == [(parent[b], b, cost) if parent[b] == a
+                          else (parent[a], a, cost) for (a, b, cost) in edges]
+    if n >= 3:
+        # n - 1 edges with one repeated leave a vertex unreached.
+        with pytest.raises(MalformedDocument, match="not connected"):
+            RootedTree.from_edge_list(n, root, [edges[0], *edges[:-1]])
 
 
 def test_gst_cuts_at_the_solver_tolerance(monkeypatch):

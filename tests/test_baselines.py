@@ -190,3 +190,16 @@ def test_advice_scaling_keeps_a_huge_row_value_finite():
     # The row value at x' overflows to inf: x' covers the row unscaled.
     x = advice_scaling(1, [[(0, 1e200)]], [1e200])
     assert x.tolist() == [1e200]
+
+
+@pytest.mark.parametrize("n, rows, advice_x", [
+    (True, [[(0, 1.0)]], [0.5]),            # a bool is not the count 1
+    (0, [], []),
+    (2.0, [[(0, 1.0)]], [0.5, 0.5]),        # a float is not a count
+])
+def test_advice_scaling_checks_n_as_make_lp_instance_does(n, rows, advice_x):
+    message = "n must be a positive integer"
+    with pytest.raises(MalformedDocument, match=message):
+        make_lp_instance(n, advice_x, rows)
+    with pytest.raises(MalformedDocument, match=message):
+        advice_scaling(n, rows, advice_x)
